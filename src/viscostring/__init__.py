@@ -62,9 +62,10 @@ from .volterra import (
     convolve,
     mode_derivative,
     oracle_exponential_mode,
-    parallel_map,
     solve_mode,
+    solve_modes,
     solve_moment_kernel,
+    solve_moment_kernels,
     solve_volterra_second_kind,
 )
 

@@ -3,10 +3,11 @@
     viscostring <simulate|steer|pair|diagnose|verify> --config FILE
                 [--out DIR] [--threads K]
 
-The task on the command line must match the task in the config file; the
-optional flags override the config's output directory and thread count
-(the VISCOSTRING_THREADS environment variable is the fallback for the
-latter).
+The task on the command line must match the task in the config file;
+`--out` overrides the config's output directory.  `--threads` (like the
+config's `[run] threads` and the VISCOSTRING_THREADS environment variable)
+is accepted and validated for compatibility but has no effect: the
+package runs no thread pool of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for mode sweeps")
+                       help="accepted for compatibility; has no effect")
     return parser
 
 

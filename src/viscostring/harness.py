@@ -3,9 +3,12 @@
 Config files are flat INI: named sections of key = value lines, nothing
 nested.  A run reads one config, executes the requested task and writes a
 manifest plus plot-ready CSVs into the output directory.  Identical
-config and seed give byte-identical outputs for any thread count; wall
-time therefore lives in a separate timing.json sidecar rather than in the
-manifest.
+config and seed give byte-identical outputs; wall time therefore lives in
+a separate timing.json sidecar rather than in the manifest.  Each run
+solves its mode responses and moment kernels once, in one batch each,
+and hands them to every consumer.  The thread count (`--threads`,
+`[run] threads`, VISCOSTRING_THREADS) is still accepted and validated,
+but has no effect.
 
 Random targets and controls come from an explicit 64-bit generator so
 other toolchains can reproduce them from the documented integer
@@ -62,7 +65,7 @@ from .verify import (
     check_stress_deformation_gap,
     closed_loop_roundtrip,
 )
-from .volterra import RESOLUTION_LIMIT, TimeGrid, parallel_map, solve_mode
+from .volterra import RESOLUTION_LIMIT, TimeGrid, solve_modes
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -192,6 +195,10 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def resolve_threads(self, override: int | None = None) -> int:
+        """Thread count from the override, the config or the environment.
+
+        Kept for compatibility: the value is validated but no solver uses it.
+        """
         if override is not None:
             return max(1, override)
         if self.threads is not None:
@@ -407,12 +414,11 @@ def _state_outputs(state, out: Path, manifest: dict,
     manifest["physical_scale"] = state.physical_scale
 
 
-def _task_simulate(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
+def _task_simulate(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     grid.require_resolution(cfg.n_max)
     control = make_control(cfg, grid)
-    modes = parallel_map(lambda n: solve_mode(n, kernels, grid),
-                         range(1, cfg.n_max + 1), threads=threads)
+    modes = solve_modes(range(1, cfg.n_max + 1), kernels, grid)
     state = simulate_coefficients(control, modes, kernels)
     _state_outputs(state, out, manifest)
     write_csv(out / "control.csv", ["t", "physical", "reweighted"],
@@ -422,7 +428,7 @@ def _task_simulate(cfg, kernels, out: Path, threads: int, manifest: dict) -> Non
     manifest["control"] = {"kind": cfg.control_kind}
 
 
-def _task_steer(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
+def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
     grid.require_resolution(n_max)
@@ -442,9 +448,8 @@ def _task_steer(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
     # coefficients (unconstrained by construction) where the grid allows
     tail_n = min(2 * n_max, int(RESOLUTION_LIMIT / grid.step))
     tail_n = max(tail_n, n_max)
-    modes = parallel_map(lambda n: solve_mode(n, kernels, grid),
-                         range(1, tail_n + 1), threads=threads)
-    family = build_family(kernels, grid, n_max, threads=threads, mode_family=modes)
+    modes = solve_modes(range(1, tail_n + 1), kernels, grid)
+    family = build_family(kernels, grid, n_max, mode_family=modes)
     system = gram(family, grid)
     synthesis = synthesize_control(system, target, alpha=kernels.alpha)
     state = simulate_coefficients(synthesis.control, modes, kernels)
@@ -476,7 +481,7 @@ def _task_steer(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
     manifest["synthesis"] = synthesis_doc
 
 
-def _task_pair(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
+def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     if cfg.deformation_targets is None or cfg.pair_stress_targets is None:
         raise ValueError("pair task needs deformation and stress target rows")
@@ -484,7 +489,7 @@ def _task_pair(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
     d = cfg.pair_stress_targets[: cfg.n_pair]
     if len(c) != cfg.n_pair or len(d) != cfg.n_pair:
         raise ValueError("pair targets must cover n_pair modes")
-    report = finite_pair_control(kernels, grid, c, d, threads=threads)
+    report = finite_pair_control(kernels, grid, c, d)
     write_csv(out / "control.csv", ["t", "physical", "reweighted"],
               _control_rows(report.control, report.control_reweighted))
     write_csv(out / "coefficients.csv",
@@ -509,16 +514,16 @@ def _task_pair(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
     manifest["synthesis"] = doc
 
 
-def _task_diagnose(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
+def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
     grid.require_resolution(n_max)
-    bounds = frame_bounds(kernels, grid.horizon, n_max, threads=threads)
+    family = build_family(kernels, grid, n_max)
+    bounds = frame_bounds(kernels, grid.horizon, n_max, family=family)
     write_csv(out / "frame_bounds.csv", ["n_max", "lambda_min", "lambda_max"],
               ((s, lo, hi) for s, lo, hi in zip(bounds.sizes,
                                                 bounds.lambda_min_by_size,
                                                 bounds.lambda_max_by_size)))
-    family = build_family(kernels, grid, n_max, threads=threads)
     params = [mode_params(n, kernels.alpha) for n in range(1, n_max + 1)]
     closeness = quadratic_closeness(family, params, grid)
     write_csv(out / "closeness.csv",
@@ -537,39 +542,38 @@ def _task_diagnose(cfg, kernels, out: Path, threads: int, manifest: dict) -> Non
     }
 
 
-def _task_verify(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
+def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
     grid.require_resolution(n_max)
     n_range = range(1, n_max + 1)
+    modes = solve_modes(n_range, kernels, grid)
     verdicts = {}
 
-    mode_report = check_mode_asymptotics(kernels, grid, n_range, threads=threads)
+    mode_report = check_mode_asymptotics(kernels, grid, n_range, mode_family=modes)
     write_csv(out / "mode_asymptotics.csv", ["n", "deviation", "scaled"],
               _report_rows(mode_report))
     verdicts["mode_asymptotics"] = mode_report.verdict.value
 
     deriv_report = check_mode_derivative_asymptotics(kernels, grid, n_range,
-                                                     threads=threads)
+                                                     mode_family=modes)
     write_csv(out / "mode_derivative_asymptotics.csv",
               ["n", "deviation", "scaled"], _report_rows(deriv_report))
     verdicts["mode_derivative_asymptotics"] = deriv_report.verdict.value
 
     conv_report = check_convolution_asymptotics(
-        kernels, grid, (kernels.stress_kernel, 1.0), n_range, threads=threads)
+        kernels, grid, (kernels.stress_kernel, 1.0), n_range, mode_family=modes)
     write_csv(out / "convolution_asymptotics.csv",
               ["n", "deviation", "scaled"], _report_rows(conv_report))
     verdicts["convolution_asymptotics"] = conv_report.verdict.value
 
     resolvent_ns = [n for n in (1, 2, 4, 8) if n <= n_max]
-    residuals = [(n, check_resolvent_identity(kernels, grid, n))
+    residuals = [(n, check_resolvent_identity(kernels, grid, n, mode_family=modes))
                  for n in resolvent_ns]
     write_csv(out / "resolvent_residuals.csv", ["n", "max_residual"], residuals)
     manifest["resolvent_residuals"] = {str(n): r for n, r in residuals}
 
     control = make_control(cfg, grid)
-    modes = parallel_map(lambda n: solve_mode(n, kernels, grid),
-                         range(1, n_max + 1), threads=threads)
     state = simulate_coefficients(control, modes, kernels)
     gap_report = check_stress_deformation_gap(state)
     write_csv(out / "stress_deformation_gap.csv", ["n", "deviation", "scaled"],
@@ -579,7 +583,7 @@ def _task_verify(cfg, kernels, out: Path, threads: int, manifest: dict) -> None:
     roundtrip_doc = None
     if grid.horizon >= 2.0 * math.pi - 1e-12:
         target = random_unit_target(cfg.seed, min(n_max, 8))
-        trip = closed_loop_roundtrip(kernels, grid, target, threads=threads)
+        trip = closed_loop_roundtrip(kernels, grid, target, mode_family=modes)
         roundtrip_doc = {
             "n_max": target.n_max,
             "relative_error": trip.relative_error,
@@ -621,11 +625,12 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
     0 on success, 2 for configuration problems, 3 for an exceptional mode
     index, 4 for a near-singular Gram system, 5 for elastically degenerate
     pair targets, 1 for anything else.  Outputs land in the configured
-    (or overriding) output directory.
+    (or overriding) output directory.  `threads` is validated like the
+    config's thread count and otherwise ignored.
     """
     started = time.time()
     try:
-        resolved_threads = cfg.resolve_threads(threads)
+        cfg.resolve_threads(threads)  # validated for compatibility; no effect
         out = Path(out_dir if out_dir is not None else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         # solvers never touch the oscillation frequencies, so exceptional
@@ -636,7 +641,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
         manifest = _base_manifest(cfg, kernels)
         manifest["derived"]["nonreal_frequency_warning"] = \
             bool(cfg.kernel.alpha ** 2 > 1.0)
-        _TASK_RUNNERS[cfg.task](cfg, kernels, out, resolved_threads, manifest)
+        _TASK_RUNNERS[cfg.task](cfg, kernels, out, manifest)
         write_manifest(out / "manifest.json", manifest)
         with (out / "timing.json").open("w") as fh:
             json.dump({"wall_time_seconds": time.time() - started}, fh, indent=2)

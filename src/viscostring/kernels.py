@@ -50,9 +50,15 @@ __all__ = [
     "DerivedKernelSet",
     "derive_kernels",
     "exceptional_index_check",
+    "is_exceptional_index",
+    "EXCEPTIONAL_INDEX_FACTOR",
 ]
 
 MAX_POLYNOMIAL_DEGREE = 4
+
+#: Mode n counts as exceptional when |n^2 - alpha^2| <= this * eps * n^2:
+#: closer than that, mu = n^2 / (n^2 - alpha^2) is round-off.
+EXCEPTIONAL_INDEX_FACTOR = 1e3
 
 
 class KernelFamily(Enum):
@@ -285,19 +291,26 @@ def derive_kernels(kernel: MemoryKernel, grid: TimeGrid) -> DerivedKernelSet:
     )
 
 
+def is_exceptional_index(n: int, alpha: float) -> bool:
+    """True when n^2 equals alpha^2 to within EXCEPTIONAL_INDEX_FACTOR * eps * n^2."""
+    n_sq = float(n) * float(n)
+    return abs(n_sq - alpha * alpha) <= \
+        EXCEPTIONAL_INDEX_FACTOR * np.finfo(float).eps * n_sq
+
+
 def exceptional_index_check(kernel: MemoryKernel, n_max: int) -> bool:
     """Scan modes 1..n_max for a collision with the damping rate.
 
-    Raises ExceptionalIndexError if alpha^2 equals n^2 for some n in
-    range, since that mode has no oscillator representation.  Returns
-    True as a warning flag when alpha^2 > 1, meaning the lowest modes
-    have non-real oscillation frequencies (solvers do not care, but the
-    asymptotic checks reject such kernels).
+    Raises ExceptionalIndexError if alpha^2 equals n^2 (in the sense of
+    `is_exceptional_index`) for some n in range, since that mode has no
+    oscillator representation.  Returns True as a warning flag when
+    alpha^2 > 1, meaning the lowest modes have non-real oscillation
+    frequencies (solvers do not care, but the asymptotic checks reject
+    such kernels).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    alpha_sq = kernel.alpha * kernel.alpha
     for n in range(1, n_max + 1):
-        if alpha_sq == float(n * n):
+        if is_exceptional_index(n, kernel.alpha):
             raise ExceptionalIndexError(n, kernel.alpha)
-    return alpha_sq > 1.0
+    return kernel.alpha * kernel.alpha > 1.0

@@ -17,9 +17,9 @@ which turns the problem into the Hermitian system G a = gamma with
 G[m, n] = int_0^T Z_m conj(Z_n).  G is assembled with trapezoidal inner
 products, its eigenvalue extremes come from a cyclic Jacobi iteration and
 the system is solved by a Hermitian Cholesky factorisation.  Both routines
-are written here with fixed-order pairwise reductions so that outputs are
-byte-identical for any thread count; at the desk scale of at most a
-128 x 128 Gram this costs nothing.
+are written here with fixed-order pairwise reductions, so outputs are
+byte-identical from run to run; at the desk scale of at most a 128 x 128
+Gram this costs nothing.
 
 The extreme eigenvalues of the normalised Gram are the computable shadow
 of the family's Riesz property: bounded away from zero they certify
@@ -55,9 +55,8 @@ from .volterra import (
     TrajectoryKind,
     assemble_moment_kernel,
     convolve,
-    parallel_map,
-    solve_mode,
-    solve_moment_kernel,
+    solve_modes,
+    solve_moment_kernels,
 )
 
 __all__ = [
@@ -265,15 +264,15 @@ def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def build_family(kernels: DerivedKernelSet, grid: TimeGrid, n_max: int,
-                 threads: int = 1,
                  mode_family: Sequence[ModeTrajectory] | None = None
                  ) -> list[ModeTrajectory]:
     """Moment kernels for n = 1..n_max, cross-checked between both routes.
 
-    Each kernel is time stepped from its own equation and independently
-    assembled by quadrature from the mode response; a uniform deviation
-    beyond CROSS_CHECK_FACTOR * step^2 aborts the build.  Pass a
-    precomputed `mode_family` to reuse mode responses.
+    All kernels are time stepped from their own equation in one batch, and
+    each is independently assembled by quadrature from its mode response;
+    a uniform deviation beyond CROSS_CHECK_FACTOR * step^2 on any mode
+    aborts the build.  Pass a precomputed `mode_family` (n = 1, 2, ... in
+    order) to reuse mode responses.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -281,10 +280,11 @@ def build_family(kernels: DerivedKernelSet, grid: TimeGrid, n_max: int,
     if mode_family is not None and len(mode_family) < n_max:
         raise ValueError("mode_family does not cover n = 1..n_max")
     tolerance = CROSS_CHECK_FACTOR * grid.step ** 2
-
-    def one(n: int) -> ModeTrajectory:
-        stepped = solve_moment_kernel(n, kernels, grid)
-        base = mode_family[n - 1] if mode_family is not None else solve_mode(n, kernels, grid)
+    ns = range(1, n_max + 1)
+    family = solve_moment_kernels(ns, kernels, grid)
+    modes = mode_family[:n_max] if mode_family is not None \
+        else solve_modes(ns, kernels, grid)
+    for n, stepped, base in zip(ns, family, modes):
         assembled = assemble_moment_kernel(base, kernels)
         deviation = float(np.max(np.abs(stepped.samples - assembled.samples)))
         if deviation > tolerance:
@@ -292,9 +292,7 @@ def build_family(kernels: DerivedKernelSet, grid: TimeGrid, n_max: int,
                 f"moment kernel n={n}: route deviation {deviation:.3e} exceeds "
                 f"{tolerance:.3e}"
             )
-        return stepped
-
-    return parallel_map(one, range(1, n_max + 1), threads=threads)
+    return family
 
 
 def gram(family: Sequence[ModeTrajectory], grid: TimeGrid) -> GramSystem:
@@ -396,8 +394,7 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
 
 
 def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
-                        deformation_targets, stress_targets,
-                        threads: int = 1) -> SynthesisReport:
+                        deformation_targets, stress_targets) -> SynthesisReport:
     """Assign deformation and stress coefficients for modes 1..N at once.
 
     Works at any positive horizon.  The moment functions are the real
@@ -428,8 +425,7 @@ def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
         raise ValueError("kernel grid mismatch")
     grid.require_resolution(n_pair)
 
-    modes = parallel_map(lambda n: solve_mode(n, kernels, grid),
-                         range(1, n_pair + 1), threads=threads)
+    modes = solve_modes(range(1, n_pair + 1), kernels, grid)
     deform_rows = [float(t.n) * convolve(kernels.relaxation_scaled, t.samples, grid)
                    for t in modes]
     gap_rows = [float(t.n) * convolve(kernels.stress_gap, t.samples, grid)
@@ -541,12 +537,15 @@ _DEFAULT_DENSITY = 4096 / (2.0 * math.pi)  # grid nodes per unit time
 
 
 def frame_bounds(kernel, horizon: float, n_max: int,
-                 steps: int | None = None, threads: int = 1) -> FrameBoundsReport:
+                 steps: int | None = None,
+                 family: Sequence[ModeTrajectory] | None = None
+                 ) -> FrameBoundsReport:
     """Eigenvalue extremes of the normalised Gram at growing truncations.
 
     Accepts either a memory kernel (derived internally on a grid for the
     requested horizon) or an already derived kernel set whose horizon
-    matches.  The family is built once at n_max and the smaller
+    matches.  The family is built once at n_max, or taken from `family`
+    (the output of `build_family` for this kernel set), and the smaller
     truncations in {4, 8, 16, 32} are read off principal submatrices of
     the normalised Gram.
     """
@@ -567,8 +566,11 @@ def frame_bounds(kernel, horizon: float, n_max: int,
     else:
         raise TypeError("kernel must be a MemoryKernel or DerivedKernelSet")
 
-    family = build_family(kernels, grid, n_max, threads=threads)
-    system = gram(family, grid)
+    if family is None:
+        family = build_family(kernels, grid, n_max)
+    elif len(family) < n_max:
+        raise ValueError("family does not cover n = 1..n_max")
+    system = gram(family[:n_max], grid)
     norms = np.sqrt(np.diag(system.matrix).real)
     normalised = system.matrix / np.outer(norms, norms)
 

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ExceptionalIndexError
+from .kernels import is_exceptional_index
 from .volterra import ModeTrajectory, TimeGrid, TrajectoryKind, convolve
 
 __all__ = [
@@ -92,9 +93,9 @@ def mode_params(n: int, alpha: float) -> ModeParams:
     """Closed-form oscillator parameters; raises for an exceptional index."""
     if n == 0:
         raise ValueError("mode index must be a nonzero integer")
-    disc = float(n) * float(n) - alpha * alpha
-    if disc == 0.0:
+    if is_exceptional_index(n, alpha):
         raise ExceptionalIndexError(n, alpha)
+    disc = float(n) * float(n) - alpha * alpha
     if disc > 0.0:
         beta = math.sqrt(disc)
     else:

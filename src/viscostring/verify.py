@@ -22,11 +22,11 @@ from .kernels import DerivedKernelSet, MemoryKernel
 from .moments import MomentTarget, SynthesisReport, build_family, gram, synthesize_control
 from .spectral import SpectralState, mode_params, simulate_coefficients
 from .volterra import (
+    ModeTrajectory,
     TimeGrid,
     convolve,
     mode_derivative,
-    parallel_map,
-    solve_mode,
+    solve_modes,
 )
 
 __all__ = [
@@ -93,49 +93,73 @@ def _params_for(kernels: DerivedKernelSet, n: int):
     return par
 
 
+def _modes_for(kernels: DerivedKernelSet, grid: TimeGrid, ns: Sequence[int],
+               mode_family: Sequence[ModeTrajectory] | None) -> list[ModeTrajectory]:
+    """Mode responses for `ns`: one solved batch, or looked up in `mode_family`.
+
+    Responses are even in n, so a family of positive indices serves
+    negative ones too.
+    """
+    if mode_family is None:
+        return solve_modes(ns, kernels, grid)
+    by_index = {abs(t.n): t for t in mode_family}
+    if not {abs(n) for n in ns} <= by_index.keys():
+        raise ValueError("mode_family does not cover the requested modes")
+    return [by_index[abs(n)] for n in ns]
+
+
+def _mode_trend(label: str, kernels: DerivedKernelSet, grid: TimeGrid,
+                n_range: Iterable[int], mode_family, deviation) -> AsymptoticReport:
+    """Trend report of deviation(n, params, y_n) over `n_range`."""
+    ns = list(n_range)
+    params = [_params_for(kernels, n) for n in ns]
+    modes = _modes_for(kernels, grid, ns, mode_family)
+    devs = [float(deviation(n, par, y)) for n, par, y in zip(ns, params, modes)]
+    return _trend_report(label, ns, devs, grid.step, grid.horizon)
+
+
 def check_mode_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
                            n_range: Iterable[int],
-                           threads: int = 1) -> AsymptoticReport:
-    """Deviation of each mode response from its damped cosine."""
+                           mode_family: Sequence[ModeTrajectory] | None = None
+                           ) -> AsymptoticReport:
+    """Deviation of each mode response from its damped cosine.
+
+    Pass a precomputed `mode_family` to reuse mode responses.
+    """
     times = grid.times()
-
-    def deviation(n: int) -> float:
-        par = _params_for(kernels, n)
-        y = solve_mode(n, kernels, grid)
-        return float(np.max(np.abs(y.samples - par.damped_cos(times))))
-
-    ns = list(n_range)
-    devs = parallel_map(deviation, ns, threads=threads)
-    return _trend_report("mode vs damped cosine", ns, devs, grid.step, grid.horizon)
+    return _mode_trend("mode vs damped cosine", kernels, grid, n_range, mode_family,
+                       lambda n, par, y: np.max(np.abs(y.samples - par.damped_cos(times))))
 
 
 def check_mode_derivative_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
                                       n_range: Iterable[int],
-                                      threads: int = 1) -> AsymptoticReport:
-    """Deviation of each scaled mode derivative from its damped sine."""
+                                      mode_family: Sequence[ModeTrajectory] | None = None
+                                      ) -> AsymptoticReport:
+    """Deviation of each scaled mode derivative from its damped sine.
+
+    Pass a precomputed `mode_family` to reuse mode responses.
+    """
     times = grid.times()
 
-    def deviation(n: int) -> float:
-        par = _params_for(kernels, n)
-        y = solve_mode(n, kernels, grid)
+    def deviation(n, par, y):
         dy = mode_derivative(y, kernels)
         beta = par.beta.real if isinstance(par.beta, complex) else par.beta
-        return float(np.max(np.abs(dy.samples / beta + par.damped_sin(times))))
+        return np.max(np.abs(dy.samples / beta + par.damped_sin(times)))
 
-    ns = list(n_range)
-    devs = parallel_map(deviation, ns, threads=threads)
-    return _trend_report("mode derivative vs damped sine", ns, devs,
-                         grid.step, grid.horizon)
+    return _mode_trend("mode derivative vs damped sine", kernels, grid, n_range,
+                       mode_family, deviation)
 
 
 def check_convolution_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
                                   smooth_factor, n_range: Iterable[int],
-                                  threads: int = 1) -> AsymptoticReport:
+                                  mode_family: Sequence[ModeTrajectory] | None = None
+                                  ) -> AsymptoticReport:
     """Deviation of n * (F ⋆ y_n) from F(0) times the damped sine.
 
     `smooth_factor` is either a MemoryKernel (evaluated in closed form on
     the grid, value at zero exact) or a pair (samples, value_at_zero) for
-    derived kernels such as the stress series kernel.
+    derived kernels such as the stress series kernel.  Pass a precomputed
+    `mode_family` to reuse mode responses.
     """
     times = grid.times()
     if isinstance(smooth_factor, MemoryKernel):
@@ -146,31 +170,26 @@ def check_convolution_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
         samples = np.asarray(samples, dtype=float)
     if len(samples) != grid.steps + 1:
         raise ValueError("factor sample length does not match the grid")
-
-    def deviation(n: int) -> float:
-        par = _params_for(kernels, n)
-        y = solve_mode(n, kernels, grid)
-        probe = float(n) * convolve(samples, y.samples, grid)
-        return float(np.max(np.abs(probe - at_zero * par.damped_sin(times))))
-
-    ns = list(n_range)
-    devs = parallel_map(deviation, ns, threads=threads)
-    return _trend_report("smooth convolution vs damped sine", ns, devs,
-                         grid.step, grid.horizon)
+    return _mode_trend(
+        "smooth convolution vs damped sine", kernels, grid, n_range, mode_family,
+        lambda n, par, y: np.max(np.abs(float(n) * convolve(samples, y.samples, grid)
+                                        - at_zero * par.damped_sin(times))))
 
 
-def check_resolvent_identity(kernels: DerivedKernelSet, grid: TimeGrid,
-                             n: int) -> float:
+def check_resolvent_identity(kernels: DerivedKernelSet, grid: TimeGrid, n: int,
+                             mode_family: Sequence[ModeTrajectory] | None = None
+                             ) -> float:
     """Residual of the oscillator representation of one mode response.
 
     The mode response y_n should equal G_n + R ⋆ G_n where R is the
     resolvent kernel and G_n collects the damped oscillator profile plus
     three correction convolutions built from y_n itself.  Returns the
     maximum absolute residual over the grid; O(step^2) for smooth kernels.
+    Pass a precomputed `mode_family` to reuse the mode response.
     """
     par = _params_for(kernels, n)
     times = grid.times()
-    y = solve_mode(n, kernels, grid).samples
+    y = _modes_for(kernels, grid, [n], mode_family)[0].samples
     beta = par.beta.real if isinstance(par.beta, complex) else par.beta
     mu = par.mu.real if isinstance(par.mu, complex) else par.mu
     damped_sin = par.damped_sin(times)
@@ -209,17 +228,18 @@ class RoundtripReport:
 
 def closed_loop_roundtrip(kernels: DerivedKernelSet, grid: TimeGrid,
                           target: MomentTarget,
-                          threads: int = 1) -> RoundtripReport:
+                          mode_family: Sequence[ModeTrajectory] | None = None
+                          ) -> RoundtripReport:
     """Synthesise a steering control, re-simulate it, compare coefficients.
 
     The comparison norm is the coefficient-space distance between the
     achieved velocity/stress pairs and the requested ones, relative to the
-    target norm (zero targets compare absolutely).
+    target norm (zero targets compare absolutely).  Pass a precomputed
+    `mode_family` to reuse mode responses.
     """
     n_max = target.n_max
-    modes = parallel_map(lambda n: solve_mode(n, kernels, grid),
-                         range(1, n_max + 1), threads=threads)
-    family = build_family(kernels, grid, n_max, threads=threads, mode_family=modes)
+    modes = _modes_for(kernels, grid, range(1, n_max + 1), mode_family)
+    family = build_family(kernels, grid, n_max, mode_family=modes)
     system = gram(family, grid)
     synthesis = synthesize_control(system, target, alpha=kernels.alpha)
     state = simulate_coefficients(synthesis.control, modes, kernels)

@@ -13,9 +13,15 @@ in closed form at every step.  The scheme is A-stable in the local part and
 second-order accurate overall, at O(K^2) cost per trajectory, which is the
 accepted price at desk scale.
 
-History sums are evaluated with numpy's pairwise reduction in a fixed
-order, so results do not depend on how a mode sweep is scheduled across
-threads.
+One march advances a whole batch of mode indices at once: the state holds
+one row per mode, every step's history sums are a single BLAS
+matrix-vector product over the batch, and the closed-form step update is
+applied to the whole column.  Callers solve each family once per run
+(`solve_modes`, `solve_moment_kernels`) and share it; `solve_mode` and
+`solve_moment_kernel` are one-index batches of the same engine.  The
+product's summation order depends on the batch shape, which the caller's
+index list fixes; the tests check that the BLAS thread count does not
+change a single byte.
 
 An independent high-accuracy integrator for exponential-sum kernels
 (`oracle_exponential_mode`) rewrites the memory term as auxiliary ODE
@@ -27,10 +33,9 @@ product-integration route and serves as its oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -45,20 +50,18 @@ __all__ = [
     "convolve",
     "solve_volterra_second_kind",
     "solve_mode",
+    "solve_modes",
     "mode_derivative",
     "solve_moment_kernel",
+    "solve_moment_kernels",
     "assemble_moment_kernel",
     "oracle_exponential_mode",
-    "parallel_map",
 ]
 
 #: Largest admissible value of step*n for a mode of index n.  Keeps at
 #: least ~60 grid nodes per oscillation period.
 RESOLUTION_LIMIT = 0.1
 _RESOLUTION_SLACK = 1e-12
-
-_T = TypeVar("_T")
-_S = TypeVar("_S")
 
 
 @dataclass(frozen=True)
@@ -181,52 +184,100 @@ def solve_volterra_second_kind(kernel, source, grid: TimeGrid) -> np.ndarray:
     return x
 
 
-def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weight: float,
+def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
            forcing, dtype) -> np.ndarray:
-    """March y' = local*y - weight*(kernel * y) + forcing, y(0) = 1."""
+    """March y_i' = local*y_i - weights[i]*(kernel * y_i) + g_i, y_i(0) = 1.
+
+    Advances every row i at once and returns the (N, K+1) batch.  The
+    kernel and coefficients are real, so a complex batch is marched as 2N
+    real rows, its real parts over its imaginary parts (which start at
+    zero).  `forcing` is None or a real array with one row of g_i per
+    marched row.
+    """
     h = grid.step
     steps = grid.steps
     kern = np.ascontiguousarray(kernel, dtype=float)
-    y = np.zeros(steps + 1, dtype=dtype)
-    rhs = np.zeros(steps + 1, dtype=dtype)
-    y[0] = 1.0
-    rhs[0] = local * y[0] + (forcing[0] if forcing is not None else 0.0)
-    denom = 1.0 - 0.5 * h * local + 0.25 * h * h * weight * kern[0]
+    weights = np.asarray(weights, dtype=float)
+    count = len(weights)
+    start = np.ones(count)
+    if dtype is complex:
+        weights = np.concatenate([weights, weights])
+        start = np.concatenate([start, np.zeros(count)])
+    y = np.zeros((len(weights), steps + 1))
+    y[:, 0] = start
+    g = forcing[:, 0] if forcing is not None else 0.0
+    rhs = local * start + g
+    denom = 1.0 - 0.5 * h * local + 0.25 * h * h * weights * kern[0]
     rev = np.ascontiguousarray(kern[::-1])  # rev[j] = kern[steps - j]
-    buf = np.empty(steps, dtype=dtype)
     for k in range(1, steps + 1):
-        m = k - 1
-        hist = 0.5 * kern[k] * y[0]
-        if m:
-            np.multiply(rev[steps - k + 1 : steps], y[1:k], out=buf[:m])
-            hist += buf[:m].sum()
+        hist = 0.5 * kern[k] * start + y[:, 1:k] @ rev[steps - k + 1 : steps]
         hist *= h
-        g = forcing[k] if forcing is not None else 0.0
-        ynew = (y[k - 1] + 0.5 * h * (rhs[k - 1] + g - weight * hist)) / denom
-        y[k] = ynew
-        rhs[k] = local * ynew - weight * (hist + 0.5 * h * kern[0] * ynew) + g
-    return y
+        g = forcing[:, k] if forcing is not None else 0.0
+        ynew = (y[:, k - 1] + 0.5 * h * (rhs + g - weights * hist)) / denom
+        y[:, k] = ynew
+        rhs = local * ynew - weights * (hist + 0.5 * h * kern[0] * ynew) + g
+    if dtype is not complex:
+        return y
+    out = np.empty((count, steps + 1), dtype=complex)
+    out.real = y[:count]
+    out.imag = y[count:]
+    return out
 
 
-def _check_geometry(kernels: "DerivedKernelSet", grid: TimeGrid, n: int) -> None:
-    if n == 0:
+def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet", grid: TimeGrid,
+                 kind: TrajectoryKind) -> list[ModeTrajectory]:
+    """March every distinct |n| of `ns` in one batch and map rows back.
+
+    Mode responses are even in n and moment kernels satisfy
+    Z_{-n} = conj(Z_n), so both signs share one row and the symmetry is
+    exact.  Returned samples are read-only row views of the batch (copies
+    only for conjugated moment kernels).
+    """
+    ns = list(ns)
+    if not ns:
+        raise ValueError("no mode indices given")
+    if 0 in ns:
         raise ValueError("mode index must be a nonzero integer")
     if grid != kernels.grid:
         raise ValueError("grid does not match the one the kernels were derived on")
-    grid.require_resolution(abs(n))
+    sizes = sorted({abs(n) for n in ns})
+    grid.require_resolution(sizes[-1])
+    size = np.array(sizes, dtype=float)
+    if kind is TrajectoryKind.MODE:
+        forcing, dtype = None, float
+    else:  # Hv + i*n*Ks: real parts over imaginary parts
+        forcing = np.empty((2 * len(sizes), grid.steps + 1))
+        forcing[: len(sizes)] = kernels.velocity_kernel
+        np.multiply(size[:, None], kernels.stress_kernel, out=forcing[len(sizes):])
+        dtype = complex
+    batch = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
+                   size * size, forcing, dtype)
+    batch.setflags(write=False)
+    rows = dict(zip(sizes, batch))
+    out = []
+    for n in ns:
+        samples = rows[abs(n)]
+        if n < 0 and dtype is complex:
+            samples = np.conj(samples)
+        out.append(ModeTrajectory(n=n, kind=kind, samples=samples, grid=grid))
+    return out
+
+
+def solve_modes(ns: Iterable[int], kernels: "DerivedKernelSet",
+                grid: TimeGrid) -> list[ModeTrajectory]:
+    """Solve the memory oscillators of every mode in `ns` in one batch.
+
+    The mode response y_n satisfies y' = 2*alpha*y - n^2 (Na * y) with
+    y(0) = 1, where Na is the scaled relaxation kernel.  The response is
+    real and even in the mode index.  Trajectories come back in the order
+    of `ns`.
+    """
+    return _solve_batch(ns, kernels, grid, TrajectoryKind.MODE)
 
 
 def solve_mode(n: int, kernels: "DerivedKernelSet", grid: TimeGrid) -> ModeTrajectory:
-    """Solve the memory oscillator of mode n.
-
-    The mode response y satisfies y' = 2*alpha*y - n^2 (Na * y) with
-    y(0) = 1, where Na is the scaled relaxation kernel.  The response is
-    real and even in the mode index.
-    """
-    _check_geometry(kernels, grid, n)
-    samples = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
-                     float(n) * float(n), None, float)
-    return ModeTrajectory(n=n, kind=TrajectoryKind.MODE, samples=samples, grid=grid)
+    """Solve the memory oscillator of mode n (a one-index `solve_modes`)."""
+    return solve_modes([n], kernels, grid)[0]
 
 
 def mode_derivative(trajectory: ModeTrajectory, kernels: "DerivedKernelSet") -> ModeTrajectory:
@@ -247,19 +298,21 @@ def mode_derivative(trajectory: ModeTrajectory, kernels: "DerivedKernelSet") -> 
                           samples=samples, grid=trajectory.grid)
 
 
-def solve_moment_kernel(n: int, kernels: "DerivedKernelSet", grid: TimeGrid) -> ModeTrajectory:
-    """Solve the complex moment kernel of mode n by time stepping.
+def solve_moment_kernels(ns: Iterable[int], kernels: "DerivedKernelSet",
+                         grid: TimeGrid) -> list[ModeTrajectory]:
+    """Solve the complex moment kernels of every mode in `ns` in one batch.
 
-    The kernel Z satisfies Z' = 2*alpha*Z - n^2 (Na * Z) + Hv + i*n*Ks
+    The kernel Z_n satisfies Z' = 2*alpha*Z - n^2 (Na * Z) + Hv + i*n*Ks
     with Z(0) = 1, where Hv and Ks are the velocity and stress series
-    kernels.  Same scheme as `solve_mode`, complex state.
+    kernels.  Same scheme as `solve_modes`; Z_{-n} = conj(Z_n) exactly.
     """
-    _check_geometry(kernels, grid, n)
-    forcing = kernels.velocity_kernel + 1j * float(n) * kernels.stress_kernel
-    samples = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
-                     float(n) * float(n), forcing, complex)
-    return ModeTrajectory(n=n, kind=TrajectoryKind.MOMENT_KERNEL,
-                          samples=samples, grid=grid)
+    return _solve_batch(ns, kernels, grid, TrajectoryKind.MOMENT_KERNEL)
+
+
+def solve_moment_kernel(n: int, kernels: "DerivedKernelSet",
+                        grid: TimeGrid) -> ModeTrajectory:
+    """Solve the moment kernel of mode n (a one-index `solve_moment_kernels`)."""
+    return solve_moment_kernels([n], kernels, grid)[0]
 
 
 def assemble_moment_kernel(trajectory: ModeTrajectory,
@@ -327,18 +380,3 @@ def oracle_exponential_mode(n: int, kernel: "MemoryKernel", grid: TimeGrid,
         state = per_node @ state
         samples[k] = state[0]
     return ModeTrajectory(n=n, kind=TrajectoryKind.MODE, samples=samples, grid=grid)
-
-
-def parallel_map(fn: Callable[[_T], _S], items: Iterable[_T],
-                 threads: int = 1) -> list[_S]:
-    """Apply `fn` over `items`, optionally on a thread pool.
-
-    Results are returned in input order.  Because every solver is pure and
-    reductions use a fixed summation order, the outcome is identical for
-    any thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

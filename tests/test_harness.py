@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viscostring
+from viscostring import volterra
 from viscostring.cli import main as cli_main
 from viscostring.harness import (
     EXIT_CONFIG,
@@ -224,6 +231,13 @@ kind = verify
         assert run(load_config(path), out_dir=tmp_path / "o") \
             == EXIT_EXCEPTIONAL_INDEX
 
+    def test_near_exceptional_kernel_fails_verification_tasks(self, tmp_path):
+        # alpha^2 = 1 - 2e-15: mode 1 collides in all but round-off
+        path = task_config(tmp_path, "verify", n_max=4,
+                           coefficients=f"{2.0 * (1.0 - 1e-15)!r} 1.0")
+        assert run(load_config(path), out_dir=tmp_path / "o") \
+            == EXIT_EXCEPTIONAL_INDEX
+
     def test_exceptional_kernel_still_steers(self, tmp_path):
         # solvers never evaluate the oscillation frequencies, so steering
         # remains well defined at an exceptional index
@@ -275,6 +289,97 @@ class TestDeterminism:
             assert run(load_config(path), out_dir=out) == EXIT_OK
             blobs.append((out / "manifest.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+TASK_TEMPLATE = """
+[kernel]
+family = exponential_sum
+coefficients = {coefficients}
+
+[grid]
+horizon = {horizon}
+steps = {steps}
+
+[modes]
+n_max = {n_max}
+n_pair = 4
+
+[task]
+kind = {task}
+
+[targets]
+{targets}
+
+[control]
+kind = bump
+
+[run]
+seed = 5
+"""
+
+TASK_TARGETS = {
+    "steer": "random = unit",
+    "pair": "deformation = 1 0.5 0 0\nstress = 0 0.5 1 0",
+}
+
+
+def task_config(tmp_path, task, *, coefficients="0.4 1.0", horizon=TWO_PI,
+                steps=1024, n_max=8):
+    return write_config(
+        tmp_path,
+        TASK_TEMPLATE.format(task=task, coefficients=coefficients,
+                             horizon=horizon, steps=steps, n_max=n_max,
+                             targets=TASK_TARGETS.get(task, "")),
+        name=f"{task}.ini")
+
+
+class TestSolveOnce:
+    """Each run marches its mode responses and moment kernels once."""
+
+    @pytest.mark.parametrize("task,batches", [
+        ("simulate", {"float": 1}),
+        ("pair", {"float": 1}),
+        ("steer", {"float": 1, "complex": 1}),
+        ("diagnose", {"float": 1, "complex": 1}),
+        ("verify", {"float": 1, "complex": 1}),
+    ])
+    def test_one_batch_per_family(self, tmp_path, monkeypatch, task, batches):
+        calls = Counter()
+        march = volterra._march
+
+        def counting(grid, kernel, local, weights, forcing, dtype):
+            calls[dtype.__name__] += 1
+            return march(grid, kernel, local, weights, forcing, dtype)
+
+        monkeypatch.setattr(volterra, "_march", counting)
+        path = task_config(tmp_path, task)
+        assert run(load_config(path), out_dir=tmp_path / "o") == EXIT_OK
+        assert dict(calls) == batches
+
+
+def _cli_outputs(tmp_path, task, path, blas_threads):
+    out = tmp_path / f"{task}_{blas_threads}"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=str(Path(viscostring.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "viscostring.cli", task, "--config", str(path),
+         "--out", str(out)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())
+            if f.name != "timing.json"}
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("task,n_max", [("steer", 8), ("simulate", 16)])
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path, task,
+                                                       n_max):
+        # the history sums are BLAS products large enough to be threaded
+        path = task_config(tmp_path, task, steps=2048, n_max=n_max)
+        single = _cli_outputs(tmp_path, task, path, 1)
+        double = _cli_outputs(tmp_path, task, path, 2)
+        assert "manifest.json" in single
+        assert single == double
 
 
 class TestExports:

@@ -10,6 +10,7 @@ from viscostring import (
     convolve,
     derive_kernels,
     exceptional_index_check,
+    mode_params,
 )
 from viscostring.errors import ExceptionalIndexError
 
@@ -126,6 +127,20 @@ def test_exceptional_index_scan():
     # alpha^2 > 1 without an exact collision only warns
     assert exceptional_index_check(
         MemoryKernel.exponential_sum([(3.0, 1.0)]), 32) is True
+
+
+def test_near_exceptional_index_is_rejected():
+    # alpha^2 = 1 - 2e-15 is a collision in all but round-off: mu ~ 5e14
+    near = MemoryKernel.exponential_sum([(2.0 * (1.0 - 1e-15), 1.0)])
+    with pytest.raises(ExceptionalIndexError) as info:
+        exceptional_index_check(near, 4)
+    assert info.value.n == 1
+    with pytest.raises(ExceptionalIndexError):
+        mode_params(1, near.alpha)
+    assert mode_params(2, near.alpha).beta_is_real
+    # a genuine, if small, gap stays a regular mode
+    assert exceptional_index_check(
+        MemoryKernel.exponential_sum([(2.0 * (1.0 - 1e-9), 1.0)]), 4) is False
 
 
 def test_derived_kernels_are_read_only(desk_kernels):

@@ -201,6 +201,14 @@ class TestFrameBounds:
         assert abs(report.lambda_min - 1.0) < 1e-3
         assert abs(report.lambda_max - 1.0) < 1e-3
 
+    def test_prebuilt_family_gives_the_same_bounds(self, desk_kernels,
+                                                   desk_grid):
+        family = build_family(desk_kernels, desk_grid, 4)
+        reused = frame_bounds(desk_kernels, TWO_PI, 4, family=family)
+        assert reused == frame_bounds(desk_kernels, TWO_PI, 4)
+        with pytest.raises(ValueError):
+            frame_bounds(desk_kernels, TWO_PI, 8, family=family)
+
     def test_short_horizon_collapse(self):
         report = frame_bounds(ELASTIC_KERNEL, math.pi / 2.0, 16)
         assert report.lambda_min < 1e-2

@@ -37,6 +37,26 @@ class TestModeAsymptotics:
         report = check_mode_asymptotics(desk_kernels, desk_grid, [4, -4])
         assert report.deviations[0] == report.deviations[1]
 
+    def test_precomputed_modes_give_the_same_reports(self, desk_kernels,
+                                                     desk_grid, desk_modes_32):
+        ns = [1, 4, -4, 8]
+        checks = [
+            lambda **kw: check_mode_asymptotics(desk_kernels, desk_grid, ns, **kw),
+            lambda **kw: check_mode_derivative_asymptotics(desk_kernels, desk_grid,
+                                                           ns, **kw),
+            lambda **kw: check_convolution_asymptotics(
+                desk_kernels, desk_grid, DESK_KERNEL, ns, **kw),
+        ]
+        for check in checks:
+            np.testing.assert_allclose(check(mode_family=desk_modes_32).deviations,
+                                       check().deviations, rtol=1e-10)
+        assert check_resolvent_identity(desk_kernels, desk_grid, -2) \
+            == check_resolvent_identity(desk_kernels, desk_grid, 2,
+                                        mode_family=desk_modes_32)
+        with pytest.raises(ValueError):
+            check_mode_asymptotics(desk_kernels, desk_grid, [9],
+                                   mode_family=desk_modes_32[:8])
+
     def test_heavily_damped_kernel_rejected(self, desk_grid):
         kernels = derive_kernels(MemoryKernel.exponential_sum([(3.0, 1.0)]),
                                  desk_grid)

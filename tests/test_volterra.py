@@ -13,9 +13,10 @@ from viscostring import (
     derive_kernels,
     mode_derivative,
     oracle_exponential_mode,
-    parallel_map,
     solve_mode,
+    solve_modes,
     solve_moment_kernel,
+    solve_moment_kernels,
     solve_volterra_second_kind,
 )
 
@@ -218,12 +219,64 @@ def test_mode_trajectory_validation(desk_grid):
         ModeTrajectory(1, TrajectoryKind.MODE, np.ones(7), desk_grid)
 
 
-def test_parallel_map_is_thread_count_invariant(desk_kernels, desk_grid):
-    serial = parallel_map(
-        lambda n: solve_mode(n, desk_kernels, desk_grid).samples, [1, 2, 3],
-        threads=1)
-    pooled = parallel_map(
-        lambda n: solve_mode(n, desk_kernels, desk_grid).samples, [1, 2, 3],
-        threads=3)
-    for a, b in zip(serial, pooled):
-        assert np.array_equal(a, b)
+def _reference_march(grid, kernel, local, weight, forcing, dtype):
+    """One-mode march with scalar updates, as the solver did it before batching."""
+    h = grid.step
+    steps = grid.steps
+    kern = np.ascontiguousarray(kernel, dtype=float)
+    y = np.zeros(steps + 1, dtype=dtype)
+    rhs = np.zeros(steps + 1, dtype=dtype)
+    y[0] = 1.0
+    rhs[0] = local * y[0] + (forcing[0] if forcing is not None else 0.0)
+    denom = 1.0 - 0.5 * h * local + 0.25 * h * h * weight * kern[0]
+    rev = np.ascontiguousarray(kern[::-1])
+    buf = np.empty(steps, dtype=dtype)
+    for k in range(1, steps + 1):
+        m = k - 1
+        hist = 0.5 * kern[k] * y[0]
+        if m:
+            np.multiply(rev[steps - k + 1 : steps], y[1:k], out=buf[:m])
+            hist += buf[:m].sum()
+        hist *= h
+        g = forcing[k] if forcing is not None else 0.0
+        ynew = (y[k - 1] + 0.5 * h * (rhs[k - 1] + g - weight * hist)) / denom
+        y[k] = ynew
+        rhs[k] = local * ynew - weight * (hist + 0.5 * h * kern[0] * ynew) + g
+    return y
+
+
+@pytest.mark.parametrize("kernel", [DESK_KERNEL, ELASTIC_KERNEL],
+                         ids=["desk", "elastic"])
+def test_batched_engine_matches_per_mode_reference(kernel):
+    grid = TimeGrid(TWO_PI, 1024)
+    dk = derive_kernels(kernel, grid)
+    ns = [3, -1, 16, 1, -3]
+    modes = solve_modes(ns, dk, grid)
+    kernels_z = solve_moment_kernels(ns, dk, grid)
+    for n, y, z in zip(ns, modes, kernels_z):
+        assert (y.n, z.n) == (n, n)
+        weight = float(n) * float(n)
+        ref_y = _reference_march(grid, dk.relaxation_scaled, 2.0 * dk.alpha,
+                                 weight, None, float)
+        forcing = dk.velocity_kernel + 1j * float(n) * dk.stress_kernel
+        ref_z = _reference_march(grid, dk.relaxation_scaled, 2.0 * dk.alpha,
+                                 weight, forcing, complex)
+        assert np.max(np.abs(y.samples - ref_y)) <= 1e-13 * np.max(np.abs(ref_y))
+        assert np.max(np.abs(z.samples - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
+    by_n = {z.n: z.samples for z in kernels_z}
+    for n in (1, 3):
+        assert np.array_equal(by_n[-n], np.conj(by_n[n]))
+    with pytest.raises(ValueError):
+        solve_modes([1, 0], dk, grid)
+    with pytest.raises(ValueError):
+        solve_moment_kernels([0], dk, grid)
+    with pytest.raises(ValueError):
+        solve_modes([1, 17], dk, grid)  # step * 17 > RESOLUTION_LIMIT
+    with pytest.raises(ValueError):
+        solve_moment_kernels([-17], dk, grid)
+
+
+def test_batch_rows_are_read_only_views(desk_kernels, desk_grid):
+    modes = solve_modes([1, 2], desk_kernels, desk_grid)
+    assert modes[0].samples.base is modes[1].samples.base
+    assert not modes[0].samples.flags.writeable
