@@ -60,6 +60,7 @@ from .volterra import (
     TrajectoryKind,
     assemble_moment_kernel,
     convolve,
+    convolve_transpose,
     mode_derivative,
     oracle_exponential_mode,
     solve_mode,

@@ -18,7 +18,6 @@ recurrence (see `splitmix64_stream`).
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 import math
 import os
@@ -96,6 +95,17 @@ EXIT_ELASTIC_DEGENERACY = 5
 
 TASKS = ("simulate", "steer", "pair", "diagnose", "verify")
 CONTROL_KINDS = ("zero", "cosine", "bump", "random")
+
+# every section and key a config may hold; anything else is a config error
+CONFIG_KEYS = {
+    "kernel": ("family", "coefficients"),
+    "grid": ("horizon", "steps"),
+    "modes": ("n_max", "n_pair"),
+    "task": ("kind",),
+    "control": ("kind", "amplitude", "frequency", "center", "width"),
+    "targets": ("random", "velocity", "stress", "deformation"),
+    "run": ("seed", "out", "threads"),
+}
 
 FIELD_GRID_POINTS = 201
 THREADS_ENV_VAR = "VISCOSTRING_THREADS"
@@ -233,11 +243,22 @@ def _build_kernel(section) -> MemoryKernel:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an experiment config file (flat INI sections)."""
+    """Parse an experiment config file (flat INI sections).
+
+    Sections and keys outside `CONFIG_KEYS` raise ValueError naming them,
+    so a misspelt key cannot fall back to its default silently.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(str(path))
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+
+    for name in parser.sections():
+        if name not in CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{name}]")
+        for key in parser[name]:
+            if key not in CONFIG_KEYS[name]:
+                raise ValueError(f"unknown key {key!r} in config section [{name}]")
 
     if "kernel" not in parser or "grid" not in parser or "task" not in parser:
         raise ValueError("config needs [kernel], [grid] and [task] sections")
@@ -313,28 +334,38 @@ def make_control(cfg: ExperimentConfig, grid: TimeGrid) -> ControlSignal:
     raise ValueError(f"unknown control kind {cfg.control_kind!r}")
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+# per dtype kind; '%.17g' spells floats (nan, inf, -0) like format(x, '.17g')
+_CSV_FORMATS = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV with a header row; floats carry 17 significant digits."""
+def write_csv(path, header, blocks) -> None:
+    """CSV with a header row, streamed one block of rows at a time.
+
+    Each block holds one equal-length column per header field.  The first
+    block's dtypes fix the row template: %d for integers, 17 significant
+    digits for floats, true/false for booleans; lines end in \r\n.
+    """
     path = Path(path)
+    template = None
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_value(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            cols = [np.asarray(col) for col in block]
+            if len(cols) != len(header) or len({len(col) for col in cols}) > 1:
+                raise ValueError(f"{path.name}: a block needs {len(header)} "
+                                 "equal-length columns")
+            if template is None:
+                kinds = [col.dtype.kind for col in cols]
+                if not set(kinds) <= _CSV_FORMATS.keys():
+                    raise ValueError(f"{path.name}: unsupported column dtype")
+                template = ",".join(_CSV_FORMATS[k] for k in kinds) + "\r\n"
+            values = [np.where(col, "true", "false").tolist()
+                      if col.dtype.kind == "b" else col.tolist() for col in cols]
+            fh.writelines(template % row for row in zip(*values))
 
 
 def write_manifest(path, manifest: dict) -> None:
-    """Deterministic JSON manifest (sorted keys, fixed layout)."""
+    """Deterministic JSON document (sorted keys, fixed layout)."""
     path = Path(path)
     with path.open("w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -345,26 +376,20 @@ def _complex_list(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values)]
 
 
-def _trajectory_rows(trajectories, grid: TimeGrid):
+def _trajectory_blocks(trajectories, grid: TimeGrid):
+    """One block of (n, t, re, im) columns per trajectory."""
     times = grid.times()
     for traj in trajectories:
-        complex_samples = np.iscomplexobj(traj.samples)
-        for t, v in zip(times, traj.samples):
-            if complex_samples:
-                yield (traj.n, t, v.real, v.imag)
-            else:
-                yield (traj.n, t, float(v), 0.0)
+        yield (np.full(len(times), traj.n), times, traj.samples.real,
+               traj.samples.imag)
 
 
-def _control_rows(control: ControlSignal, reweighted: np.ndarray):
-    times = control.grid.times()
-    for t, phys, rew in zip(times, control.samples, reweighted):
-        yield (t, phys, rew)
+def _control_columns(control: ControlSignal, reweighted: np.ndarray):
+    return [(control.grid.times(), control.samples, reweighted)]
 
 
-def _report_rows(report):
-    for n, dev, scaled in zip(report.ns, report.deviations, report.scaled):
-        yield (int(n), float(dev), float(scaled))
+def _report_columns(report):
+    return [(report.ns, report.deviations, report.scaled)]
 
 
 def _base_manifest(cfg: ExperimentConfig, kernels: DerivedKernelSet) -> dict:
@@ -386,25 +411,19 @@ def _base_manifest(cfg: ExperimentConfig, kernels: DerivedKernelSet) -> dict:
 
 def _state_outputs(state, out: Path, manifest: dict,
                    steered: int | None = None) -> None:
-    if steered is None:
-        header = ["n", "deformation", "velocity", "stress", "integrated_stress"]
-        rows = ((n + 1, state.deformation[n], state.velocity[n],
-                 state.stress[n], state.integrated_stress[n])
-                for n in range(state.n_max))
-    else:
-        header = ["n", "deformation", "velocity", "stress",
-                  "integrated_stress", "steered"]
-        rows = ((n + 1, state.deformation[n], state.velocity[n],
-                 state.stress[n], state.integrated_stress[n], n < steered)
-                for n in range(state.n_max))
-    write_csv(out / "coefficients.csv", header, rows)
+    header = ["n", "deformation", "velocity", "stress", "integrated_stress"]
+    ns = np.arange(1, state.n_max + 1)
+    columns = (ns, state.deformation, state.velocity, state.stress,
+               state.integrated_stress)
+    if steered is not None:
+        header.append("steered")
+        columns += (ns <= steered,)
+    write_csv(out / "coefficients.csv", header, [columns])
     x_grid = np.linspace(0.0, math.pi, FIELD_GRID_POINTS)
-    fields = {which: reconstruct_field(state, which, x_grid)
-              for which in ("deformation", "velocity", "stress")}
     write_csv(out / "fields.csv",
               ["x", "deformation", "velocity", "stress"],
-              ((x_grid[i], fields["deformation"][i], fields["velocity"][i],
-                fields["stress"][i]) for i in range(FIELD_GRID_POINTS)))
+              [(x_grid, *(reconstruct_field(state, which, x_grid)
+                          for which in ("deformation", "velocity", "stress")))])
     norms = coefficient_norms(state)
     manifest["coefficient_norms"] = {
         "l2_deformation": norms.l2_deformation,
@@ -422,9 +441,9 @@ def _task_simulate(cfg, kernels, out: Path, manifest: dict) -> None:
     state = simulate_coefficients(control, modes, kernels)
     _state_outputs(state, out, manifest)
     write_csv(out / "control.csv", ["t", "physical", "reweighted"],
-              _control_rows(control, control.reweighted(kernels.alpha)))
+              _control_columns(control, control.reweighted(kernels.alpha)))
     write_csv(out / "trajectories.csv", ["n", "t", "re", "im"],
-              _trajectory_rows(modes, grid))
+              _trajectory_blocks(modes, grid))
     manifest["control"] = {"kind": cfg.control_kind}
 
 
@@ -461,7 +480,7 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
 
     _state_outputs(state, out, manifest, steered=n_max)
     write_csv(out / "control.csv", ["t", "physical", "reweighted"],
-              _control_rows(synthesis.control, synthesis.control_reweighted))
+              _control_columns(synthesis.control, synthesis.control_reweighted))
     synthesis_doc = {
         "targets_velocity": [float(v) for v in target.xi],
         "targets_stress": [float(v) for v in target.eta],
@@ -475,9 +494,7 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
         "roundtrip_relative_error": relative,
         "achieved": _complex_list(achieved),
     }
-    with (out / "synthesis.json").open("w") as fh:
-        json.dump(synthesis_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(out / "synthesis.json", synthesis_doc)
     manifest["synthesis"] = synthesis_doc
 
 
@@ -491,12 +508,12 @@ def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
         raise ValueError("pair targets must cover n_pair modes")
     report = finite_pair_control(kernels, grid, c, d)
     write_csv(out / "control.csv", ["t", "physical", "reweighted"],
-              _control_rows(report.control, report.control_reweighted))
+              _control_columns(report.control, report.control_reweighted))
     write_csv(out / "coefficients.csv",
               ["n", "deformation_target", "deformation_achieved",
                "stress_target", "stress_achieved"],
-              ((i + 1, c[i], report.roundtrip["deformation"][i], d[i],
-                report.roundtrip["stress"][i]) for i in range(cfg.n_pair)))
+              [(np.arange(1, cfg.n_pair + 1), c, report.roundtrip["deformation"],
+                d, report.roundtrip["stress"])])
     doc = {
         "deformation_targets": [float(v) for v in c],
         "stress_targets": [float(v) for v in d],
@@ -508,9 +525,7 @@ def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
         "condition": report.condition,
         "roundtrip_relative_error": report.roundtrip["relative_error"],
     }
-    with (out / "synthesis.json").open("w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(out / "synthesis.json", doc)
     manifest["synthesis"] = doc
 
 
@@ -521,16 +536,14 @@ def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
     family = build_family(kernels, grid, n_max)
     bounds = frame_bounds(kernels, grid.horizon, n_max, family=family)
     write_csv(out / "frame_bounds.csv", ["n_max", "lambda_min", "lambda_max"],
-              ((s, lo, hi) for s, lo, hi in zip(bounds.sizes,
-                                                bounds.lambda_min_by_size,
-                                                bounds.lambda_max_by_size)))
+              [(bounds.sizes, bounds.lambda_min_by_size,
+                bounds.lambda_max_by_size)])
     params = [mode_params(n, kernels.alpha) for n in range(1, n_max + 1)]
     closeness = quadratic_closeness(family, params, grid)
     write_csv(out / "closeness.csv",
               ["n", "distance_sq", "scaled", "partial_sum"],
-              ((int(n), d, s, p) for n, d, s, p in
-               zip(closeness.ns, closeness.distances, closeness.scaled,
-                   closeness.partial_sums)))
+              [(closeness.ns, closeness.distances, closeness.scaled,
+                closeness.partial_sums)])
     manifest["frame_bounds"] = {
         "sizes": list(bounds.sizes),
         "lambda_min": list(bounds.lambda_min_by_size),
@@ -552,32 +565,34 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
 
     mode_report = check_mode_asymptotics(kernels, grid, n_range, mode_family=modes)
     write_csv(out / "mode_asymptotics.csv", ["n", "deviation", "scaled"],
-              _report_rows(mode_report))
+              _report_columns(mode_report))
     verdicts["mode_asymptotics"] = mode_report.verdict.value
 
     deriv_report = check_mode_derivative_asymptotics(kernels, grid, n_range,
                                                      mode_family=modes)
     write_csv(out / "mode_derivative_asymptotics.csv",
-              ["n", "deviation", "scaled"], _report_rows(deriv_report))
+              ["n", "deviation", "scaled"], _report_columns(deriv_report))
     verdicts["mode_derivative_asymptotics"] = deriv_report.verdict.value
 
     conv_report = check_convolution_asymptotics(
         kernels, grid, (kernels.stress_kernel, 1.0), n_range, mode_family=modes)
     write_csv(out / "convolution_asymptotics.csv",
-              ["n", "deviation", "scaled"], _report_rows(conv_report))
+              ["n", "deviation", "scaled"], _report_columns(conv_report))
     verdicts["convolution_asymptotics"] = conv_report.verdict.value
 
     resolvent_ns = [n for n in (1, 2, 4, 8) if n <= n_max]
-    residuals = [(n, check_resolvent_identity(kernels, grid, n, mode_family=modes))
+    residuals = [check_resolvent_identity(kernels, grid, n, mode_family=modes)
                  for n in resolvent_ns]
-    write_csv(out / "resolvent_residuals.csv", ["n", "max_residual"], residuals)
-    manifest["resolvent_residuals"] = {str(n): r for n, r in residuals}
+    write_csv(out / "resolvent_residuals.csv", ["n", "max_residual"],
+              [(resolvent_ns, residuals)])
+    manifest["resolvent_residuals"] = {str(n): r
+                                       for n, r in zip(resolvent_ns, residuals)}
 
     control = make_control(cfg, grid)
     state = simulate_coefficients(control, modes, kernels)
     gap_report = check_stress_deformation_gap(state)
     write_csv(out / "stress_deformation_gap.csv", ["n", "deviation", "scaled"],
-              _report_rows(gap_report))
+              _report_columns(gap_report))
     verdicts["stress_deformation_gap"] = gap_report.verdict.value
 
     roundtrip_doc = None
@@ -601,13 +616,11 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
         "step": grid.step,
         "n_max": n_max,
     }
-    with (out / "reports.json").open("w") as fh:
-        json.dump({"provenance": provenance,
-                   "verdicts": verdicts,
-                   "resolvent_residuals": manifest["resolvent_residuals"],
-                   "roundtrip": roundtrip_doc},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(out / "reports.json",
+                   {"provenance": provenance,
+                    "verdicts": verdicts,
+                    "resolvent_residuals": manifest["resolvent_residuals"],
+                    "roundtrip": roundtrip_doc})
 
 
 _TASK_RUNNERS = {

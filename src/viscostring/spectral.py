@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ExceptionalIndexError
 from .kernels import is_exceptional_index
-from .volterra import ModeTrajectory, TimeGrid, TrajectoryKind, convolve
+from .volterra import ModeTrajectory, TimeGrid, TrajectoryKind, convolve_transpose
 
 __all__ = [
     "ModeParams",
@@ -170,38 +170,35 @@ def simulate_coefficients(control: ControlSignal,
     """Evaluate the raw coefficient functionals for a physical control.
 
     `mode_family` must hold the mode responses for n = 1..n_max on the
-    control grid.  All three series brackets are formed by
-    product-trapezoidal convolution and paired with the reweighted,
-    time-reversed control by trapezoidal quadrature.
+    control grid.  Each functional is linear in the mode response: the
+    series brackets are product-trapezoidal convolutions paired with the
+    reweighted, time-reversed control by trapezoidal quadrature, so each
+    collapses to a dot product of y_n with a representer built once per
+    call (`convolve_transpose`).  One (N, K+1) @ (K+1, 4) product then
+    evaluates w, v, sigma and the time-integrated stress for every mode.
     """
     grid = control.grid
     if kernels.grid != grid:
         raise ValueError("kernel grid does not match the control grid")
     _validate_family(mode_family, grid)
-    horizon = grid.horizon
 
     fw = control.reweighted(kernels.alpha)
-    pairing = grid.trapezoid_weights() * fw[::-1]  # fw(T - r) at node r
-
-    n_max = len(mode_family)
-    w = np.empty(n_max)
-    v = np.empty(n_max)
-    sigma = np.empty(n_max)
-    q = np.empty(n_max)
-    for traj in mode_family:
-        n = traj.n
-        y = traj.samples
-        deform_bracket = float(n) * convolve(kernels.relaxation_scaled, y, grid)
-        veloc_bracket = y + convolve(kernels.velocity_kernel, y, grid)
-        stress_bracket = float(n) * convolve(kernels.stress_kernel, y, grid)
-        w[n - 1] = np.sum(pairing * deform_bracket)
-        v[n - 1] = np.sum(pairing * veloc_bracket)
-        sigma[n - 1] = np.sum(pairing * stress_bracket)
-        # stress functional as a function of time, then accumulated to T
-        stress_series = convolve(fw, stress_bracket, grid)
-        q[n - 1] = grid.integrate(stress_series)
-
-    return SpectralState(horizon=horizon, alpha=kernels.alpha,
+    weights = grid.trapezoid_weights()
+    pairing = weights * fw[::-1]  # fw(T - r) at node r
+    # the integral over [0, T] of convolve(fw, s) equals accumulated @ s
+    accumulated = convolve_transpose(fw, weights, grid)
+    representers = np.stack([
+        convolve_transpose(kernels.relaxation_scaled, pairing, grid),
+        pairing + convolve_transpose(kernels.velocity_kernel, pairing, grid),
+        convolve_transpose(kernels.stress_kernel, pairing, grid),
+        convolve_transpose(kernels.stress_kernel, accumulated, grid),
+    ], axis=1)
+    ys = np.stack([traj.samples for traj in mode_family])
+    values = ys @ representers
+    ns = np.arange(1, len(mode_family) + 1, dtype=float)
+    values[:, [0, 2, 3]] *= ns[:, None]
+    w, v, sigma, q = (np.ascontiguousarray(col) for col in values.T)
+    return SpectralState(horizon=grid.horizon, alpha=kernels.alpha,
                          deformation=w, velocity=v, stress=sigma,
                          integrated_stress=q)
 

@@ -48,6 +48,7 @@ __all__ = [
     "TrajectoryKind",
     "ModeTrajectory",
     "convolve",
+    "convolve_transpose",
     "solve_volterra_second_kind",
     "solve_mode",
     "solve_modes",
@@ -155,6 +156,26 @@ def convolve(a, b, grid: TimeGrid) -> np.ndarray:
     bv = _as_samples(b, grid, "b")
     full = np.convolve(av, bv)[: grid.steps + 1]
     return grid.step * (full - 0.5 * (av * bv[0] + bv * av[0]))
+
+
+def convolve_transpose(a, p, grid: TimeGrid) -> np.ndarray:
+    """Representer of the functional b -> p . convolve(a, b, grid).
+
+    `convolve` is linear in each factor, so for fixed `a` and weights `p`
+    the returned u satisfies
+
+        u @ b == p @ convolve(a, b, grid)      for every b
+
+    up to round-off.  One full-length convolution builds it, after which
+    each functional costs a dot product.
+    """
+    av = _as_samples(a, grid, "a")
+    pv = _as_samples(p, grid, "p")
+    h = grid.step
+    corr = np.convolve(pv[::-1], av)[: grid.steps + 1][::-1]
+    u = h * (corr - 0.5 * av[0] * pv)
+    u[0] -= 0.5 * h * np.dot(pv, av)
+    return u
 
 
 def solve_volterra_second_kind(kernel, source, grid: TimeGrid) -> np.ndarray:

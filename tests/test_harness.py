@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -129,6 +130,36 @@ kind = transmogrify
 """)
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize("section,line,name", [
+        ("modes", "n_mx = 2", "n_mx"),
+        ("run", "sead = 3", "sead"),
+        ("grid", "step = 0.1", "step"),
+    ])
+    def test_unknown_key_is_a_config_error(self, tmp_path, capsys, section,
+                                           line, name):
+        text = steer_config(tmp_path).read_text().replace(
+            f"[{section}]\n", f"[{section}]\n{line}\n")
+        path = write_config(tmp_path, text, name="typo.ini")
+        with pytest.raises(ValueError, match=name):
+            load_config(path)
+        assert cli_main(["steer", "--config", str(path)]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+
+    def test_unknown_section_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, steer_config(tmp_path).read_text()
+                            + "\n[mode]\nn_max = 2\n", name="typo.ini")
+        with pytest.raises(ValueError, match=r"\[mode\]"):
+            load_config(path)
+        assert cli_main(["steer", "--config", str(path)]) == EXIT_CONFIG
+        assert "[mode]" in capsys.readouterr().err
+
+    def test_example_configs_parse(self):
+        configs = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
+        assert configs
+        for path in configs:
+            cfg = load_config(path)
+            assert cfg.task == path.stem
 
     def test_threads_resolution_env_fallback(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, """
@@ -382,6 +413,35 @@ class TestBlasThreads:
         assert single == double
 
 
+def _reference_write_csv(path, header, rows):
+    """The row-at-a-time writer the column writer replaced."""
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+# one value per row and column type; every float column covers nan, +-inf,
+# -0.0, subnormals and values that need all 17 significant digits
+_SPECIAL_FLOATS = [0.1 + 0.2, -1.0 / 3.0, math.nan, math.inf, -math.inf, -0.0,
+                   5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                   123456789.01234567, 2.0 ** 53 + 2.0, 1e-7]
+_PY_INTS = [0, -1, 7, 2 ** 62, -(2 ** 63), 42, 3, 100, -5, 9, 11, 12]
+_NP_INTS = np.array([5, -9, 0, 2 ** 40, 1, 2, 3, 4, 5, 6, 7, -8], dtype=np.int64)
+_BOOLS = [True, False, True, True, False, False, True, False, True, False,
+          True, True]
+
+
 class TestExports:
     def test_empty_rows_gives_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -389,21 +449,56 @@ class TestExports:
         assert path.read_text().strip() == "n,t,re,im"
 
     def test_three_samples_give_four_lines(self, tmp_path):
-        from viscostring.harness import _trajectory_rows
+        from viscostring.harness import _trajectory_blocks
         from viscostring import ModeTrajectory, TimeGrid, TrajectoryKind
         grid = TimeGrid(1.0, 2)
         traj = ModeTrajectory(1, TrajectoryKind.MOMENT_KERNEL,
                               np.array([1 + 0j, 0.5 + 0.1j, 0.2 - 0.3j]), grid)
         path = tmp_path / "traj.csv"
-        write_csv(path, ["n", "t", "re", "im"], _trajectory_rows([traj], grid))
+        write_csv(path, ["n", "t", "re", "im"], _trajectory_blocks([traj], grid))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4
         assert lines[2].split(",")[2:] == ["0.5", "0.10000000000000001"]
 
     def test_floats_carry_17_significant_digits(self, tmp_path):
         path = tmp_path / "f.csv"
-        write_csv(path, ["x"], [(1.0 / 3.0,)])
+        write_csv(path, ["x"], [([1.0 / 3.0],)])
         assert path.read_text().splitlines()[1] == "0.33333333333333331"
+
+    def test_matches_row_writer_byte_for_byte(self, tmp_path):
+        header = ["py_int", "np_int", "py_float", "np_float", "py_bool",
+                  "np_bool"]
+        np_floats = np.array(_SPECIAL_FLOATS[::-1])
+        np_bools = np.array(_BOOLS[::-1])
+        rows = list(zip(_PY_INTS, _NP_INTS, _SPECIAL_FLOATS, np_floats,
+                        _BOOLS, np_bools))
+        _reference_write_csv(tmp_path / "rows.csv", header, rows)
+        # the same table as two blocks of columns
+        columns = (_PY_INTS, _NP_INTS, _SPECIAL_FLOATS, np_floats, _BOOLS,
+                   np_bools)
+        blocks = [tuple(col[:5] for col in columns),
+                  tuple(col[5:] for col in columns)]
+        write_csv(tmp_path / "columns.csv", header, blocks)
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "columns.csv").read_bytes() == expected
+        assert expected.count(b"\r\n") == len(rows) + 1
+        assert expected.count(b"\n") == len(rows) + 1
+        for text in (b"nan", b"inf", b"-inf", b",-0,", b"e-324", b"true", b"false"):
+            assert text in expected
+
+    def test_header_only_matches_row_writer(self, tmp_path):
+        _reference_write_csv(tmp_path / "rows.csv", ["n", "x"], [])
+        write_csv(tmp_path / "columns.csv", ["n", "x"], [])
+        assert (tmp_path / "columns.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes() == b"n,x\r\n"
+
+    def test_rejects_ragged_or_unsupported_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "a.csv", ["a", "b"], [([1.0, 2.0], [1.0])])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "b.csv", ["a", "b"], [([1.0],)])
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "c.csv", ["z"], [(np.array([1j]),)])
 
 
 class TestControls:

@@ -14,6 +14,7 @@ from viscostring import (
     solve_moment_kernel,
 )
 from viscostring.errors import ExceptionalIndexError
+from viscostring.volterra import convolve
 
 from conftest import TWO_PI
 
@@ -124,6 +125,46 @@ class TestSimulate:
         control = ControlSignal(np.zeros(other.steps + 1), other)
         with pytest.raises(ValueError):
             simulate_coefficients(control, desk_modes_32, desk_kernels)
+
+
+def _reference_functionals(control, family, kernels):
+    """Per-mode convolution series, as the functionals were evaluated before
+    they became dot products with precomputed representers."""
+    grid = control.grid
+    fw = control.reweighted(kernels.alpha)
+    pairing = grid.trapezoid_weights() * fw[::-1]
+    out = np.empty((len(family), 4))
+    for traj in family:
+        n = float(traj.n)
+        y = traj.samples
+        stress = n * convolve(kernels.stress_kernel, y, grid)
+        out[traj.n - 1] = (
+            np.sum(pairing * n * convolve(kernels.relaxation_scaled, y, grid)),
+            np.sum(pairing * (y + convolve(kernels.velocity_kernel, y, grid))),
+            np.sum(pairing * stress),
+            grid.integrate(convolve(fw, stress, grid)),
+        )
+    return out
+
+
+@pytest.mark.parametrize("control_kind", ["cosine", "random"])
+@pytest.mark.parametrize("family_name", ["desk", "elastic"])
+def test_functionals_match_per_mode_reference(request, desk_grid, family_name,
+                                              control_kind):
+    kernels = request.getfixturevalue(f"{family_name}_kernels")
+    family = request.getfixturevalue(
+        "desk_modes_32" if family_name == "desk" else "elastic_modes_16")
+    if control_kind == "cosine":
+        samples = 0.7 * np.cos(1.3 * desk_grid.times())
+    else:
+        samples = np.random.default_rng(23).standard_normal(desk_grid.steps + 1)
+    control = ControlSignal(samples, desk_grid)
+    state = simulate_coefficients(control, family, kernels)
+    got = np.stack([state.deformation, state.velocity, state.stress,
+                    state.integrated_stress], axis=1)
+    ref = _reference_functionals(control, family, kernels)
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-13 * scale)
 
 
 class TestReconstruct:

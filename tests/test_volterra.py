@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from viscostring import (
     MemoryKernel,
@@ -10,6 +13,7 @@ from viscostring import (
     TrajectoryKind,
     assemble_moment_kernel,
     convolve,
+    convolve_transpose,
     derive_kernels,
     mode_derivative,
     oracle_exponential_mode,
@@ -70,6 +74,62 @@ class TestConvolve:
         grid = TimeGrid(1.0, 64)
         with pytest.raises(ValueError):
             convolve(np.ones(65), np.ones(64), grid)
+        with pytest.raises(ValueError):
+            convolve_transpose(np.ones(65), np.ones(64), grid)
+
+
+EPS = np.finfo(float).eps
+
+
+def magnitudes(bound):
+    """Zero or a float of modulus in [1e-6, bound], so no norm underflows."""
+    return st.one_of(st.just(0.0), st.floats(1e-6, bound),
+                     st.floats(-bound, -1e-6))
+
+
+@st.composite
+def grid_and_samples(draw, count):
+    """A grid with 1..256 steps and `count` sample sequences on it."""
+    steps = draw(st.integers(min_value=1, max_value=256))
+    horizon = draw(st.floats(min_value=0.01, max_value=20.0))
+    samples = [draw(arrays(float, steps + 1, elements=magnitudes(1e3)))
+               for _ in range(count)]
+    return TimeGrid(horizon, steps), samples
+
+
+def _roundoff(grid, *factors):
+    """Round-off scale of a convolution quadrature over `factors`."""
+    size = grid.steps + 1
+    return 8.0 * size ** 1.5 * EPS * grid.step * math.prod(
+        float(np.linalg.norm(f)) for f in factors)
+
+
+class TestConvolveProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_and_samples(3))
+    def test_transpose_is_the_representer(self, drawn):
+        grid, (a, p, b) = drawn
+        u = convolve_transpose(a, p, grid)
+        assert abs(u @ b - p @ convolve(a, b, grid)) <= _roundoff(grid, p, a, b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_and_samples(2))
+    def test_commutative(self, drawn):
+        grid, (a, b) = drawn
+        gap = np.max(np.abs(convolve(a, b, grid) - convolve(b, a, grid)))
+        assert gap <= _roundoff(grid, a, b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_and_samples(3), magnitudes(10.0), magnitudes(10.0))
+    def test_bilinear(self, drawn, x, y):
+        grid, (a, c, b) = drawn
+        left = convolve(x * a + y * c, b, grid)
+        right = x * convolve(a, b, grid) + y * convolve(c, b, grid)
+        scale = _roundoff(grid, np.abs(x * a) + np.abs(y * c), b)
+        assert np.max(np.abs(left - right)) <= scale
+        left = convolve(b, x * a + y * c, grid)
+        right = x * convolve(b, a, grid) + y * convolve(b, c, grid)
+        assert np.max(np.abs(left - right)) <= scale
 
 
 def test_second_kind_solver_against_exponential():
