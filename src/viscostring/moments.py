@@ -14,12 +14,12 @@ of the conjugate kernels,
     u(s) = sum_m a_m conj(Z_m(s)),
 
 which turns the problem into the Hermitian system G a = gamma with
-G[m, n] = int_0^T Z_m conj(Z_n).  G is assembled with trapezoidal inner
-products, its eigenvalue extremes come from a cyclic Jacobi iteration and
-the system is solved by a Hermitian Cholesky factorisation.  Both routines
-are written here with fixed-order pairwise reductions, so outputs are
-byte-identical from run to run; at the desk scale of at most a 128 x 128
-Gram this costs nothing.
+G[m, n] = int_0^T Z_m conj(Z_n) = A A^H for the trapezoid-weighted sample
+matrix A = rows * sqrt(w).  G is never solved with: A = L Q is factored
+once (Q with orthonormal rows), the eigenvalues of G are the squared
+singular values of L and the control is u = Q^H L^{-1} gamma / sqrt(w),
+so the solve sees the condition number of A, not its square (least
+squares rather than normal equations; Golub & Van Loan).
 
 The extreme eigenvalues of the normalised Gram are the computable shadow
 of the family's Riesz property: bounded away from zero they certify
@@ -28,15 +28,17 @@ short.  Synthesis refuses to run when lambda_min <= 1e3 * eps * lambda_max.
 
 A second, finite moment problem assigns deformation and stress pairs for
 the first few modes using the real kernel pair (n*(Na * y_n), n*(Fg * y_n));
-without memory the gap kernel Fg vanishes and unequal pair targets are
-rejected as elastically degenerate.
+it goes through the same factorisation and solve.  Without memory the gap
+kernel Fg vanishes and unequal pair targets are rejected as elastically
+degenerate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +75,7 @@ __all__ = [
     "ClosenessReport",
     "CROSS_CHECK_FACTOR",
     "NEAR_SINGULAR_FACTOR",
+    "PAIR_NEAR_SINGULAR_RATIO",
 ]
 
 #: Dual-construction tolerance: the two moment-kernel routes must agree
@@ -82,6 +85,11 @@ CROSS_CHECK_FACTOR = 100.0
 #: Gram matrices with lambda_min <= NEAR_SINGULAR_FACTOR * eps * lambda_max
 #: are treated as singular (loss of the Riesz property at this truncation).
 NEAR_SINGULAR_FACTOR = 1e3
+
+#: The finite pair Gram is near singular when lambda_min <=
+#: PAIR_NEAR_SINGULAR_RATIO * lambda_max (1e3 * 2^-63, below the float64
+#: gate because that Gram is intrinsically close to singular).
+PAIR_NEAR_SINGULAR_RATIO = 1e3 * 2.0 ** -63
 
 RECOMMENDED_HORIZON = 2.0 * math.pi
 
@@ -134,18 +142,32 @@ class MomentTarget:
 
 @dataclass(frozen=True, eq=False)
 class GramSystem:
-    """Gram matrix of the signed moment-kernel family on L^2(0, T)."""
+    """Gram system of a family of moment functions on L^2(0, T), factored.
 
-    indices: tuple              # signed mode indices, row order
-    rows: np.ndarray            # kernel samples per index, (2N, K+1)
+    The weighted sample matrix A = rows * sqrt(w) (trapezoid weights w) is
+    held as A = lower @ orthonormal, so G = A A^H = lower @ lower^H.
+    """
+
+    indices: tuple              # mode index of each row, signed for steering
+    functions: tuple            # sample arrays of the leading rows
+    conjugated: bool            # rows are `functions`, then their conjugates
     grid: TimeGrid
+    lower: np.ndarray           # L, lower triangular, (rows, rows)
+    orthonormal: np.ndarray     # Q, orthonormal rows, (rows, K+1)
     matrix: np.ndarray          # G[a, b] = int rows[a] * conj(rows[b])
-    lambda_min: float
-    lambda_max: float
 
     def __post_init__(self):
-        self.rows.setflags(write=False)
-        self.matrix.setflags(write=False)
+        for arr in (self.lower, self.orthonormal, self.matrix):
+            arr.setflags(write=False)
+
+    @cached_property
+    def _extremes(self) -> tuple:
+        # on first use: frame bounds need only `matrix` (see there)
+        sigma = np.linalg.svd(self.lower, compute_uv=False)
+        return float(sigma[-1] ** 2), float(sigma[0] ** 2)
+
+    lambda_min = property(lambda self: self._extremes[0])
+    lambda_max = property(lambda self: self._extremes[1])
 
     @property
     def condition(self) -> float:
@@ -181,88 +203,6 @@ class SynthesisReport:
         self.residuals.setflags(write=False)
 
 
-def _hermitian_eigenvalues(matrix: np.ndarray, tol: float = 1e-13,
-                           max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Deterministic and thread-independent by construction, and adequate
-    for the desk-scale matrices this package builds (<= 128 x 128).
-    Runs in the complex promotion of the input dtype, so extended
-    precision inputs keep their accuracy; eigenvalues are accurate to
-    about eps * ||A|| in that precision.
-    """
-    work_dtype = np.promote_types(np.asarray(matrix).dtype, np.complex128)
-    a = np.array(matrix, dtype=work_dtype)
-    size = a.shape[0]
-    if a.shape != (size, size):
-        raise ValueError("matrix must be square")
-    if size == 1:
-        return np.array([a[0, 0].real])
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    skip = 1e-3 * tol * scale
-    for _ in range(max_sweeps):
-        strict = a - np.diag(np.diag(a))
-        off = float(np.sqrt(np.sum(np.abs(strict) ** 2)))
-        if off <= tol * scale * size:
-            break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                theta = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if abs(theta) > 1e150:  # rotation is essentially identity
-                    tt = 0.5 / theta
-                elif theta >= 0.0:
-                    tt = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    tt = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + tt * tt)
-                s = tt * c
-                # unitary plane rotation: columns, then rows
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    return np.sort(np.diag(a).real)
-
-
-def _cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a Hermitian positive-definite system via Cholesky.
-
-    Works in the dtype of `matrix`, so callers can run ill-conditioned
-    systems in extended precision.
-    """
-    size = matrix.shape[0]
-    dtype = matrix.dtype
-    lower = np.zeros((size, size), dtype=dtype)
-    for i in range(size):
-        diag = matrix[i, i].real - np.sum(np.abs(lower[i, :i]) ** 2)
-        if diag <= 0.0:
-            raise ArithmeticError("matrix is not numerically positive definite")
-        lower[i, i] = np.sqrt(diag)
-        for j in range(i + 1, size):
-            lower[j, i] = (matrix[j, i]
-                           - np.sum(lower[j, :i] * np.conj(lower[i, :i]))) / lower[i, i]
-    fwd = np.zeros(size, dtype=dtype)
-    for i in range(size):
-        fwd[i] = (rhs[i] - np.sum(lower[i, :i] * fwd[:i])) / lower[i, i]
-    sol = np.zeros(size, dtype=dtype)
-    for i in range(size - 1, -1, -1):
-        sol[i] = (fwd[i] - np.sum(np.conj(lower[i + 1:, i]) * sol[i + 1:])) / lower[i, i].real
-    return sol
-
-
 def build_family(kernels: DerivedKernelSet, grid: TimeGrid, n_max: int,
                  mode_family: Sequence[ModeTrajectory] | None = None
                  ) -> list[ModeTrajectory]:
@@ -295,12 +235,42 @@ def build_family(kernels: DerivedKernelSet, grid: TimeGrid, n_max: int,
     return family
 
 
+def _factorise(indices: tuple, functions: Sequence[np.ndarray], grid: TimeGrid,
+               conjugated: bool) -> GramSystem:
+    """LQ factor of A = rows * sqrt(w), in place, by Gram-Schmidt twice.
+
+    The second pass keeps Q orthonormal to working precision.  Every
+    length-K reduction is an `np.einsum`, which does not call BLAS, so the
+    factor has the same bits at any BLAS thread count.
+    """
+    sqrt_w = np.sqrt(grid.trapezoid_weights())
+    count, lead = len(indices), len(functions)
+    factor = np.empty((count, len(sqrt_w)), dtype=np.result_type(*functions))
+    for row, samples in zip(factor, functions):
+        np.multiply(samples, sqrt_w, out=row)
+    if conjugated:
+        np.conjugate(factor[:lead], out=factor[lead:])
+    lower = np.zeros((count, count), dtype=factor.dtype)
+    for i, row in enumerate(factor):
+        done = factor[:i]
+        for _ in range(2):
+            proj = np.einsum("jk,k->j", done, row.conj()).conj()
+            row -= np.einsum("j,jk->k", proj, done)
+            lower[i, :i] += proj
+        norm = math.sqrt(np.einsum("k,k->", row, row.conj()).real)
+        lower[i, i] = norm
+        if norm > 0.0:
+            row /= norm
+    return GramSystem(indices=indices, functions=tuple(functions),
+                      conjugated=conjugated, grid=grid, lower=lower,
+                      orthonormal=factor,
+                      matrix=np.einsum("ij,kj->ik", lower, lower.conj()))
+
+
 def gram(family: Sequence[ModeTrajectory], grid: TimeGrid) -> GramSystem:
     """Hermitian Gram system of the family extended to signed indices.
 
-    Rows for -n are the conjugate kernels.  Entries are trapezoidal inner
-    products over [0, T]; eigenvalue extremes come from the cyclic Jacobi
-    iteration.
+    Rows for -n are the conjugate kernels; inner products are trapezoidal.
     """
     if not family:
         raise ValueError("moment kernel family is empty")
@@ -310,36 +280,37 @@ def gram(family: Sequence[ModeTrajectory], grid: TimeGrid) -> GramSystem:
         if traj.grid != grid:
             raise ValueError("family grid mismatch")
     indices = tuple(t.n for t in family) + tuple(-t.n for t in family)
-    rows = np.vstack([t.samples for t in family]
-                     + [np.conj(t.samples) for t in family])
-    count = len(indices)
-    weights = grid.trapezoid_weights()
-    matrix = np.empty((count, count), dtype=complex)
-    for a in range(count):
-        wa = weights * rows[a]
-        for b in range(a, count):
-            val = np.sum(wa * np.conj(rows[b]))
-            matrix[a, b] = val
-            matrix[b, a] = np.conj(val)
-    eigs = _hermitian_eigenvalues(matrix)
-    return GramSystem(indices=indices, rows=rows, grid=grid, matrix=matrix,
-                      lambda_min=float(eigs[0]), lambda_max=float(eigs[-1]))
+    return _factorise(indices, [t.samples for t in family], grid,
+                      conjugated=True)
 
 
-def _report_from_solution(system: GramSystem, targets: np.ndarray,
-                          coefficients: np.ndarray, alpha: float) -> SynthesisReport:
+def _minimal_norm_report(system: GramSystem, targets: np.ndarray,
+                         alpha: float) -> SynthesisReport:
+    """Minimal-norm control meeting `targets`, re-verified by quadrature.
+
+    u is formed from Q, not as sum a_m conj(rows[m]) with a = G^{-1}
+    targets, which would square the condition number again.
+    """
     grid = system.grid
     weights = grid.trapezoid_weights()
-    u = np.sum(coefficients[:, None] * np.conj(system.rows), axis=0)
-    achieved = np.array([np.sum(weights * system.rows[i] * u)
-                         for i in range(len(system.indices))])
-    residuals = achieved - targets
-    target_scale = float(np.max(np.abs(targets))) if len(targets) else 0.0
-    if target_scale > 0.0:
-        max_rel = float(np.max(np.abs(residuals))) / target_scale
-    else:
-        max_rel = float(np.max(np.abs(residuals))) if len(residuals) else 0.0
-    norm = math.sqrt(max(float(np.sum(weights * np.abs(u) ** 2)), 0.0))
+    try:
+        half = np.linalg.solve(system.lower, targets)
+        coefficients = np.linalg.solve(system.lower.conj().T, half)
+    except np.linalg.LinAlgError as exc:
+        raise NearSingularGramError(system.lambda_min, system.lambda_max) from exc
+    u = np.einsum("m,mk->k", half.conj(), system.orthonormal).conj()
+    u /= np.sqrt(weights)
+    weighted = weights * u
+    achieved = [np.einsum("k,k->", f, weighted) for f in system.functions]
+    if system.conjugated:
+        weighted = weighted.conj()
+        achieved += [np.einsum("k,k->", f, weighted).conjugate()
+                     for f in system.functions]
+    residuals = np.array(achieved) - targets
+    worst = float(np.max(np.abs(residuals)))
+    target_scale = float(np.max(np.abs(targets)))
+    max_rel = worst / target_scale if target_scale > 0.0 else worst
+    norm = math.sqrt(float(np.sum(weights * np.abs(u) ** 2)))
     imag_norm = math.sqrt(float(np.sum(weights * u.imag ** 2)))
     imag_fraction = imag_norm / norm if norm > 0.0 else 0.0
     reweighted = u.real[::-1].copy()              # fw(t) = u(T - t)
@@ -347,7 +318,7 @@ def _report_from_solution(system: GramSystem, targets: np.ndarray,
     return SynthesisReport(
         control=ControlSignal(physical, grid),
         control_reweighted=reweighted,
-        coefficients=coefficients,
+        coefficients=coefficients.astype(complex),
         residuals=residuals,
         max_relative_residual=max_rel,
         control_norm=norm,
@@ -362,10 +333,10 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
                        alpha: float = 0.0) -> SynthesisReport:
     """Minimal-norm control meeting the velocity/stress moment targets.
 
-    Solves G a = gamma by Hermitian Cholesky, reconstructs the control
-    from the conjugate-kernel span, re-verifies every moment by direct
-    quadrature and reports the residuals.  `alpha` is the damping rate of
-    the kernel set the family was built from; it converts the synthesised
+    Solves the moment equations through the LQ factor of the family,
+    re-verifies every moment by direct quadrature against the kernel
+    samples and reports the residuals.  `alpha` is the damping rate of the
+    kernel set the family was built from; it converts the synthesised
     reweighted control back to the physical one.
 
     Raises NearSingularGramError when the Gram spectrum indicates loss of
@@ -385,12 +356,7 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
         raise ValueError(
             f"target covers {target.n_max} modes but the family covers {n_max}"
         )
-    gamma = target.gamma_for(system.indices)
-    try:
-        coefficients = _cholesky_solve(system.matrix, gamma)
-    except ArithmeticError as exc:
-        raise NearSingularGramError(system.lambda_min, system.lambda_max) from exc
-    return _report_from_solution(system, gamma, coefficients, alpha)
+    return _minimal_norm_report(system, target.gamma_for(system.indices), alpha)
 
 
 def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
@@ -399,9 +365,11 @@ def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
 
     Works at any positive horizon.  The moment functions are the real
     kernel pair {n*(Na * y_n), n*(Fg * y_n)} and the real targets are
-    (c_n, d_n - c_n) for deformation targets c and stress targets d.  The
-    minimal-norm real control solves the symmetric Gram system of those
-    2N functions.
+    (c_n, d_n - c_n) for deformation targets c and stress targets d; the
+    minimal-norm real control is solved for like the steering one.  The gap
+    rows are smoothed images of the deformation rows, so this Gram reaches
+    the round-off scale of float64 (gate: PAIR_NEAR_SINGULAR_RATIO); the
+    factor only carries the square root of its condition number.
 
     Without memory the gap kernel vanishes identically: targets with
     d != c raise ElasticDegeneracyError, while d == c degrades gracefully
@@ -426,11 +394,9 @@ def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
     grid.require_resolution(n_pair)
 
     modes = solve_modes(range(1, n_pair + 1), kernels, grid)
-    deform_rows = [float(t.n) * convolve(kernels.relaxation_scaled, t.samples, grid)
-                   for t in modes]
-    gap_rows = [float(t.n) * convolve(kernels.stress_gap, t.samples, grid)
-                for t in modes]
-
+    ns = tuple(t.n for t in modes)
+    functions = [float(t.n) * convolve(kernels.relaxation_scaled, t.samples, grid)
+                 for t in modes]
     elastic = kernels.is_elastic
     if elastic:
         if not np.array_equal(c, d):
@@ -438,80 +404,32 @@ def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
                 "memory-free string: stress coefficients equal deformation "
                 "coefficients, unequal pair targets are unreachable"
             )
-        rows = np.vstack(deform_rows)
         targets = c.copy()
     else:
-        rows = np.vstack(deform_rows + gap_rows)
+        functions += [float(t.n) * convolve(kernels.stress_gap, t.samples, grid)
+                      for t in modes]
+        ns += ns
         targets = np.concatenate([c, d - c])
 
-    # The gap rows are images of the deformation rows under convolution
-    # with the scaled memory kernel, so this Gram is intrinsically close
-    # to singular (its spectrum reaches the round-off scale of float64
-    # even when the functions are independent).  Assembling and solving
-    # in extended precision keeps the achievable targets achievable; the
-    # near-singular threshold uses the solver's epsilon accordingly.
-    weights = grid.trapezoid_weights()
-    count = rows.shape[0]
-    rows_ld = rows.astype(np.longdouble)
-    weights_ld = weights.astype(np.longdouble)
-    matrix = np.empty((count, count), dtype=np.longdouble)
-    for a in range(count):
-        wa = weights_ld * rows_ld[a]
-        for b in range(a, count):
-            val = np.sum(wa * rows_ld[b])
-            matrix[a, b] = val
-            matrix[b, a] = val
-    eigs = _hermitian_eigenvalues(matrix, tol=1e-18)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if lam_min <= NEAR_SINGULAR_FACTOR * float(np.finfo(np.longdouble).eps) * lam_max:
-        raise NearSingularGramError(lam_min, lam_max)
-    try:
-        solution_ld = _cholesky_solve(matrix, targets.astype(np.longdouble))
-    except ArithmeticError as exc:
-        raise NearSingularGramError(lam_min, lam_max) from exc
+    system = _factorise(ns, functions, grid, conjugated=False)
+    if system.lambda_min <= PAIR_NEAR_SINGULAR_RATIO * system.lambda_max:
+        raise NearSingularGramError(system.lambda_min, system.lambda_max)
+    report = _minimal_norm_report(system, targets, kernels.alpha)
 
-    u_ld = np.sum(solution_ld[:, None] * rows_ld, axis=0)
-    achieved = np.array([float(np.sum(weights_ld * rows_ld[i] * u_ld))
-                         for i in range(count)])
-    solution = solution_ld.astype(float)
-    u = u_ld.astype(float)
-    linear_residuals = achieved - targets
-    if elastic:
-        residuals = linear_residuals.astype(complex)
-    else:
-        residuals = linear_residuals[:n_pair] + 1j * linear_residuals[n_pair:]
-    target_scale = float(np.max(np.abs(targets))) if np.any(targets) else 0.0
-    max_rel = (float(np.max(np.abs(linear_residuals))) / target_scale
-               if target_scale > 0.0 else float(np.max(np.abs(linear_residuals))))
-    norm = math.sqrt(max(float(np.sum(weights * u ** 2)), 0.0))
-    reweighted = u[::-1].copy()
-    physical = np.exp(-2.0 * kernels.alpha * grid.times()) * reweighted
-    control = ControlSignal(physical, grid)
-
-    state = simulate_coefficients(control, modes, kernels)
+    linear = report.residuals
+    residuals = (linear.astype(complex) if elastic
+                 else linear[:n_pair] + 1j * linear[n_pair:])
+    state = simulate_coefficients(report.control, modes, kernels)
     pair_error = np.concatenate([state.deformation - c, state.stress - d])
+    err = math.sqrt(float(np.sum(pair_error ** 2)))
     denom = math.sqrt(float(np.sum(c ** 2) + np.sum(d ** 2)))
-    rel = (math.sqrt(float(np.sum(pair_error ** 2))) / denom if denom > 0.0
-           else math.sqrt(float(np.sum(pair_error ** 2))))
+    rel = err / denom if denom > 0.0 else err
     roundtrip = {
         "deformation": state.deformation.copy(),
         "stress": state.stress.copy(),
         "relative_error": rel,
     }
-
-    return SynthesisReport(
-        control=control,
-        control_reweighted=reweighted,
-        coefficients=solution.astype(complex),
-        residuals=residuals,
-        max_relative_residual=max_rel,
-        control_norm=norm,
-        imag_fraction=0.0,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        condition=(lam_max / lam_min if lam_min > 0.0 else math.inf),
-        roundtrip=roundtrip,
-    )
+    return replace(report, residuals=residuals, roundtrip=roundtrip)
 
 
 @dataclass(frozen=True)
@@ -570,16 +488,19 @@ def frame_bounds(kernel, horizon: float, n_max: int,
         family = build_family(kernels, grid, n_max)
     elif len(family) < n_max:
         raise ValueError("family does not cover n = 1..n_max")
-    system = gram(family[:n_max], grid)
-    norms = np.sqrt(np.diag(system.matrix).real)
-    normalised = system.matrix / np.outer(norms, norms)
+    # only the small Gram is kept: LAPACK's eigensolver is paged in below,
+    # and next to the factor that would raise a run's peak RSS
+    matrix = gram(family[:n_max], grid).matrix
+    norms = np.sqrt(np.diag(matrix).real)
+    normalised = matrix / np.outer(norms, norms)
 
     sizes = tuple(sorted({s for s in _FRAME_SIZES if s <= n_max} | {n_max}))
     mins, maxs = [], []
     for size in sizes:
-        keep = [i for i, n in enumerate(system.indices) if abs(n) <= size]
+        # rows are n = 1..n_max, then -1..-n_max
+        keep = [i for i in range(2 * n_max) if i % n_max < size]
         sub = normalised[np.ix_(keep, keep)]
-        eigs = _hermitian_eigenvalues(sub)
+        eigs = np.linalg.eigvalsh(sub)
         mins.append(float(eigs[0]))
         maxs.append(float(eigs[-1]))
     return FrameBoundsReport(horizon=grid.horizon, sizes=sizes,

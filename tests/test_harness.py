@@ -402,10 +402,12 @@ def _cli_outputs(tmp_path, task, path, blas_threads):
 
 
 class TestBlasThreads:
-    @pytest.mark.parametrize("task,n_max", [("steer", 8), ("simulate", 16)])
+    @pytest.mark.parametrize("task,n_max", [("steer", 8), ("simulate", 16),
+                                            ("pair", 8), ("diagnose", 16)])
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path, task,
                                                        n_max):
-        # the history sums are BLAS products large enough to be threaded
+        # the history sums are BLAS products large enough to be threaded,
+        # and the moment solves factor a 2N x (K+1) matrix
         path = task_config(tmp_path, task, steps=2048, n_max=n_max)
         single = _cli_outputs(tmp_path, task, path, 1)
         double = _cli_outputs(tmp_path, task, path, 2)

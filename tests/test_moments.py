@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from viscostring import (
     MomentTarget,
     TimeGrid,
     build_family,
+    convolve,
     derive_kernels,
     finite_pair_control,
     frame_bounds,
@@ -14,10 +18,11 @@ from viscostring import (
     mode_params,
     quadratic_closeness,
     simulate_coefficients,
+    solve_modes,
     synthesize_control,
 )
+from viscostring import moments
 from viscostring.errors import ElasticDegeneracyError, NearSingularGramError
-from viscostring.moments import _hermitian_eigenvalues
 
 from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
 
@@ -91,6 +96,23 @@ class TestGram:
         assert desk_gram_8.lambda_min == pytest.approx(ref[0], rel=1e-8)
         assert desk_gram_8.lambda_max == pytest.approx(ref[-1], rel=1e-8)
 
+    def test_extremes_are_squared_singular_values(self, desk_family_8,
+                                                  desk_gram_8, desk_grid):
+        rows = np.vstack([t.samples for t in desk_family_8]
+                         + [np.conj(t.samples) for t in desk_family_8])
+        _assert_squared_singular_values(desk_gram_8, rows, desk_grid)
+
+    def test_factor_reproduces_weighted_samples(self, desk_family_8,
+                                                desk_gram_8, desk_grid):
+        q = desk_gram_8.orthonormal
+        assert np.max(np.abs(q @ q.conj().T - np.eye(16))) <= 1e-13
+        rows = np.vstack([t.samples for t in desk_family_8]
+                         + [np.conj(t.samples) for t in desk_family_8])
+        weighted = rows * np.sqrt(desk_grid.trapezoid_weights())
+        assert np.allclose(desk_gram_8.lower @ q, weighted, rtol=0,
+                           atol=1e-13)
+        assert np.all(np.triu(desk_gram_8.lower, 1) == 0)
+
 
 class TestSynthesize:
     def test_elastic_single_mode_recovers_cosine(self, elastic_kernels,
@@ -144,6 +166,23 @@ class TestSynthesize:
                                                         np.zeros(16)),
                                    alpha=kernels.alpha)
 
+    def test_duplicated_row_is_near_singular(self, desk_family_8, desk_grid):
+        system = gram(list(desk_family_8[:3]) + [desk_family_8[0]], desk_grid)
+        with pytest.raises(NearSingularGramError):
+            synthesize_control(system, MomentTarget(np.ones(3), np.zeros(3)),
+                               alpha=-0.2)
+
+    def test_singular_factor_is_near_singular_not_a_config_error(
+            self, desk_family_8, desk_grid):
+        # np.linalg.LinAlgError is a ValueError, which the CLI reports as a
+        # config error (exit 2); a singular factor must surface as exit 4
+        samples = desk_family_8[0].samples
+        system = moments._factorise((1, 2), [samples, np.zeros_like(samples)],
+                                    desk_grid, conjugated=False)
+        assert system.lower[1, 1] == 0.0
+        with pytest.raises(NearSingularGramError):
+            moments._minimal_norm_report(system, np.ones(2), alpha=0.0)
+
     def test_roundtrip_through_simulation(self, desk_gram_8, desk_kernels,
                                           desk_grid, desk_modes_32):
         rng = np.random.default_rng(17)
@@ -167,6 +206,47 @@ class TestFinitePair:
                                      [0.0, 1.0, 0.0, 0.0])
         assert report.roundtrip["relative_error"] <= 1e-2
         assert report.lambda_min > 0.0
+
+    def test_extremes_are_squared_singular_values(self):
+        grid = TimeGrid(1.0, 2048)
+        kernels = derive_kernels(DESK_KERNEL, grid)
+        report = finite_pair_control(kernels, grid, [1.0, 0.0, 0.0, 0.0],
+                                     [0.0, 1.0, 0.0, 0.0])
+        modes = solve_modes(range(1, 5), kernels, grid)
+        rows = np.vstack(
+            [t.n * convolve(kernels.relaxation_scaled, t.samples, grid)
+             for t in modes]
+            + [t.n * convolve(kernels.stress_gap, t.samples, grid)
+               for t in modes])
+        _assert_squared_singular_values(report, rows, grid)
+        # the spectrum genuinely reaches the float64 round-off scale
+        assert report.lambda_min == pytest.approx(1.6158e-15, rel=5e-5)
+
+    def test_float64_roundtrip_beats_the_extended_precision_path(self):
+        # configs/pair.ini.  5.17e-6 is what solving the Gram in 80-bit
+        # extended precision reaches; forming the control from Gram
+        # coefficients instead of from the orthonormal factor squares the
+        # condition number and reaches ~1e-3
+        grid = TimeGrid(1.0, 2048)
+        kernels = derive_kernels(DESK_KERNEL, grid)
+        report = finite_pair_control(kernels, grid, [1.0, 0.0, 0.0, 0.0],
+                                     [0.0, 1.0, 0.0, 0.0])
+        assert report.roundtrip["relative_error"] <= 5.17e-6
+        assert report.max_relative_residual <= 1e-6
+
+    def test_duplicated_row_is_near_singular(self, monkeypatch):
+        grid = TimeGrid(1.0, 2048)
+        kernels = derive_kernels(DESK_KERNEL, grid)
+        solve = moments.solve_modes
+
+        def duplicated(ns, kernels, grid):
+            modes = solve(ns, kernels, grid)
+            return modes[:-1] + [modes[0]]
+
+        monkeypatch.setattr(moments, "solve_modes", duplicated)
+        with pytest.raises(NearSingularGramError):
+            finite_pair_control(kernels, grid, [1.0, 0.0, 0.0],
+                                [0.0, 1.0, 0.0])
 
     def test_elastic_consistent_targets(self):
         grid = TimeGrid(1.0, 2048)
@@ -266,11 +346,29 @@ class TestCloseness:
         assert np.max(report.scaled[16:]) <= 2.0 * np.max(report.scaled[:16])
 
 
-def test_jacobi_matches_lapack_on_random_hermitian():
-    rng = np.random.default_rng(0)
-    for size in (5, 24):
-        m = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
-            (size, size))
-        m = m + m.conj().T
-        assert np.max(np.abs(_hermitian_eigenvalues(m)
-                             - np.linalg.eigvalsh(m))) < 1e-10
+def _assert_squared_singular_values(report, rows, grid):
+    """lambda extremes equal the squared singular values of rows * sqrt(w)."""
+    sigma = np.linalg.svd(rows * np.sqrt(grid.trapezoid_weights()),
+                          compute_uv=False)
+    assert report.lambda_min == pytest.approx(sigma[-1] ** 2, rel=1e-6)
+    assert report.lambda_max == pytest.approx(sigma[0] ** 2, rel=1e-6)
+
+
+class TestSteeringProperties:
+    """Random unit targets at the critical horizon steer and round-trip."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(arrays(np.float64, 16, elements=st.floats(-1.0, 1.0)))
+    def test_random_unit_targets(self, desk_gram_8, desk_kernels, desk_grid,
+                                 desk_modes_32, vec):
+        norm = np.linalg.norm(vec)
+        assume(norm > 1e-3)
+        target = MomentTarget(vec[:8] / norm, vec[8:] / norm)
+        report = synthesize_control(desk_gram_8, target,
+                                    alpha=desk_kernels.alpha)
+        assert report.max_relative_residual <= 1e-6
+        assert report.imag_fraction <= 1e-10
+        state = simulate_coefficients(report.control, desk_modes_32[:8],
+                                      desk_kernels)
+        achieved = state.velocity + 1j * state.stress
+        assert np.linalg.norm(achieved - target.gamma) <= 1e-2
