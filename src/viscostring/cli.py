@@ -5,9 +5,8 @@
 
 The task on the command line must match the task in the config file;
 `--out` overrides the config's output directory.  `--threads` (like the
-config's `[run] threads` and the VISCOSTRING_THREADS environment variable)
-is accepted and validated for compatibility but has no effect: the
-package runs no thread pool of its own.
+config's `[run] threads`) is accepted and validated for compatibility but
+has no effect: the package runs no thread pool of its own.
 """
 
 from __future__ import annotations

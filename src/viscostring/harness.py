@@ -7,8 +7,7 @@ config and seed give byte-identical outputs; wall time therefore lives in
 a separate timing.json sidecar rather than in the manifest.  Each run
 solves its mode responses and moment kernels once, in one batch each,
 and hands them to every consumer.  The thread count (`--threads`,
-`[run] threads`, VISCOSTRING_THREADS) is still accepted and validated,
-but has no effect.
+`[run] threads`) is still accepted and validated, but has no effect.
 
 Random targets and controls come from an explicit 64-bit generator so
 other toolchains can reproduce them from the documented integer
@@ -20,7 +19,6 @@ from __future__ import annotations
 import configparser
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -45,9 +43,7 @@ from .moments import (
     build_family,
     finite_pair_control,
     frame_bounds,
-    gram,
     quadratic_closeness,
-    synthesize_control,
 )
 from .spectral import (
     ControlSignal,
@@ -108,7 +104,6 @@ CONFIG_KEYS = {
 }
 
 FIELD_GRID_POINTS = 201
-THREADS_ENV_VAR = "VISCOSTRING_THREADS"
 
 _MASK64 = (1 << 64) - 1
 
@@ -170,7 +165,16 @@ def random_control(seed: int, grid: TimeGrid, terms: int = 8) -> ControlSignal:
 
 def bump_control(grid: TimeGrid, amplitude: float, center: float,
                  width: float) -> ControlSignal:
-    """Smooth compactly supported bump, peak `amplitude` at `center`."""
+    """Smooth compactly supported bump, peak `amplitude` at `center`.
+
+    `center` must be finite and `width` finite and positive; anything else
+    would give an all-zero control, so it raises ValueError naming the key.
+    """
+    if not math.isfinite(center):
+        raise ValueError(f"bump control center must be finite, got {center!r}")
+    if not (math.isfinite(width) and width > 0.0):
+        raise ValueError(f"bump control width must be finite and positive, "
+                         f"got {width!r}")
     times = grid.times()
     y = (times - center) / width
     samples = np.zeros(grid.steps + 1)
@@ -189,13 +193,12 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     threads: int | None = None
-    # steer targets: explicit velocity/stress rows or seeded random
+    # targets: velocity/stress rows (steer) or deformation/stress rows
+    # (pair), or seeded random steering targets
     velocity_targets: np.ndarray | None = None
     stress_targets: np.ndarray | None = None
-    random_targets: bool = False
-    # pair targets
     deformation_targets: np.ndarray | None = None
-    pair_stress_targets: np.ndarray | None = None
+    random_targets: bool = False
     # control block for simulate/verify
     control_kind: str = "zero"
     control_amplitude: float = 1.0
@@ -205,21 +208,12 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def resolve_threads(self, override: int | None = None) -> int:
-        """Thread count from the override, the config or the environment.
+        """Thread count from the override or the config, else 1.
 
-        Kept for compatibility: the value is validated but no solver uses it.
+        Kept for compatibility: no solver uses the value.
         """
-        if override is not None:
-            return max(1, override)
-        if self.threads is not None:
-            return max(1, self.threads)
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-        return 1
+        chosen = override if override is not None else self.threads
+        return max(1, chosen if chosen is not None else 1)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -292,12 +286,10 @@ def load_config(path) -> ExperimentConfig:
             cfg.random_targets = True
         if "velocity" in tgt:
             cfg.velocity_targets = np.array(_parse_floats(tgt["velocity"]))
-        if "stress" in tgt and cfg.task == "steer":
+        if "stress" in tgt:
             cfg.stress_targets = np.array(_parse_floats(tgt["stress"]))
         if "deformation" in tgt:
             cfg.deformation_targets = np.array(_parse_floats(tgt["deformation"]))
-        if "stress" in tgt and cfg.task == "pair":
-            cfg.pair_stress_targets = np.array(_parse_floats(tgt["stress"]))
 
     if "control" in parser:
         ctl = parser["control"]
@@ -384,14 +376,6 @@ def _trajectory_blocks(trajectories, grid: TimeGrid):
                traj.samples.imag)
 
 
-def _control_columns(control: ControlSignal, reweighted: np.ndarray):
-    return [(control.grid.times(), control.samples, reweighted)]
-
-
-def _report_columns(report):
-    return [(report.ns, report.deviations, report.scaled)]
-
-
 def _base_manifest(cfg: ExperimentConfig, kernels: DerivedKernelSet) -> dict:
     # deliberately free of thread counts and wall time: outputs must be
     # byte-identical for identical config and seed
@@ -433,15 +417,37 @@ def _state_outputs(state, out: Path, manifest: dict,
     manifest["physical_scale"] = state.physical_scale
 
 
+def _control_output(out: Path, control: ControlSignal,
+                    reweighted: np.ndarray) -> None:
+    write_csv(out / "control.csv", ["t", "physical", "reweighted"],
+              [(control.grid.times(), control.samples, reweighted)])
+
+
+def _synthesis_outputs(out: Path, manifest: dict, report, roundtrip_error: float,
+                       **extra) -> None:
+    """control.csv, synthesis.json and manifest["synthesis"] of one solve."""
+    _control_output(out, report.control, report.control_reweighted)
+    doc = {
+        "residuals": _complex_list(report.residuals),
+        "max_relative_residual": report.max_relative_residual,
+        "control_norm": report.control_norm,
+        "lambda_min": report.lambda_min,
+        "lambda_max": report.lambda_max,
+        "condition": report.condition,
+        "roundtrip_relative_error": roundtrip_error,
+        **extra,
+    }
+    write_manifest(out / "synthesis.json", doc)
+    manifest["synthesis"] = doc
+
+
 def _task_simulate(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
-    grid.require_resolution(cfg.n_max)
     control = make_control(cfg, grid)
     modes = solve_modes(range(1, cfg.n_max + 1), kernels, grid)
     state = simulate_coefficients(control, modes, kernels)
     _state_outputs(state, out, manifest)
-    write_csv(out / "control.csv", ["t", "physical", "reweighted"],
-              _control_columns(control, control.reweighted(kernels.alpha)))
+    _control_output(out, control, control.reweighted(kernels.alpha))
     write_csv(out / "trajectories.csv", ["n", "t", "re", "im"],
               _trajectory_blocks(modes, grid))
     manifest["control"] = {"kind": cfg.control_kind}
@@ -450,7 +456,6 @@ def _task_simulate(cfg, kernels, out: Path, manifest: dict) -> None:
 def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
-    grid.require_resolution(n_max)
     if cfg.random_targets:
         target = random_unit_target(cfg.seed, n_max)
     else:
@@ -463,76 +468,41 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
         eta[: len(cfg.stress_targets)] = cfg.stress_targets[:n_max]
         target = MomentTarget(xi, eta)
 
-    # steering constrains modes 1..n_max only; report a tail of further
-    # coefficients (unconstrained by construction) where the grid allows
-    tail_n = min(2 * n_max, int(RESOLUTION_LIMIT / grid.step))
-    tail_n = max(tail_n, n_max)
+    # steering constrains modes 1..n_max only; the round trip also reports
+    # a tail of further coefficients (unconstrained by construction) where
+    # the grid allows
+    tail_n = max(min(2 * n_max, int(RESOLUTION_LIMIT / grid.step)), n_max)
     modes = solve_modes(range(1, tail_n + 1), kernels, grid)
-    family = build_family(kernels, grid, n_max, mode_family=modes)
-    system = gram(family, grid)
-    synthesis = synthesize_control(system, target, alpha=kernels.alpha)
-    state = simulate_coefficients(synthesis.control, modes, kernels)
-    achieved = state.velocity[:n_max] + 1j * state.stress[:n_max]
-    gap = achieved - target.gamma
-    target_norm = float(np.sqrt(np.sum(np.abs(target.gamma) ** 2)))
-    relative = (float(np.sqrt(np.sum(np.abs(gap) ** 2))) / target_norm
-                if target_norm > 0.0 else float(np.sqrt(np.sum(np.abs(gap) ** 2))))
-
-    _state_outputs(state, out, manifest, steered=n_max)
-    write_csv(out / "control.csv", ["t", "physical", "reweighted"],
-              _control_columns(synthesis.control, synthesis.control_reweighted))
-    synthesis_doc = {
-        "targets_velocity": [float(v) for v in target.xi],
-        "targets_stress": [float(v) for v in target.eta],
-        "residuals": _complex_list(synthesis.residuals),
-        "max_relative_residual": synthesis.max_relative_residual,
-        "control_norm": synthesis.control_norm,
-        "imag_fraction": synthesis.imag_fraction,
-        "lambda_min": synthesis.lambda_min,
-        "lambda_max": synthesis.lambda_max,
-        "condition": synthesis.condition,
-        "roundtrip_relative_error": relative,
-        "achieved": _complex_list(achieved),
-    }
-    write_manifest(out / "synthesis.json", synthesis_doc)
-    manifest["synthesis"] = synthesis_doc
+    trip = closed_loop_roundtrip(kernels, grid, target, mode_family=modes)
+    _state_outputs(trip.state, out, manifest, steered=n_max)
+    _synthesis_outputs(out, manifest, trip.synthesis, trip.relative_error,
+                       targets_velocity=[float(v) for v in target.xi],
+                       targets_stress=[float(v) for v in target.eta],
+                       imag_fraction=trip.synthesis.imag_fraction,
+                       achieved=_complex_list(trip.achieved))
 
 
 def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
-    grid = cfg.grid
-    if cfg.deformation_targets is None or cfg.pair_stress_targets is None:
+    if cfg.deformation_targets is None or cfg.stress_targets is None:
         raise ValueError("pair task needs deformation and stress target rows")
     c = cfg.deformation_targets[: cfg.n_pair]
-    d = cfg.pair_stress_targets[: cfg.n_pair]
+    d = cfg.stress_targets[: cfg.n_pair]
     if len(c) != cfg.n_pair or len(d) != cfg.n_pair:
         raise ValueError("pair targets must cover n_pair modes")
-    report = finite_pair_control(kernels, grid, c, d)
-    write_csv(out / "control.csv", ["t", "physical", "reweighted"],
-              _control_columns(report.control, report.control_reweighted))
+    report = finite_pair_control(kernels, cfg.grid, c, d)
     write_csv(out / "coefficients.csv",
               ["n", "deformation_target", "deformation_achieved",
                "stress_target", "stress_achieved"],
               [(np.arange(1, cfg.n_pair + 1), c, report.roundtrip["deformation"],
                 d, report.roundtrip["stress"])])
-    doc = {
-        "deformation_targets": [float(v) for v in c],
-        "stress_targets": [float(v) for v in d],
-        "residuals": _complex_list(report.residuals),
-        "max_relative_residual": report.max_relative_residual,
-        "control_norm": report.control_norm,
-        "lambda_min": report.lambda_min,
-        "lambda_max": report.lambda_max,
-        "condition": report.condition,
-        "roundtrip_relative_error": report.roundtrip["relative_error"],
-    }
-    write_manifest(out / "synthesis.json", doc)
-    manifest["synthesis"] = doc
+    _synthesis_outputs(out, manifest, report, report.roundtrip["relative_error"],
+                       deformation_targets=[float(v) for v in c],
+                       stress_targets=[float(v) for v in d])
 
 
 def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
-    grid.require_resolution(n_max)
     family = build_family(kernels, grid, n_max)
     bounds = frame_bounds(kernels, grid.horizon, n_max, family=family)
     write_csv(out / "frame_bounds.csv", ["n_max", "lambda_min", "lambda_max"],
@@ -558,27 +528,17 @@ def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
 def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
-    grid.require_resolution(n_max)
     n_range = range(1, n_max + 1)
     modes = solve_modes(n_range, kernels, grid)
-    verdicts = {}
-
-    mode_report = check_mode_asymptotics(kernels, grid, n_range, mode_family=modes)
-    write_csv(out / "mode_asymptotics.csv", ["n", "deviation", "scaled"],
-              _report_columns(mode_report))
-    verdicts["mode_asymptotics"] = mode_report.verdict.value
-
-    deriv_report = check_mode_derivative_asymptotics(kernels, grid, n_range,
-                                                     mode_family=modes)
-    write_csv(out / "mode_derivative_asymptotics.csv",
-              ["n", "deviation", "scaled"], _report_columns(deriv_report))
-    verdicts["mode_derivative_asymptotics"] = deriv_report.verdict.value
-
-    conv_report = check_convolution_asymptotics(
-        kernels, grid, (kernels.stress_kernel, 1.0), n_range, mode_family=modes)
-    write_csv(out / "convolution_asymptotics.csv",
-              ["n", "deviation", "scaled"], _report_columns(conv_report))
-    verdicts["convolution_asymptotics"] = conv_report.verdict.value
+    reports = {
+        "mode_asymptotics": check_mode_asymptotics(kernels, grid, n_range,
+                                                   mode_family=modes),
+        "mode_derivative_asymptotics": check_mode_derivative_asymptotics(
+            kernels, grid, n_range, mode_family=modes),
+        "convolution_asymptotics": check_convolution_asymptotics(
+            kernels, grid, (kernels.stress_kernel, 1.0), n_range,
+            mode_family=modes),
+    }
 
     resolvent_ns = [n for n in (1, 2, 4, 8) if n <= n_max]
     residuals = [check_resolvent_identity(kernels, grid, n, mode_family=modes)
@@ -590,10 +550,11 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
 
     control = make_control(cfg, grid)
     state = simulate_coefficients(control, modes, kernels)
-    gap_report = check_stress_deformation_gap(state)
-    write_csv(out / "stress_deformation_gap.csv", ["n", "deviation", "scaled"],
-              _report_columns(gap_report))
-    verdicts["stress_deformation_gap"] = gap_report.verdict.value
+    reports["stress_deformation_gap"] = check_stress_deformation_gap(state)
+    for name, report in reports.items():
+        write_csv(out / f"{name}.csv", ["n", "deviation", "scaled"],
+                  [(report.ns, report.deviations, report.scaled)])
+    verdicts = {name: report.verdict.value for name, report in reports.items()}
 
     roundtrip_doc = None
     if grid.horizon >= 2.0 * math.pi - 1e-12:
@@ -656,9 +617,8 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
             bool(cfg.kernel.alpha ** 2 > 1.0)
         _TASK_RUNNERS[cfg.task](cfg, kernels, out, manifest)
         write_manifest(out / "manifest.json", manifest)
-        with (out / "timing.json").open("w") as fh:
-            json.dump({"wall_time_seconds": time.time() - started}, fh, indent=2)
-            fh.write("\n")
+        write_manifest(out / "timing.json",
+                       {"wall_time_seconds": time.time() - started})
         return EXIT_OK
     except ExceptionalIndexError as exc:
         print(f"error: {exc}", file=sys.stderr)

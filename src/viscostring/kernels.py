@@ -78,6 +78,8 @@ class MemoryKernel:
 
     `params` holds (a_i, b_i) pairs for exponential sums and the
     coefficients c_0..c_d for polynomials.  Use the named constructors.
+    The zero kernel is evaluated as the empty exponential sum, polynomials
+    through numpy's `polyval`/`polyder`/`polyint`.
     """
 
     family: KernelFamily
@@ -127,62 +129,42 @@ class MemoryKernel:
     def memory(self, t):
         """M(t), vectorised."""
         t = np.asarray(t, dtype=float)
-        if self.family is KernelFamily.ZERO:
-            return np.zeros_like(t)
-        if self.family is KernelFamily.EXPONENTIAL_SUM:
-            out = np.zeros_like(t)
-            for a, b in self.params:
-                out += a * np.exp(-b * t)
-            return out
+        if self.family is KernelFamily.POLYNOMIAL:
+            return np.polyval(self.params[::-1], t)
         out = np.zeros_like(t)
-        for c in reversed(self.params):  # Horner
-            out = out * t + c
+        for a, b in self.params:
+            out += a * np.exp(-b * t)
         return out
 
     def memory_d1(self, t):
         """M'(t), closed form."""
         t = np.asarray(t, dtype=float)
-        if self.family is KernelFamily.ZERO:
-            return np.zeros_like(t)
-        if self.family is KernelFamily.EXPONENTIAL_SUM:
-            out = np.zeros_like(t)
-            for a, b in self.params:
-                out += -a * b * np.exp(-b * t)
-            return out
+        if self.family is KernelFamily.POLYNOMIAL:
+            return np.polyval(np.polyder(self.params[::-1]), t)
         out = np.zeros_like(t)
-        for j in range(len(self.params) - 1, 0, -1):
-            out = out * t + j * self.params[j]
+        for a, b in self.params:
+            out += -a * b * np.exp(-b * t)
         return out
 
     def memory_d2(self, t):
         """M''(t), closed form."""
         t = np.asarray(t, dtype=float)
-        if self.family is KernelFamily.ZERO:
-            return np.zeros_like(t)
-        if self.family is KernelFamily.EXPONENTIAL_SUM:
-            out = np.zeros_like(t)
-            for a, b in self.params:
-                out += a * b * b * np.exp(-b * t)
-            return out
+        if self.family is KernelFamily.POLYNOMIAL:
+            return np.polyval(np.polyder(self.params[::-1], 2), t)
         out = np.zeros_like(t)
-        for j in range(len(self.params) - 1, 1, -1):
-            out = out * t + j * (j - 1) * self.params[j]
+        for a, b in self.params:
+            out += a * b * b * np.exp(-b * t)
         return out
 
     def relaxation(self, t):
-        """N(t) = 1 + int_0^t M, by exact antiderivative."""
+        """N(t) = 1 + int_0^t M, by exact antiderivative; N(0) is exactly 1."""
         t = np.asarray(t, dtype=float)
-        if self.family is KernelFamily.ZERO:
-            return np.ones_like(t)
-        if self.family is KernelFamily.EXPONENTIAL_SUM:
-            out = np.ones_like(t)
-            for a, b in self.params:
-                out += (a / b) * (1.0 - np.exp(-b * t))
-            return out
-        out = np.zeros_like(t)
-        for j in range(len(self.params) - 1, -1, -1):
-            out = (out + self.params[j] / (j + 1)) * t
-        return 1.0 + out
+        if self.family is KernelFamily.POLYNOMIAL:
+            return 1.0 + np.polyval(np.polyint(self.params[::-1]), t)
+        out = np.ones_like(t)
+        for a, b in self.params:
+            out += (a / b) * (1.0 - np.exp(-b * t))
+        return out
 
     @property
     def alpha(self) -> float:
@@ -196,9 +178,7 @@ class MemoryKernel:
         kernels have no such representation and raise ValueError.  Used by
         the ODE-system oracle in `volterra`.
         """
-        if self.family is KernelFamily.ZERO:
-            return ((1.0, 0.0),)
-        if self.family is not KernelFamily.EXPONENTIAL_SUM:
+        if self.family is KernelFamily.POLYNOMIAL:
             raise ValueError(
                 "scaled relaxation is an exponential sum only for "
                 "exponential-sum memory kernels"

@@ -391,7 +391,6 @@ def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
         raise ValueError(f"finite pair problem limited to 16 modes, got {n_pair}")
     if kernels.grid != grid:
         raise ValueError("kernel grid mismatch")
-    grid.require_resolution(n_pair)
 
     modes = solve_modes(range(1, n_pair + 1), kernels, grid)
     ns = tuple(t.n for t in modes)

@@ -8,6 +8,9 @@ the maximum of the scaled sequence over the upper half of the index range
 is at most twice the maximum over the lower half, and GROWING otherwise.
 The rule is scale invariant, so rescaling kernels, controls or targets
 cannot flip a verdict.
+
+`closed_loop_roundtrip`, shared by the steer and verify tasks, re-simulates
+a synthesised control over every mode of the family it is given.
 """
 
 from __future__ import annotations
@@ -218,9 +221,10 @@ class RoundtripReport:
     """Synthesis followed by re-simulation, compared in coefficient space."""
 
     target: MomentTarget
-    achieved: np.ndarray          # v_n + i * sigma_n from the re-simulation
+    achieved: np.ndarray          # v_n + i * sigma_n, n = 1..target.n_max
     relative_error: float
     synthesis: SynthesisReport
+    state: SpectralState          # every mode of the re-simulated family
 
     def __post_init__(self):
         self.achieved.setflags(write=False)
@@ -232,21 +236,26 @@ def closed_loop_roundtrip(kernels: DerivedKernelSet, grid: TimeGrid,
                           ) -> RoundtripReport:
     """Synthesise a steering control, re-simulate it, compare coefficients.
 
-    The comparison norm is the coefficient-space distance between the
-    achieved velocity/stress pairs and the requested ones, relative to the
-    target norm (zero targets compare absolutely).  Pass a precomputed
-    `mode_family` to reuse mode responses.
+    The control steers modes 1..target.n_max.  The re-simulation covers
+    every mode of `mode_family` (n = 1, 2, ... in order, at least n_max of
+    them; solved here when omitted), so a longer family also yields the
+    unconstrained tail in `state`.  The comparison norm is the
+    coefficient-space distance between the achieved velocity/stress pairs
+    of modes 1..n_max and the requested ones, relative to the target norm
+    (zero targets compare absolutely).
     """
     n_max = target.n_max
-    modes = _modes_for(kernels, grid, range(1, n_max + 1), mode_family)
+    modes = (mode_family if mode_family is not None
+             else solve_modes(range(1, n_max + 1), kernels, grid))
     family = build_family(kernels, grid, n_max, mode_family=modes)
     system = gram(family, grid)
     synthesis = synthesize_control(system, target, alpha=kernels.alpha)
     state = simulate_coefficients(synthesis.control, modes, kernels)
-    achieved = state.velocity + 1j * state.stress
+    achieved = state.velocity[:n_max] + 1j * state.stress[:n_max]
     gap = achieved - target.gamma
     target_norm = float(np.sqrt(np.sum(np.abs(target.gamma) ** 2)))
     err = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
     relative = err / target_norm if target_norm > 0.0 else err
     return RoundtripReport(target=target, achieved=achieved,
-                           relative_error=relative, synthesis=synthesis)
+                           relative_error=relative, synthesis=synthesis,
+                           state=state)

@@ -173,9 +173,18 @@ kind = simulate
 """)
         cfg = load_config(path)
         assert cfg.resolve_threads() == 1
-        monkeypatch.setenv("VISCOSTRING_THREADS", "3")
+        assert cfg.resolve_threads(2) == 2
+        cfg.threads = 3
         assert cfg.resolve_threads() == 3
         assert cfg.resolve_threads(2) == 2
+        # the environment is not a thread-count source: VISCOSTRING_THREADS
+        # is ignored, even when it is not an integer
+        for value in ("5", "many"):
+            monkeypatch.setenv("VISCOSTRING_THREADS", value)
+            assert cfg.resolve_threads() == 3
+        cfg.threads, cfg.n_max = None, 4
+        assert cfg.resolve_threads() == 1
+        assert run(cfg, out_dir=tmp_path / "out") == EXIT_OK
 
 
 class TestRun:
@@ -220,6 +229,22 @@ kind = zero
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["schema_version"] == 1
         assert manifest["synthesis"]["roundtrip_relative_error"] < 1e-3
+
+    def test_steer_reports_the_shared_roundtrip(self, tmp_path):
+        cfg = load_config(steer_config(tmp_path, steps=2048))
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == EXIT_OK
+        doc = json.loads((out / "synthesis.json").read_text())
+        # the tail family steer simulates: modes 1..2*n_max at this step
+        kernels = viscostring.derive_kernels(cfg.kernel, cfg.grid)
+        modes = volterra.solve_modes(range(1, 17), kernels, cfg.grid)
+        trip = viscostring.closed_loop_roundtrip(
+            kernels, cfg.grid, random_unit_target(cfg.seed, 8), mode_family=modes)
+        assert doc["roundtrip_relative_error"] == trip.relative_error
+        assert doc["achieved"] == [[z.real, z.imag] for z in trip.achieved.tolist()]
+        assert trip.state.n_max == 16
+        rows = (out / "coefficients.csv").read_text().splitlines()
+        assert len(rows) == 1 + trip.state.n_max
 
     def test_pair_elastic_mismatch_exits_5(self, tmp_path):
         path = write_config(tmp_path, """
@@ -535,6 +560,30 @@ frequency = 2.0
             load_config(write_config(tmp_path, base.format(kind="cosine"),
                                      name="c2.ini")), desk_grid)
         assert cosine.samples[0] == 1.5
+
+    @pytest.mark.parametrize("key,value", [("width", "0"), ("center", "nan"),
+                                           ("width", "inf")])
+    def test_degenerate_bump_is_a_config_error(self, tmp_path, capsys, key, value):
+        # each would give an all-zero control
+        path = write_config(tmp_path, f"""
+[kernel]
+family = exponential_sum
+coefficients = 0.4 1.0
+[grid]
+horizon = {TWO_PI}
+steps = 512
+[modes]
+n_max = 4
+[task]
+kind = simulate
+[control]
+kind = bump
+{key} = {value}
+""")
+        out = tmp_path / "out"
+        assert run(load_config(path), out_dir=out) == EXIT_CONFIG
+        assert f"bump control {key}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 class TestCli:

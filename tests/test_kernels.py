@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,3 +150,59 @@ def test_near_exceptional_index_is_rejected():
 def test_derived_kernels_are_read_only(desk_kernels):
     with pytest.raises(ValueError):
         desk_kernels.stress_kernel[0] = 2.0
+
+
+def _reference_calculus(kernel, t):
+    """M, M', M'' and N as the hand-written loops evaluated them."""
+    t = np.asarray(t, dtype=float)
+    if kernel.family is KernelFamily.ZERO:
+        return np.zeros_like(t), np.zeros_like(t), np.zeros_like(t), np.ones_like(t)
+    if kernel.family is KernelFamily.EXPONENTIAL_SUM:
+        m, m1, m2, n = (np.zeros_like(t), np.zeros_like(t), np.zeros_like(t),
+                        np.ones_like(t))
+        for a, b in kernel.params:
+            m += a * np.exp(-b * t)
+            m1 += -a * b * np.exp(-b * t)
+            m2 += a * b * b * np.exp(-b * t)
+            n += (a / b) * (1.0 - np.exp(-b * t))
+        return m, m1, m2, n
+    c = kernel.params
+    m, m1, m2, n = (np.zeros_like(t) for _ in range(4))
+    for coeff in reversed(c):  # Horner
+        m = m * t + coeff
+    for j in range(len(c) - 1, 0, -1):
+        m1 = m1 * t + j * c[j]
+    for j in range(len(c) - 1, 1, -1):
+        m2 = m2 * t + j * (j - 1) * c[j]
+    for j in range(len(c) - 1, -1, -1):
+        n = (n + c[j] / (j + 1)) * t
+    return m, m1, m2, 1.0 + n
+
+
+@pytest.mark.parametrize("kernel", [
+    ELASTIC_KERNEL,
+    MemoryKernel.exponential_sum([(0.37, 1.3), (0.15, 3.7)]),
+    MemoryKernel.polynomial([0.35]),
+    MemoryKernel.polynomial([0.3, -0.1, 0.02, -0.003, 0.001]),
+], ids=["zero", "exponential_sum", "degree0", "degree4"])
+def test_calculus_matches_the_hand_written_loops_bit_for_bit(kernel):
+    for t in (0.0, np.linspace(0.0, 7.3, 1001)):
+        new = (kernel.memory(t), kernel.memory_d1(t), kernel.memory_d2(t),
+               kernel.relaxation(t))
+        for got, want in zip(new, _reference_calculus(kernel, t)):
+            assert np.shape(got) == np.shape(want)
+            assert np.all(got == want)
+    assert kernel.relaxation(0.0) == 1.0
+    if kernel.family is KernelFamily.ZERO:
+        assert kernel.scaled_relaxation_terms() == ((1.0, 0.0),)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial costs seven more module imports at start-up
+    src = str(Path(__file__).parents[1] / "src")
+    code = ("import sys, viscostring; "
+            "print('numpy.polynomial' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src),
+                            check=True)
+    assert result.stdout.strip() == "False"

@@ -217,3 +217,18 @@ class TestRoundtrip:
         trip = closed_loop_roundtrip(desk_kernels, desk_grid, target)
         assert trip.relative_error <= 1e-2
         assert trip.synthesis.lambda_min > 0.0
+
+    def test_state_covers_the_whole_family(self, desk_kernels, desk_grid,
+                                           desk_modes_32):
+        target = random_unit_target(99, 8)
+        own = closed_loop_roundtrip(desk_kernels, desk_grid, target)
+        tail = closed_loop_roundtrip(desk_kernels, desk_grid, target,
+                                     mode_family=desk_modes_32[:16])
+        assert own.state.n_max == 8
+        assert tail.state.n_max == 16
+        assert len(tail.achieved) == 8
+        assert np.array_equal(tail.achieved, tail.state.velocity[:8]
+                              + 1j * tail.state.stress[:8])
+        # the tail is unconstrained, the steered modes agree with the short run
+        np.testing.assert_allclose(tail.achieved, own.achieved, rtol=0, atol=1e-12)
+        assert tail.relative_error == pytest.approx(own.relative_error, rel=1e-9)

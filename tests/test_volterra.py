@@ -305,12 +305,8 @@ def _reference_march(grid, kernel, local, weight, forcing, dtype):
     return y
 
 
-@pytest.mark.parametrize("kernel", [DESK_KERNEL, ELASTIC_KERNEL],
-                         ids=["desk", "elastic"])
-def test_batched_engine_matches_per_mode_reference(kernel):
-    grid = TimeGrid(TWO_PI, 1024)
-    dk = derive_kernels(kernel, grid)
-    ns = [3, -1, 16, 1, -3]
+def _assert_batch_matches_reference(dk, grid, ns):
+    """Batched modes and moment kernels within 1e-13*max|y| of one-mode marches."""
     modes = solve_modes(ns, dk, grid)
     kernels_z = solve_moment_kernels(ns, dk, grid)
     for n, y, z in zip(ns, modes, kernels_z):
@@ -323,9 +319,20 @@ def test_batched_engine_matches_per_mode_reference(kernel):
                                  weight, forcing, complex)
         assert np.max(np.abs(y.samples - ref_y)) <= 1e-13 * np.max(np.abs(ref_y))
         assert np.max(np.abs(z.samples - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
-    by_n = {z.n: z.samples for z in kernels_z}
-    for n in (1, 3):
-        assert np.array_equal(by_n[-n], np.conj(by_n[n]))
+    by_n = {}
+    for z in kernels_z:
+        by_n.setdefault(z.n, z.samples)
+    for n in by_n:
+        if -n in by_n:
+            assert np.array_equal(by_n[-n], np.conj(by_n[n]))
+
+
+@pytest.mark.parametrize("kernel", [DESK_KERNEL, ELASTIC_KERNEL],
+                         ids=["desk", "elastic"])
+def test_batched_engine_matches_per_mode_reference(kernel):
+    grid = TimeGrid(TWO_PI, 1024)
+    dk = derive_kernels(kernel, grid)
+    _assert_batch_matches_reference(dk, grid, [3, -1, 16, 1, -3])
     with pytest.raises(ValueError):
         solve_modes([1, 0], dk, grid)
     with pytest.raises(ValueError):
@@ -334,6 +341,21 @@ def test_batched_engine_matches_per_mode_reference(kernel):
         solve_modes([1, 17], dk, grid)  # step * 17 > RESOLUTION_LIMIT
     with pytest.raises(ValueError):
         solve_moment_kernels([-17], dk, grid)
+
+
+exponential_terms = st.lists(
+    st.tuples(st.floats(0.05, 0.6), st.floats(0.5, 5.0)), min_size=1, max_size=2)
+signed_indices = st.lists(
+    st.integers(1, 8).flatmap(lambda n: st.sampled_from([n, -n])),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(exponential_terms, signed_indices)
+def test_batched_engine_matches_per_mode_reference_on_random_kernels(terms, ns):
+    grid = TimeGrid(TWO_PI, 512)  # step * 8 < RESOLUTION_LIMIT
+    dk = derive_kernels(MemoryKernel.exponential_sum(terms), grid)
+    _assert_batch_matches_reference(dk, grid, ns)
 
 
 def test_batch_rows_are_read_only_views(desk_kernels, desk_grid):
