@@ -167,8 +167,9 @@ def bump_control(grid: TimeGrid, amplitude: float, center: float,
                  width: float) -> ControlSignal:
     """Smooth compactly supported bump, peak `amplitude` at `center`.
 
-    `center` must be finite and `width` finite and positive; anything else
-    would give an all-zero control, so it raises ValueError naming the key.
+    A non-finite `center`, a `width` that is not finite and positive, or a
+    support without a grid node would give an all-zero control, so each
+    raises ValueError naming the keys.
     """
     if not math.isfinite(center):
         raise ValueError(f"bump control center must be finite, got {center!r}")
@@ -179,6 +180,9 @@ def bump_control(grid: TimeGrid, amplitude: float, center: float,
     y = (times - center) / width
     samples = np.zeros(grid.steps + 1)
     inside = np.abs(y) < 1.0
+    if not np.any(inside):
+        raise ValueError(f"bump control (center={center!r}, width={width!r}) "
+                         "holds no grid node")
     samples[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - y[inside] ** 2))
     return ControlSignal(samples, grid)
 
@@ -541,8 +545,8 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
     }
 
     resolvent_ns = [n for n in (1, 2, 4, 8) if n <= n_max]
-    residuals = [check_resolvent_identity(kernels, grid, n, mode_family=modes)
-                 for n in resolvent_ns]
+    residuals = check_resolvent_identity(kernels, grid, resolvent_ns,
+                                         mode_family=modes)
     write_csv(out / "resolvent_residuals.csv", ["n", "max_residual"],
               [(resolvent_ns, residuals)])
     manifest["resolvent_residuals"] = {str(n): r

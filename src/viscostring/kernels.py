@@ -1,4 +1,4 @@
-"""Memory kernels and every derived kernel the other modules consume.
+"""Memory kernels and the derived kernels the solvers consume.
 
 Model summary.  A string on [0, pi] with memory kernel M(t) carries the
 relaxation function
@@ -16,21 +16,17 @@ this way.  The three output series of the controlled solution use
     Ks(t) = Na(t) + (Na * Ma)(t)            (stress series kernel)
     Fg(t) = (Na * Ma)(t) = Ks(t) - Na(t)    (stress/deformation gap kernel)
 
-so Ks(0) = 1 and Fg(0) = 0.  The oscillator representation of the mode
-responses additionally needs
-
-    Q0(t) = Na''(t) - alpha*Na'(t),   Q1(t) = alpha*Q0(t) - Q0'(t)
-
-and the resolvent R of -Na', solving R = -(Na' * R) - Na', which has
-R(0) = 0 and the regularity of Na'.
+so Ks(0) = 1 and Fg(0) = 0.  These four (Na, Hv, Ks, Fg) are all the
+solvers read.  The oscillator remainders Q0, Q1 and the resolvent R that
+the resolvent-identity check needs are derived in `verify`.
 
 Kernels are restricted to analytic families (exponential sums and
 polynomials of degree at most four) so that M, M' and M'' evaluate in
 closed form everywhere; tabulated kernels are rejected because the
 verification suite needs exact derivatives.  Convolutions that have no
-closed form (the gap kernel and the resolvent) are computed with the
-second-order product-trapezoidal machinery from `volterra`, matching the
-global accuracy budget.
+closed form (the gap kernel here, the resolvent in `verify`) are computed
+with the second-order product-trapezoidal machinery from `volterra`,
+matching the global accuracy budget.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ExceptionalIndexError
-from .volterra import TimeGrid, convolve, solve_volterra_second_kind
+from .volterra import TimeGrid, convolve
 
 __all__ = [
     "KernelFamily",
@@ -190,84 +186,54 @@ class MemoryKernel:
         return tuple(terms)
 
 
-_ARRAY_FIELDS = (
-    "relaxation", "relaxation_scaled", "relaxation_scaled_d1", "memory_scaled",
-    "velocity_kernel", "stress_kernel", "stress_gap", "remainder0",
-    "remainder1", "resolvent",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class DerivedKernelSet:
-    """All kernels derived from one memory kernel, sampled on one grid.
+    """The kernels the solvers read, sampled from one memory kernel on a grid.
 
-    Immutable after construction (arrays are marked read-only), so a set
-    can be shared freely across threads.
+    Immutable after construction: the arrays are marked read-only.
     """
 
     kernel: MemoryKernel
     grid: TimeGrid
     alpha: float
-    relaxation: np.ndarray            # N
     relaxation_scaled: np.ndarray     # Na
-    relaxation_scaled_d1: np.ndarray  # Na'
-    memory_scaled: np.ndarray         # Ma
     velocity_kernel: np.ndarray       # Hv = Na' - 2*alpha*Na
     stress_kernel: np.ndarray         # Ks = Na + Na*Ma
     stress_gap: np.ndarray            # Fg = Na*Ma
-    remainder0: np.ndarray            # Q0 = Na'' - alpha*Na'
-    remainder1: np.ndarray            # Q1 = alpha*Q0 - Q0'
-    resolvent: np.ndarray             # R = -(Na' * R) - Na'
+    is_elastic: bool                  # M vanishes identically on the grid
 
     def __post_init__(self):
-        for name in _ARRAY_FIELDS:
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def is_elastic(self) -> bool:
-        """True when the memory kernel vanishes identically on the grid."""
-        return not np.any(self.memory_scaled)
+        for arr in (self.relaxation_scaled, self.velocity_kernel,
+                    self.stress_kernel, self.stress_gap):
+            arr.setflags(write=False)
 
 
 def derive_kernels(kernel: MemoryKernel, grid: TimeGrid) -> DerivedKernelSet:
-    """Sample every derived kernel of `kernel` on `grid`.
+    """Sample the solver kernels of `kernel` on `grid`.
 
     Everything with a closed form is evaluated exactly; the gap kernel is
-    the product-trapezoidal convolution Na * Ma and the resolvent solves
-    its second-kind equation with the same machinery, both O(step^2).
+    the product-trapezoidal convolution Na * Ma, O(step^2).
     """
     t = grid.times()
     alpha = kernel.alpha
     scale = np.exp(2.0 * alpha * t)
 
     m0 = kernel.memory(t)
-    m1 = kernel.memory_d1(t)
-    m2 = kernel.memory_d2(t)
     relax = kernel.relaxation(t)
 
     na = scale * relax
     ma = scale * m0
-    # d/dt [exp(2 a t) N] and higher orders, using N' = M
+    # d/dt [exp(2 a t) N], using N' = M
     na_d1 = scale * (2.0 * alpha * relax + m0)
-    na_d2 = scale * (4.0 * alpha * alpha * relax + 4.0 * alpha * m0 + m1)
-    na_d3 = scale * (8.0 * alpha ** 3 * relax + 12.0 * alpha * alpha * m0
-                     + 6.0 * alpha * m1 + m2)
 
     velocity = na_d1 - 2.0 * alpha * na
     gap = convolve(na, ma, grid)
     stress = na + gap
 
-    q0 = na_d2 - alpha * na_d1
-    q0_d1 = na_d3 - alpha * na_d2
-    q1 = alpha * q0 - q0_d1
-
-    resolvent = solve_volterra_second_kind(-na_d1, -na_d1, grid)
-
     return DerivedKernelSet(
-        kernel=kernel, grid=grid, alpha=alpha,
-        relaxation=relax, relaxation_scaled=na, relaxation_scaled_d1=na_d1,
-        memory_scaled=ma, velocity_kernel=velocity, stress_kernel=stress,
-        stress_gap=gap, remainder0=q0, remainder1=q1, resolvent=resolvent,
+        kernel=kernel, grid=grid, alpha=alpha, relaxation_scaled=na,
+        velocity_kernel=velocity, stress_kernel=stress, stress_gap=gap,
+        is_elastic=not np.any(ma),
     )
 
 

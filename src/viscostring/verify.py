@@ -30,6 +30,7 @@ from .volterra import (
     convolve,
     mode_derivative,
     solve_modes,
+    solve_volterra_second_kind,
 )
 
 __all__ = [
@@ -179,33 +180,60 @@ def check_convolution_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
                                         - at_zero * par.damped_sin(times))))
 
 
-def check_resolvent_identity(kernels: DerivedKernelSet, grid: TimeGrid, n: int,
+def _oscillator_kernels(kernels: DerivedKernelSet):
+    """Na', Q0(0), Q1 and the resolvent R on the grid of `kernels`.
+
+    Q0 = Na'' - alpha*Na', Q1 = alpha*Q0 - Q0' (closed form, with N' = M)
+    and R solves R = -(Na' * R) - Na', so R(0) = 0.
+    """
+    kernel, grid, alpha = kernels.kernel, kernels.grid, kernels.alpha
+    t = grid.times()
+    scale = np.exp(2.0 * alpha * t)
+    m0, m1, m2 = kernel.memory(t), kernel.memory_d1(t), kernel.memory_d2(t)
+    relax = kernel.relaxation(t)
+    na_d1 = scale * (2.0 * alpha * relax + m0)
+    na_d2 = scale * (4.0 * alpha * alpha * relax + 4.0 * alpha * m0 + m1)
+    na_d3 = scale * (8.0 * alpha ** 3 * relax + 12.0 * alpha * alpha * m0
+                     + 6.0 * alpha * m1 + m2)
+    q0 = na_d2 - alpha * na_d1
+    q1 = alpha * q0 - (na_d3 - alpha * na_d2)
+    resolvent = solve_volterra_second_kind(-na_d1, -na_d1, grid)
+    return na_d1, float(q0[0]), q1, resolvent
+
+
+def check_resolvent_identity(kernels: DerivedKernelSet, grid: TimeGrid,
+                             ns: Iterable[int],
                              mode_family: Sequence[ModeTrajectory] | None = None
-                             ) -> float:
-    """Residual of the oscillator representation of one mode response.
+                             ) -> list[float]:
+    """Residual of the oscillator representation of each mode response in `ns`.
 
     The mode response y_n should equal G_n + R ⋆ G_n where R is the
     resolvent kernel and G_n collects the damped oscillator profile plus
     three correction convolutions built from y_n itself.  Returns the
-    maximum absolute residual over the grid; O(step^2) for smooth kernels.
-    Pass a precomputed `mode_family` to reuse the mode response.
+    maximum absolute residual over the grid for each n; O(step^2) for
+    smooth kernels.  The resolvent is solved once per call.  Pass a
+    precomputed `mode_family` to reuse the mode responses.
     """
-    par = _params_for(kernels, n)
+    ns = list(ns)
+    params = [_params_for(kernels, n) for n in ns]
+    modes = _modes_for(kernels, grid, ns, mode_family)
+    na_d1, q0_at_zero, q1, resolvent = _oscillator_kernels(kernels)
     times = grid.times()
-    y = _modes_for(kernels, grid, [n], mode_family)[0].samples
-    beta = par.beta.real if isinstance(par.beta, complex) else par.beta
-    mu = par.mu.real if isinstance(par.mu, complex) else par.mu
-    damped_sin = par.damped_sin(times)
+    residuals = []
+    for par, mode in zip(params, modes):  # beta and mu are real floats
+        y = mode.samples
+        damped_sin = par.damped_sin(times)
 
-    base = par.profile(times)
-    correction = (1.0 - mu) * convolve(kernels.relaxation_scaled_d1, y, grid)
-    ring = float(kernels.remainder0[0]) * (mu / beta) * convolve(damped_sin, y, grid)
-    inner = convolve(kernels.remainder1, damped_sin, grid)
-    double = (mu / beta) * convolve(inner, y, grid)
-    assembled = base + correction + ring - double
+        base = par.profile(times)
+        correction = (1.0 - par.mu) * convolve(na_d1, y, grid)
+        ring = q0_at_zero * (par.mu / par.beta) * convolve(damped_sin, y, grid)
+        inner = convolve(q1, damped_sin, grid)
+        double = (par.mu / par.beta) * convolve(inner, y, grid)
+        assembled = base + correction + ring - double
 
-    reconstructed = assembled + convolve(kernels.resolvent, assembled, grid)
-    return float(np.max(np.abs(y - reconstructed)))
+        reconstructed = assembled + convolve(resolvent, assembled, grid)
+        residuals.append(float(np.max(np.abs(y - reconstructed))))
+    return residuals
 
 
 def check_stress_deformation_gap(state: SpectralState) -> AsymptoticReport:

@@ -412,6 +412,28 @@ class TestSolveOnce:
         assert run(load_config(path), out_dir=tmp_path / "o") == EXIT_OK
         assert dict(calls) == batches
 
+    @pytest.mark.parametrize("task,solves", [("simulate", 0), ("pair", 0),
+                                             ("steer", 0), ("diagnose", 0),
+                                             ("verify", 1)])
+    def test_only_verify_solves_the_resolvent(self, tmp_path, monkeypatch, task,
+                                              solves):
+        # verify checks modes 1, 2, 4, 8 (n_max = 8) against one resolvent
+        calls = Counter()
+        solve = volterra.solve_volterra_second_kind
+
+        def counting(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        # every namespace that imported it, not only its home module
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "viscostring" and \
+                    getattr(module, "solve_volterra_second_kind", None) is solve:
+                monkeypatch.setattr(module, "solve_volterra_second_kind", counting)
+        path = task_config(tmp_path, task)
+        assert run(load_config(path), out_dir=tmp_path / "o") == EXIT_OK
+        assert calls["solve"] == solves
+
 
 def _cli_outputs(tmp_path, task, path, blas_threads):
     out = tmp_path / f"{task}_{blas_threads}"
@@ -561,11 +583,9 @@ frequency = 2.0
                                      name="c2.ini")), desk_grid)
         assert cosine.samples[0] == 1.5
 
-    @pytest.mark.parametrize("key,value", [("width", "0"), ("center", "nan"),
-                                           ("width", "inf")])
-    def test_degenerate_bump_is_a_config_error(self, tmp_path, capsys, key, value):
-        # each would give an all-zero control
-        path = write_config(tmp_path, f"""
+    @staticmethod
+    def _bump_config(tmp_path, lines):
+        return write_config(tmp_path, f"""
 [kernel]
 family = exponential_sum
 coefficients = 0.4 1.0
@@ -578,12 +598,40 @@ n_max = 4
 kind = simulate
 [control]
 kind = bump
-{key} = {value}
+{lines}
 """)
+
+    @pytest.mark.parametrize("key,value", [("width", "0"), ("center", "nan"),
+                                           ("width", "inf")])
+    def test_degenerate_bump_is_a_config_error(self, tmp_path, capsys, key, value):
+        # each would give an all-zero control
+        path = self._bump_config(tmp_path, f"{key} = {value}")
         out = tmp_path / "out"
         assert run(load_config(path), out_dir=out) == EXIT_CONFIG
         assert f"bump control {key}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("lines", ["center = 100.0",
+                                       "center = 1.0\nwidth = 1e-6"],
+                             ids=["outside-horizon", "between-nodes"])
+    def test_bump_missing_every_node_is_a_config_error(self, tmp_path, capsys,
+                                                       lines):
+        out = tmp_path / "out"
+        path = self._bump_config(tmp_path, lines)
+        assert run(load_config(path), out_dir=out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "center" in err and "width" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("lines", ["center = -0.5\nwidth = 1.0",
+                                       "center = 6.5\nwidth = 1.0",
+                                       "amplitude = 0.0"],
+                             ids=["left-edge", "right-edge", "zero-amplitude"])
+    def test_bump_holding_a_node_runs(self, tmp_path, lines):
+        out = tmp_path / "out"
+        path = self._bump_config(tmp_path, lines)
+        assert run(load_config(path), out_dir=out) == 0
+        assert (out / "manifest.json").exists()
 
 
 class TestCli:

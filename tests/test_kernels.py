@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from viscostring import (
+    DerivedKernelSet,
     KernelFamily,
     MemoryKernel,
     TimeGrid,
@@ -17,6 +19,7 @@ from viscostring import (
     mode_params,
 )
 from viscostring.errors import ExceptionalIndexError
+from viscostring.verify import _oscillator_kernels
 
 from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
 
@@ -30,13 +33,13 @@ def test_zero_kernel_collapses_every_derived_kernel():
     grid = TimeGrid(TWO_PI, 512)
     dk = derive_kernels(ELASTIC_KERNEL, grid)
     assert dk.alpha == 0.0
-    assert np.all(dk.relaxation == 1.0)
+    assert np.all(ELASTIC_KERNEL.relaxation(grid.times()) == 1.0)
     assert np.all(dk.relaxation_scaled == 1.0)
     assert np.all(dk.velocity_kernel == 0.0)
     assert np.all(dk.stress_kernel == 1.0)
     assert np.all(dk.stress_gap == 0.0)
-    assert np.all(dk.resolvent == 0.0)
-    assert dk.is_elastic
+    assert np.all(_oscillator_kernels(dk)[3] == 0.0)
+    assert dk.is_elastic is True
 
 
 def test_desk_kernel_scaled_relaxation_closed_form(desk_grid, desk_kernels):
@@ -57,15 +60,25 @@ def test_gap_kernel_matches_refined_riemann_oracle():
 def test_derived_kernel_invariants(kernel):
     grid = TimeGrid(TWO_PI, 1024)
     dk = derive_kernels(kernel, grid)
-    assert dk.relaxation[0] == 1.0
+    t = grid.times()
+    na_d1, _, _, resolvent = _oscillator_kernels(dk)
+    assert kernel.relaxation(t)[0] == 1.0
     assert dk.relaxation_scaled[0] == 1.0
-    assert abs(dk.relaxation_scaled_d1[0]) <= 1e-12
+    assert abs(na_d1[0]) <= 1e-12
     assert dk.stress_kernel[0] == 1.0
     assert dk.stress_gap[0] == 0.0
     assert dk.velocity_kernel[0] == pytest.approx(float(kernel.memory(0.0)), abs=1e-14)
-    assert dk.resolvent[0] == 0.0
+    assert resolvent[0] == 0.0
     # the velocity kernel equals the scaled memory kernel identically
-    assert np.max(np.abs(dk.velocity_kernel - dk.memory_scaled)) < 1e-13
+    memory_scaled = np.exp(2.0 * dk.alpha * t) * kernel.memory(t)
+    assert np.max(np.abs(dk.velocity_kernel - memory_scaled)) < 1e-13
+    assert dk.is_elastic is (kernel is ELASTIC_KERNEL)
+
+
+def test_derived_set_holds_only_the_solver_kernels():
+    assert [f.name for f in dataclasses.fields(DerivedKernelSet)] == [
+        "kernel", "grid", "alpha", "relaxation_scaled", "velocity_kernel",
+        "stress_kernel", "stress_gap", "is_elastic"]
 
 
 def test_gap_kernel_quadrature_is_second_order():
@@ -85,10 +98,8 @@ def test_gap_kernel_quadrature_is_second_order():
                          ids=["exponential", "polynomial"])
 def test_resolvent_solves_its_equation_on_the_grid(kernel):
     grid = TimeGrid(TWO_PI, 2048)
-    dk = derive_kernels(kernel, grid)
-    residual = dk.resolvent \
-        + convolve(dk.relaxation_scaled_d1, dk.resolvent, grid) \
-        + dk.relaxation_scaled_d1
+    na_d1, _, _, resolvent = _oscillator_kernels(derive_kernels(kernel, grid))
+    residual = resolvent + convolve(na_d1, resolvent, grid) + na_d1
     assert np.max(np.abs(residual)) < 1e-12
 
 

@@ -15,12 +15,46 @@ from viscostring import (
     check_resolvent_identity,
     check_stress_deformation_gap,
     closed_loop_roundtrip,
+    convolve,
     derive_kernels,
+    mode_params,
     simulate_coefficients,
+    solve_modes,
+    solve_volterra_second_kind,
 )
 from viscostring.harness import bump_control, random_unit_target
 
 from conftest import DESK_KERNEL, TWO_PI
+
+
+def _reference_resolvent_residual(kernel, grid, n, y):
+    """One mode's residual, from kernels derived as the full kernel set did."""
+    t = grid.times()
+    alpha = kernel.alpha
+    scale = np.exp(2.0 * alpha * t)
+    m0, m1, m2 = kernel.memory(t), kernel.memory_d1(t), kernel.memory_d2(t)
+    relax = kernel.relaxation(t)
+    na_d1 = scale * (2.0 * alpha * relax + m0)
+    na_d2 = scale * (4.0 * alpha * alpha * relax + 4.0 * alpha * m0 + m1)
+    na_d3 = scale * (8.0 * alpha ** 3 * relax + 12.0 * alpha * alpha * m0
+                     + 6.0 * alpha * m1 + m2)
+    q0 = na_d2 - alpha * na_d1
+    q0_d1 = na_d3 - alpha * na_d2
+    q1 = alpha * q0 - q0_d1
+    resolvent = solve_volterra_second_kind(-na_d1, -na_d1, grid)
+
+    par = mode_params(n, alpha)
+    beta = par.beta.real if isinstance(par.beta, complex) else par.beta
+    mu = par.mu.real if isinstance(par.mu, complex) else par.mu
+    damped_sin = par.damped_sin(t)
+    base = par.profile(t)
+    correction = (1.0 - mu) * convolve(na_d1, y, grid)
+    ring = float(q0[0]) * (mu / beta) * convolve(damped_sin, y, grid)
+    inner = convolve(q1, damped_sin, grid)
+    double = (mu / beta) * convolve(inner, y, grid)
+    assembled = base + correction + ring - double
+    reconstructed = assembled + convolve(resolvent, assembled, grid)
+    return float(np.max(np.abs(y - reconstructed)))
 
 
 class TestModeAsymptotics:
@@ -50,8 +84,8 @@ class TestModeAsymptotics:
         for check in checks:
             np.testing.assert_allclose(check(mode_family=desk_modes_32).deviations,
                                        check().deviations, rtol=1e-10)
-        assert check_resolvent_identity(desk_kernels, desk_grid, -2) \
-            == check_resolvent_identity(desk_kernels, desk_grid, 2,
+        assert check_resolvent_identity(desk_kernels, desk_grid, [-2]) \
+            == check_resolvent_identity(desk_kernels, desk_grid, [2],
                                         mode_family=desk_modes_32)
         with pytest.raises(ValueError):
             check_mode_asymptotics(desk_kernels, desk_grid, [9],
@@ -121,10 +155,11 @@ class TestConvolutionAsymptotics:
 class TestResolventIdentity:
     def test_elastic_residual_is_quadrature_level(self, elastic_kernels,
                                                   desk_grid):
-        assert check_resolvent_identity(elastic_kernels, desk_grid, 2) < 1e-4
+        (residual,) = check_resolvent_identity(elastic_kernels, desk_grid, [2])
+        assert residual < 1e-4
 
     def test_desk_residual_within_budget(self, desk_kernels, desk_grid):
-        residual = check_resolvent_identity(desk_kernels, desk_grid, 2)
+        (residual,) = check_resolvent_identity(desk_kernels, desk_grid, [2])
         assert residual <= 200.0 * desk_grid.step ** 2
 
     def test_second_order_in_step(self):
@@ -132,12 +167,25 @@ class TestResolventIdentity:
         for steps in (1024, 2048):
             grid = TimeGrid(TWO_PI, steps)
             kernels = derive_kernels(DESK_KERNEL, grid)
-            residuals.append(check_resolvent_identity(kernels, grid, 2))
+            residuals.extend(check_resolvent_identity(kernels, grid, [2]))
         assert residuals[0] / residuals[1] >= 3.0
 
     def test_symmetric_in_mode_sign(self, desk_kernels, desk_grid):
-        assert check_resolvent_identity(desk_kernels, desk_grid, 2) \
-            == check_resolvent_identity(desk_kernels, desk_grid, -2)
+        assert check_resolvent_identity(desk_kernels, desk_grid, [2]) \
+            == check_resolvent_identity(desk_kernels, desk_grid, [-2])
+
+    @pytest.mark.parametrize("kernel", [
+        DESK_KERNEL,
+        MemoryKernel.polynomial([0.3, -0.1, 0.02, 0.0, 0.001]),
+        MemoryKernel.zero(),
+    ], ids=["desk", "polynomial", "zero"])
+    def test_matches_the_per_mode_reference(self, desk_grid, kernel):
+        kernels = derive_kernels(kernel, desk_grid)
+        ns = [1, 2, 4, 8]
+        modes = solve_modes(ns, kernels, desk_grid)
+        want = [_reference_resolvent_residual(kernel, desk_grid, n, y.samples)
+                for n, y in zip(ns, modes)]
+        assert check_resolvent_identity(kernels, desk_grid, ns) == want
 
 
 class TestStressDeformationGap:
@@ -196,7 +244,7 @@ class TestPolynomialKernelValidation:
         assert report.verdict is TrendVerdict.BOUNDED
 
     def test_resolvent_identity(self, poly_kernels, desk_grid):
-        residual = check_resolvent_identity(poly_kernels, desk_grid, 2)
+        (residual,) = check_resolvent_identity(poly_kernels, desk_grid, [2])
         assert residual <= 200.0 * desk_grid.step ** 2
 
 

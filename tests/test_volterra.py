@@ -358,6 +358,23 @@ def test_batched_engine_matches_per_mode_reference_on_random_kernels(terms, ns):
     _assert_batch_matches_reference(dk, grid, ns)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(exponential_terms)
+def test_modes_converge_to_the_oracle_at_second_order(terms):
+    kernel = MemoryKernel.exponential_sum(terms)
+    ns = range(1, 9)  # every mode the coarse grid resolves
+    errs = []
+    for steps in (512, 1024):
+        grid = TimeGrid(TWO_PI, steps)
+        modes = solve_modes(ns, derive_kernels(kernel, grid), grid)
+        errs.append(np.array([
+            np.max(np.abs(y.samples - oracle_exponential_mode(n, kernel, grid).samples))
+            for n, y in zip(ns, modes)]))
+        # within the phase-error estimate T n^3 h^2 / 12
+        assert np.all(errs[-1] <= TWO_PI * np.array(ns) ** 3 * grid.step ** 2 / 12)
+    assert np.all(np.log2(errs[0] / errs[1]) >= 1.9)
+
+
 def test_batch_rows_are_read_only_views(desk_kernels, desk_grid):
     modes = solve_modes([1, 2], desk_kernels, desk_grid)
     assert modes[0].samples.base is modes[1].samples.base
