@@ -196,7 +196,7 @@ class ExperimentConfig:
     n_pair: int = 4
     seed: int = 0
     out_dir: str = "out"
-    threads: int | None = None
+    threads: int | None = None  # `[run] threads`, parsed and ignored
     # targets: velocity/stress rows (steer) or deformation/stress rows
     # (pair), or seeded random steering targets
     velocity_targets: np.ndarray | None = None
@@ -210,14 +210,6 @@ class ExperimentConfig:
     control_center: float | None = None
     control_width: float | None = None
     raw: dict = field(default_factory=dict)
-
-    def resolve_threads(self, override: int | None = None) -> int:
-        """Thread count from the override or the config, else 1.
-
-        Kept for compatibility: no solver uses the value.
-        """
-        chosen = override if override is not None else self.threads
-        return max(1, chosen if chosen is not None else 1)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -507,12 +499,12 @@ def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
 def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
+    params = [mode_params(n, kernels.alpha) for n in range(1, n_max + 1)]
     family = build_family(kernels, grid, n_max)
     bounds = frame_bounds(kernels, grid.horizon, n_max, family=family)
     write_csv(out / "frame_bounds.csv", ["n_max", "lambda_min", "lambda_max"],
               [(bounds.sizes, bounds.lambda_min_by_size,
                 bounds.lambda_max_by_size)])
-    params = [mode_params(n, kernels.alpha) for n in range(1, n_max + 1)]
     closeness = quadratic_closeness(family, params, grid)
     write_csv(out / "closeness.csv",
               ["n", "distance_sq", "scaled", "partial_sum"],
@@ -603,12 +595,11 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
     0 on success, 2 for configuration problems, 3 for an exceptional mode
     index, 4 for a near-singular Gram system, 5 for elastically degenerate
     pair targets, 1 for anything else.  Outputs land in the configured
-    (or overriding) output directory.  `threads` is validated like the
-    config's thread count and otherwise ignored.
+    (or overriding) output directory.  `threads`, like the config's
+    `[run] threads`, is accepted for compatibility and ignored.
     """
     started = time.time()
     try:
-        cfg.resolve_threads(threads)  # validated for compatibility; no effect
         out = Path(out_dir if out_dir is not None else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         # solvers never touch the oscillation frequencies, so exceptional

@@ -12,7 +12,7 @@ With the damping rate alpha = -M(0)/2 the scaled kernels
 satisfy Na(0) = 1 and Na'(0) = 0, which is precisely why alpha is chosen
 this way.  The three output series of the controlled solution use
 
-    Hv(t) = Na'(t) - 2*alpha*Na(t)          (velocity series kernel)
+    Hv(t) = Na'(t) - 2*alpha*Na(t) = Ma(t)  (velocity series kernel, N' = M)
     Ks(t) = Na(t) + (Na * Ma)(t)            (stress series kernel)
     Fg(t) = (Na * Ma)(t) = Ks(t) - Na(t)    (stress/deformation gap kernel)
 
@@ -122,35 +122,30 @@ class MemoryKernel:
     def polynomial(cls, coefficients) -> "MemoryKernel":
         return cls(KernelFamily.POLYNOMIAL, tuple(float(c) for c in coefficients))
 
-    def memory(self, t):
-        """M(t), vectorised."""
+    def _derivative(self, t, order: int):
+        """The order-th derivative of M at t, vectorised, in closed form."""
         t = np.asarray(t, dtype=float)
         if self.family is KernelFamily.POLYNOMIAL:
-            return np.polyval(self.params[::-1], t)
+            return np.polyval(np.polyder(self.params[::-1], order), t)
         out = np.zeros_like(t)
         for a, b in self.params:
-            out += a * np.exp(-b * t)
+            coef = a
+            for _ in range(order):
+                coef = -(coef * b)
+            out += coef * np.exp(-b * t)
         return out
+
+    def memory(self, t):
+        """M(t), vectorised."""
+        return self._derivative(t, 0)
 
     def memory_d1(self, t):
         """M'(t), closed form."""
-        t = np.asarray(t, dtype=float)
-        if self.family is KernelFamily.POLYNOMIAL:
-            return np.polyval(np.polyder(self.params[::-1]), t)
-        out = np.zeros_like(t)
-        for a, b in self.params:
-            out += -a * b * np.exp(-b * t)
-        return out
+        return self._derivative(t, 1)
 
     def memory_d2(self, t):
         """M''(t), closed form."""
-        t = np.asarray(t, dtype=float)
-        if self.family is KernelFamily.POLYNOMIAL:
-            return np.polyval(np.polyder(self.params[::-1], 2), t)
-        out = np.zeros_like(t)
-        for a, b in self.params:
-            out += a * b * b * np.exp(-b * t)
-        return out
+        return self._derivative(t, 2)
 
     def relaxation(self, t):
         """N(t) = 1 + int_0^t M, by exact antiderivative; N(0) is exactly 1."""
@@ -197,7 +192,7 @@ class DerivedKernelSet:
     grid: TimeGrid
     alpha: float
     relaxation_scaled: np.ndarray     # Na
-    velocity_kernel: np.ndarray       # Hv = Na' - 2*alpha*Na
+    velocity_kernel: np.ndarray       # Hv = Na' - 2*alpha*Na = Ma
     stress_kernel: np.ndarray         # Ks = Na + Na*Ma
     stress_gap: np.ndarray            # Fg = Na*Ma
     is_elastic: bool                  # M vanishes identically on the grid
@@ -218,21 +213,14 @@ def derive_kernels(kernel: MemoryKernel, grid: TimeGrid) -> DerivedKernelSet:
     alpha = kernel.alpha
     scale = np.exp(2.0 * alpha * t)
 
-    m0 = kernel.memory(t)
-    relax = kernel.relaxation(t)
-
-    na = scale * relax
-    ma = scale * m0
-    # d/dt [exp(2 a t) N], using N' = M
-    na_d1 = scale * (2.0 * alpha * relax + m0)
-
-    velocity = na_d1 - 2.0 * alpha * na
+    na = scale * kernel.relaxation(t)
+    ma = scale * kernel.memory(t)
     gap = convolve(na, ma, grid)
     stress = na + gap
 
     return DerivedKernelSet(
         kernel=kernel, grid=grid, alpha=alpha, relaxation_scaled=na,
-        velocity_kernel=velocity, stress_kernel=stress, stress_gap=gap,
+        velocity_kernel=ma, stress_kernel=stress, stress_gap=gap,
         is_elastic=not np.any(ma),
     )
 
@@ -251,8 +239,8 @@ def exceptional_index_check(kernel: MemoryKernel, n_max: int) -> bool:
     `is_exceptional_index`) for some n in range, since that mode has no
     oscillator representation.  Returns True as a warning flag when
     alpha^2 > 1, meaning the lowest modes have non-real oscillation
-    frequencies (solvers do not care, but the asymptotic checks reject
-    such kernels).
+    frequencies (solvers do not care, but `spectral.mode_params` rejects
+    those modes).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

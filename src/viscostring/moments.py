@@ -528,8 +528,8 @@ def quadratic_closeness(family: Sequence[ModeTrajectory],
 
     Summability of d_n over the family is what anchors the Riesz property
     of the kernels to that of the limit exponentials; the scaled sequence
-    d_n * n^2 staying bounded is the desk-scale check of it.  Requires
-    every oscillation frequency to be real and nonzero.
+    d_n * n^2 staying bounded is the desk-scale check of it.  The family
+    must live on `grid`.
     """
     if len(family) != len(params):
         raise ValueError("family and params must align")
@@ -541,13 +541,10 @@ def quadratic_closeness(family: Sequence[ModeTrajectory],
             raise ValueError("family and params must align index by index")
         if traj.kind is not TrajectoryKind.MOMENT_KERNEL:
             raise ValueError("closeness expects moment kernels")
-        if not par.beta_is_real:
-            raise ValueError(
-                f"mode n={par.n}: closeness requires a real oscillation frequency"
-            )
-        beta = par.beta.real if isinstance(par.beta, complex) else par.beta
+        if traj.grid != grid:
+            raise ValueError("family grid mismatch")
         # negative indices carry conjugate kernels, hence signed frequencies
-        freq = beta if par.n > 0 else -beta
+        freq = par.beta if par.n > 0 else -par.beta
         reference = np.exp((par.alpha + 1j * freq) * times)
         dists.append(float(np.sum(weights * np.abs(traj.samples - reference) ** 2)))
         ns.append(traj.n)

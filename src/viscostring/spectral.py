@@ -51,56 +51,45 @@ FIELD_KINDS = ("deformation", "velocity", "stress")
 class ModeParams:
     """Oscillator parameters of one mode.
 
-    beta = sqrt(n^2 - alpha^2) is the mode's oscillation frequency (purely
-    imaginary with nonnegative real part when alpha^2 > n^2) and
-    mu = n^2 / beta^2.  The reference profile is
-    exp(alpha t)(cos(beta t) + (alpha/beta) sin(beta t)).
+    beta = sqrt(n^2 - alpha^2) is the mode's real, positive oscillation
+    frequency and mu = n^2 / beta^2; `mode_params` admits no other.  The
+    reference profile is exp(alpha t)(cos(beta t) + (alpha/beta) sin(beta t)).
     """
 
     n: int
     alpha: float
-    beta: complex
-    mu: complex
-
-    @property
-    def beta_is_real(self) -> bool:
-        return not isinstance(self.beta, complex) or self.beta.imag == 0.0
-
-    def _real_beta(self) -> float:
-        if not self.beta_is_real:
-            raise ValueError(
-                f"mode n={self.n}: oscillation frequency is not real "
-                f"(alpha={self.alpha!r})"
-            )
-        return float(self.beta.real) if isinstance(self.beta, complex) else self.beta
+    beta: float
+    mu: float
 
     def damped_cos(self, times: np.ndarray) -> np.ndarray:
-        b = self._real_beta()
-        return np.exp(self.alpha * times) * np.cos(b * times)
+        return np.exp(self.alpha * times) * np.cos(self.beta * times)
 
     def damped_sin(self, times: np.ndarray) -> np.ndarray:
-        b = self._real_beta()
-        return np.exp(self.alpha * times) * np.sin(b * times)
+        return np.exp(self.alpha * times) * np.sin(self.beta * times)
 
     def profile(self, times: np.ndarray) -> np.ndarray:
-        b = self._real_beta()
+        b = self.beta
         return np.exp(self.alpha * times) * (
             np.cos(b * times) + (self.alpha / b) * np.sin(b * times)
         )
 
 
 def mode_params(n: int, alpha: float) -> ModeParams:
-    """Closed-form oscillator parameters; raises for an exceptional index."""
+    """Closed-form oscillator parameters of mode n.
+
+    Raises ExceptionalIndexError when n^2 equals alpha^2 and ValueError
+    when alpha^2 > n^2, where the frequency would not be real.
+    """
     if n == 0:
         raise ValueError("mode index must be a nonzero integer")
     if is_exceptional_index(n, alpha):
         raise ExceptionalIndexError(n, alpha)
     disc = float(n) * float(n) - alpha * alpha
-    if disc > 0.0:
-        beta = math.sqrt(disc)
-    else:
-        beta = complex(0.0, math.sqrt(-disc))
-    return ModeParams(n=n, alpha=alpha, beta=beta, mu=float(n) * float(n) / disc)
+    if disc < 0.0:
+        raise ValueError(f"mode n={n}: oscillation frequency is not real "
+                         f"(alpha={alpha!r}, alpha^2 > n^2)")
+    return ModeParams(n=n, alpha=alpha, beta=math.sqrt(disc),
+                      mu=float(n) * float(n) / disc)
 
 
 @dataclass(frozen=True, eq=False)

@@ -87,16 +87,6 @@ def _trend_report(label: str, ns: Sequence[int], deviations: Sequence[float],
                             step=step, horizon=horizon)
 
 
-def _params_for(kernels: DerivedKernelSet, n: int):
-    par = mode_params(n, kernels.alpha)
-    if not par.beta_is_real:
-        raise ValueError(
-            f"mode n={n}: asymptotic checks need a real oscillation frequency "
-            f"(alpha={kernels.alpha!r})"
-        )
-    return par
-
-
 def _modes_for(kernels: DerivedKernelSet, grid: TimeGrid, ns: Sequence[int],
                mode_family: Sequence[ModeTrajectory] | None) -> list[ModeTrajectory]:
     """Mode responses for `ns`: one solved batch, or looked up in `mode_family`.
@@ -116,7 +106,7 @@ def _mode_trend(label: str, kernels: DerivedKernelSet, grid: TimeGrid,
                 n_range: Iterable[int], mode_family, deviation) -> AsymptoticReport:
     """Trend report of deviation(n, params, y_n) over `n_range`."""
     ns = list(n_range)
-    params = [_params_for(kernels, n) for n in ns]
+    params = [mode_params(n, kernels.alpha) for n in ns]
     modes = _modes_for(kernels, grid, ns, mode_family)
     devs = [float(deviation(n, par, y)) for n, par, y in zip(ns, params, modes)]
     return _trend_report(label, ns, devs, grid.step, grid.horizon)
@@ -147,8 +137,7 @@ def check_mode_derivative_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
 
     def deviation(n, par, y):
         dy = mode_derivative(y, kernels)
-        beta = par.beta.real if isinstance(par.beta, complex) else par.beta
-        return np.max(np.abs(dy.samples / beta + par.damped_sin(times)))
+        return np.max(np.abs(dy.samples / par.beta + par.damped_sin(times)))
 
     return _mode_trend("mode derivative vs damped sine", kernels, grid, n_range,
                        mode_family, deviation)
@@ -215,12 +204,12 @@ def check_resolvent_identity(kernels: DerivedKernelSet, grid: TimeGrid,
     precomputed `mode_family` to reuse the mode responses.
     """
     ns = list(ns)
-    params = [_params_for(kernels, n) for n in ns]
+    params = [mode_params(n, kernels.alpha) for n in ns]
     modes = _modes_for(kernels, grid, ns, mode_family)
     na_d1, q0_at_zero, q1, resolvent = _oscillator_kernels(kernels)
     times = grid.times()
     residuals = []
-    for par, mode in zip(params, modes):  # beta and mu are real floats
+    for par, mode in zip(params, modes):
         y = mode.samples
         damped_sin = par.damped_sin(times)
 

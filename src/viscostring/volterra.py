@@ -77,6 +77,7 @@ class TimeGrid:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))
 
     @property
     def step(self) -> float:

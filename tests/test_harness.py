@@ -172,19 +172,12 @@ steps = 64
 kind = simulate
 """)
         cfg = load_config(path)
-        assert cfg.resolve_threads() == 1
-        assert cfg.resolve_threads(2) == 2
-        cfg.threads = 3
-        assert cfg.resolve_threads() == 3
-        assert cfg.resolve_threads(2) == 2
+        cfg.n_max = 4
         # the environment is not a thread-count source: VISCOSTRING_THREADS
         # is ignored, even when it is not an integer
         for value in ("5", "many"):
             monkeypatch.setenv("VISCOSTRING_THREADS", value)
-            assert cfg.resolve_threads() == 3
-        cfg.threads, cfg.n_max = None, 4
-        assert cfg.resolve_threads() == 1
-        assert run(cfg, out_dir=tmp_path / "out") == EXIT_OK
+            assert run(cfg, out_dir=tmp_path / f"out_{value}") == EXIT_OK
 
 
 class TestRun:
@@ -293,6 +286,16 @@ kind = verify
                            coefficients=f"{2.0 * (1.0 - 1e-15)!r} 1.0")
         assert run(load_config(path), out_dir=tmp_path / "o") \
             == EXIT_EXCEPTIONAL_INDEX
+
+    @pytest.mark.parametrize("task", ["verify", "diagnose"])
+    def test_heavy_damping_fails_verification_tasks(self, tmp_path, capsys, task):
+        # alpha = -1.5 is not exceptional, but mode 1 has no real frequency
+        path = task_config(tmp_path, task, n_max=4, coefficients="3.0 1.0")
+        out = tmp_path / "o"
+        assert cli_main([task, "--config", str(path),
+                         "--out", str(out)]) == EXIT_CONFIG
+        assert "n=1" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_exceptional_kernel_still_steers(self, tmp_path):
         # solvers never evaluate the oscillation frequencies, so steering

@@ -326,6 +326,13 @@ class TestCloseness:
         report = quadratic_closeness(family, params, desk_grid)
         assert np.max(report.distances) < 1e-6
 
+    def test_family_on_another_grid_is_rejected(self, elastic_kernels, desk_grid):
+        family = build_family(elastic_kernels, desk_grid, 2)
+        params = [mode_params(n, 0.0) for n in (1, 2)]
+        other = TimeGrid(1.5 * desk_grid.horizon, desk_grid.steps)
+        with pytest.raises(ValueError, match="grid"):
+            quadratic_closeness(family, params, other)
+
     def test_conjugate_pair_has_equal_distance(self, desk_kernels, desk_grid,
                                                desk_modes_32):
         family = build_family(desk_kernels, desk_grid, 2,

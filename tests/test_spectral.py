@@ -46,11 +46,10 @@ class TestModeParams:
             mode_params(1, -1.0)
 
     def test_heavy_damping_gives_imaginary_frequency(self):
-        par = mode_params(1, -1.5)
-        assert isinstance(par.beta, complex)
-        assert par.beta.real == 0.0
-        assert par.beta.imag > 0.0
-        assert not par.beta_is_real
+        # alpha^2 > n^2 has no real frequency, so the mode is rejected
+        with pytest.raises(ValueError, match="n=1"):
+            mode_params(1, -1.5)
+        assert mode_params(2, -1.5).beta == pytest.approx(math.sqrt(1.75))
 
     def test_symmetry_in_index(self):
         assert mode_params(-7, -0.2).beta == mode_params(7, -0.2).beta

@@ -34,6 +34,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
+    def test_integral_float_steps_are_stored_as_int(self):
+        grid = TimeGrid(1.0, 64.0)
+        assert type(grid.steps) is int
+        assert grid == TimeGrid(1.0, 64)
+        assert len(grid.times()) == len(grid.trapezoid_weights()) == 65
+        with pytest.raises(ValueError):
+            TimeGrid(1.0, 64.5)
+
     def test_resolution_rule(self):
         grid = TimeGrid(TWO_PI, 64)  # step ~ 0.098
         grid.require_resolution(1)
