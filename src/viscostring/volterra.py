@@ -10,8 +10,15 @@ in the local and forcing terms with a product-trapezoidal memory sum.  The
 newest node enters the step equation through both the local term and the
 last quadrature weight; that equation is scalar and linear, so it is solved
 in closed form at every step.  The scheme is A-stable in the local part and
-second-order accurate overall, at O(K^2) cost per trajectory, which is the
-accepted price at desk scale.
+second-order accurate overall.  The march costs O(K^2) per trajectory,
+which is the accepted price at desk scale.
+
+Convolutions of known samples (`convolve`, `convolve_transpose`) are one
+real FFT product each, O(K log K), at the smallest 2*3*5-smooth length
+that holds the linear convolution.  They take real samples only.  Their
+round-off is absolute, about eps*step*|a|*|b| in the 2-norms of the
+factors.  pocketfft is single-threaded and deterministic and calls no
+BLAS, so reruns give the same bytes under any BLAS thread count.
 
 One march advances a whole batch of mode indices at once: the state holds
 one row per mode, every step's history sums are a single BLAS
@@ -32,6 +39,7 @@ product-integration route and serves as its oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -75,7 +83,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if int(self.steps) != self.steps or self.steps < 1:
+        if (not math.isfinite(self.steps) or int(self.steps) != self.steps
+                or self.steps < 1):
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
 
@@ -147,16 +156,63 @@ def _as_samples(seq, grid: TimeGrid, name: str) -> np.ndarray:
     return arr
 
 
+def _real_samples(seq, grid: TimeGrid, name: str) -> np.ndarray:
+    arr = _as_samples(seq, grid, name)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name}: complex samples are not supported, convolve "
+                         "real and imaginary parts separately")
+    return arr
+
+
+@functools.lru_cache(maxsize=32)
+def _fft_length(steps: int) -> int:
+    """Smallest 2*3*5-smooth integer >= 2*steps + 1.
+
+    At that length a circular convolution of two zero-padded sequences of
+    steps + 1 samples equals their linear convolution.  pocketfft is
+    fastest at such lengths.  2*steps + 1 itself often has a large prime
+    factor, which pocketfft handles far more slowly, and the next power
+    of two can be almost twice as long.
+    """
+    target = 2 * steps + 1
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power-of-two multiple of `odd` that reaches target
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _convolution_head(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first len(a) entries of np.convolve(a, b), by one real FFT product.
+
+    `a` and `b` are real and of equal length.
+    """
+    size = len(a)
+    n = _fft_length(size - 1)
+    fft = np.fft  # numpy loads its fft module on first access
+    return fft.irfft(fft.rfft(a, n) * fft.rfft(b, n), n)[:size]
+
+
 def convolve(a, b, grid: TimeGrid) -> np.ndarray:
-    """Product-trapezoidal convolution of two sample sequences.
+    """Product-trapezoidal convolution of two real sample sequences.
 
     Returns samples of int_0^t a(t-s) b(s) ds on the grid.  The first
-    entry is exactly zero.  Accuracy is O(step^2) for smooth factors.
+    entry is exactly zero.  Accuracy is O(step^2) for smooth factors.  One
+    real FFT product gives all K+1 samples in O(K log K); its round-off is
+    absolute, about eps * step * |a| * |b| in the 2-norms of the factors.
+    Complex samples raise ValueError.
     """
-    av = _as_samples(a, grid, "a")
-    bv = _as_samples(b, grid, "b")
-    full = np.convolve(av, bv)[: grid.steps + 1]
-    return grid.step * (full - 0.5 * (av * bv[0] + bv * av[0]))
+    av = _real_samples(a, grid, "a")
+    bv = _real_samples(b, grid, "b")
+    full = _convolution_head(av, bv)
+    out = grid.step * (full - 0.5 * (av * bv[0] + bv * av[0]))
+    out[0] = 0.0
+    return out
 
 
 def convolve_transpose(a, p, grid: TimeGrid) -> np.ndarray:
@@ -167,13 +223,13 @@ def convolve_transpose(a, p, grid: TimeGrid) -> np.ndarray:
 
         u @ b == p @ convolve(a, b, grid)      for every b
 
-    up to round-off.  One full-length convolution builds it, after which
-    each functional costs a dot product.
+    up to round-off.  One real FFT product builds it, after which each
+    functional costs a dot product.  Real samples only, as for `convolve`.
     """
-    av = _as_samples(a, grid, "a")
-    pv = _as_samples(p, grid, "p")
+    av = _real_samples(a, grid, "a")
+    pv = _real_samples(p, grid, "p")
     h = grid.step
-    corr = np.convolve(pv[::-1], av)[: grid.steps + 1][::-1]
+    corr = _convolution_head(pv[::-1], av)[::-1]
     u = h * (corr - 0.5 * av[0] * pv)
     u[0] -= 0.5 * h * np.dot(pv, av)
     return u

@@ -210,12 +210,21 @@ def test_calculus_matches_the_hand_written_loops_bit_for_bit(kernel):
         assert kernel.scaled_relaxation_terms() == ((1.0, 0.0),)
 
 
-def test_import_leaves_numpy_polynomial_unloaded():
-    # numpy.polynomial costs seven more module imports at start-up
+def _loaded_by_import(module):
+    """Whether a fresh `import viscostring` loads `module`."""
     src = str(Path(__file__).parents[1] / "src")
-    code = ("import sys, viscostring; "
-            "print('numpy.polynomial' in sys.modules)")
+    code = f"import sys, viscostring; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH=src),
                             check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial costs seven more module imports at start-up
+    assert not _loaded_by_import("numpy.polynomial")
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use; the convolutions reach it lazily
+    assert not _loaded_by_import("numpy.fft")

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from viscostring import (
     solve_volterra_second_kind,
 )
 
+from viscostring.volterra import _fft_length
+
 from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
 
 
@@ -41,6 +44,11 @@ class TestTimeGrid:
         assert len(grid.times()) == len(grid.trapezoid_weights()) == 65
         with pytest.raises(ValueError):
             TimeGrid(1.0, 64.5)
+
+    @pytest.mark.parametrize("steps", [math.inf, -math.inf, math.nan])
+    def test_non_finite_steps_raise_value_error(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            TimeGrid(1.0, steps)
 
     def test_resolution_rule(self):
         grid = TimeGrid(TWO_PI, 64)  # step ~ 0.098
@@ -84,6 +92,16 @@ class TestConvolve:
             convolve(np.ones(65), np.ones(64), grid)
         with pytest.raises(ValueError):
             convolve_transpose(np.ones(65), np.ones(64), grid)
+
+    def test_complex_samples_raise_value_error_naming_the_argument(self):
+        grid = TimeGrid(1.0, 64)
+        real, cplx = np.ones(65), np.ones(65) + 1j
+        with pytest.raises(ValueError, match="^b: complex"):
+            convolve(real, cplx, grid)
+        with pytest.raises(ValueError, match="^a: complex"):
+            convolve(cplx, real, grid)
+        with pytest.raises(ValueError, match="^p: complex"):
+            convolve_transpose(real, cplx, grid)
 
 
 EPS = np.finfo(float).eps
@@ -138,6 +156,51 @@ class TestConvolveProperties:
         left = convolve(b, x * a + y * c, grid)
         right = x * convolve(b, a, grid) + y * convolve(b, c, grid)
         assert np.max(np.abs(left - right)) <= scale
+
+
+def _direct_convolve(a, b, grid):
+    """The O(K^2) full-length np.convolve form of `convolve`."""
+    full = np.convolve(a, b)[: grid.steps + 1]
+    return grid.step * (full - 0.5 * (a * b[0] + b * a[0]))
+
+
+def _direct_convolve_transpose(a, p, grid):
+    """The O(K^2) full-length np.convolve form of `convolve_transpose`."""
+    h = grid.step
+    corr = np.convolve(p[::-1], a)[: grid.steps + 1][::-1]
+    u = h * (corr - 0.5 * a[0] * p)
+    u[0] -= 0.5 * h * np.dot(p, a)
+    return u
+
+
+def _assert_fft_matches_direct(grid, a, b):
+    assert np.max(np.abs(convolve(a, b, grid) - _direct_convolve(a, b, grid))) \
+        <= _roundoff(grid, a, b)
+    assert np.max(np.abs(convolve_transpose(a, b, grid)
+                         - _direct_convolve_transpose(a, b, grid))) \
+        <= _roundoff(grid, a, b)
+
+
+class TestFFTConvolution:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_and_samples(2))
+    def test_matches_the_direct_sum(self, drawn):
+        grid, (a, b) = drawn
+        _assert_fft_matches_direct(grid, a, b)
+
+    @pytest.mark.parametrize("steps", [2048, 4096, 8192])
+    def test_matches_the_direct_sum_on_derived_kernels(self, steps):
+        grid = TimeGrid(TWO_PI, steps)
+        dk = derive_kernels(DESK_KERNEL, grid)
+        _assert_fft_matches_direct(grid, dk.relaxation_scaled, dk.velocity_kernel)
+        _assert_fft_matches_direct(grid, dk.stress_kernel, grid.trapezoid_weights())
+
+    def test_length_is_the_smallest_5_smooth_that_holds_the_convolution(self):
+        smooth = sorted(2 ** i * 3 ** j * 5 ** k for i in range(15)
+                        for j in range(10) for k in range(7))
+        for steps in range(1, 5001):
+            target = 2 * steps + 1
+            assert _fft_length(steps) == smooth[bisect.bisect_left(smooth, target)]
 
 
 def test_second_kind_solver_against_exponential():
