@@ -39,6 +39,7 @@ from .kernels import (
     exceptional_index_check,
 )
 from .moments import (
+    RECOMMENDED_HORIZON,
     MomentTarget,
     build_family,
     finite_pair_control,
@@ -440,7 +441,7 @@ def _synthesis_outputs(out: Path, manifest: dict, report, roundtrip_error: float
 def _task_simulate(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     control = make_control(cfg, grid)
-    modes = solve_modes(range(1, cfg.n_max + 1), kernels, grid)
+    modes = solve_modes(range(1, cfg.n_max + 1), kernels)
     state = simulate_coefficients(control, modes, kernels)
     _state_outputs(state, out, manifest)
     _control_output(out, control, control.reweighted(kernels.alpha))
@@ -468,8 +469,8 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
     # a tail of further coefficients (unconstrained by construction) where
     # the grid allows
     tail_n = max(min(2 * n_max, int(RESOLUTION_LIMIT / grid.step)), n_max)
-    modes = solve_modes(range(1, tail_n + 1), kernels, grid)
-    trip = closed_loop_roundtrip(kernels, grid, target, mode_family=modes)
+    modes = solve_modes(range(1, tail_n + 1), kernels)
+    trip = closed_loop_roundtrip(kernels, target, mode_family=modes)
     _state_outputs(trip.state, out, manifest, steered=n_max)
     _synthesis_outputs(out, manifest, trip.synthesis, trip.relative_error,
                        targets_velocity=[float(v) for v in target.xi],
@@ -485,7 +486,7 @@ def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
     d = cfg.stress_targets[: cfg.n_pair]
     if len(c) != cfg.n_pair or len(d) != cfg.n_pair:
         raise ValueError("pair targets must cover n_pair modes")
-    report = finite_pair_control(kernels, cfg.grid, c, d)
+    report = finite_pair_control(kernels, c, d)
     write_csv(out / "coefficients.csv",
               ["n", "deformation_target", "deformation_achieved",
                "stress_target", "stress_achieved"],
@@ -500,12 +501,12 @@ def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
     params = [mode_params(n, kernels.alpha) for n in range(1, n_max + 1)]
-    family = build_family(kernels, grid, n_max)
+    family = build_family(kernels, n_max)
     bounds = frame_bounds(kernels, grid.horizon, n_max, family=family)
     write_csv(out / "frame_bounds.csv", ["n_max", "lambda_min", "lambda_max"],
               [(bounds.sizes, bounds.lambda_min_by_size,
                 bounds.lambda_max_by_size)])
-    closeness = quadratic_closeness(family, params, grid)
+    closeness = quadratic_closeness(family, params)
     write_csv(out / "closeness.csv",
               ["n", "distance_sq", "scaled", "partial_sum"],
               [(closeness.ns, closeness.distances, closeness.scaled,
@@ -525,19 +526,18 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
     n_range = range(1, n_max + 1)
-    modes = solve_modes(n_range, kernels, grid)
+    modes = solve_modes(n_range, kernels)
     reports = {
-        "mode_asymptotics": check_mode_asymptotics(kernels, grid, n_range,
+        "mode_asymptotics": check_mode_asymptotics(kernels, n_range,
                                                    mode_family=modes),
         "mode_derivative_asymptotics": check_mode_derivative_asymptotics(
-            kernels, grid, n_range, mode_family=modes),
+            kernels, n_range, mode_family=modes),
         "convolution_asymptotics": check_convolution_asymptotics(
-            kernels, grid, (kernels.stress_kernel, 1.0), n_range,
-            mode_family=modes),
+            kernels, kernels.stress_kernel, n_range, mode_family=modes),
     }
 
     resolvent_ns = [n for n in (1, 2, 4, 8) if n <= n_max]
-    residuals = check_resolvent_identity(kernels, grid, resolvent_ns,
+    residuals = check_resolvent_identity(kernels, resolvent_ns,
                                          mode_family=modes)
     write_csv(out / "resolvent_residuals.csv", ["n", "max_residual"],
               [(resolvent_ns, residuals)])
@@ -553,9 +553,9 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
     verdicts = {name: report.verdict.value for name, report in reports.items()}
 
     roundtrip_doc = None
-    if grid.horizon >= 2.0 * math.pi - 1e-12:
+    if grid.horizon >= RECOMMENDED_HORIZON - 1e-12:
         target = random_unit_target(cfg.seed, min(n_max, 8))
-        trip = closed_loop_roundtrip(kernels, grid, target, mode_family=modes)
+        trip = closed_loop_roundtrip(kernels, target, mode_family=modes)
         roundtrip_doc = {
             "n_max": target.n_max,
             "relative_error": trip.relative_error,
@@ -608,6 +608,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
             exceptional_index_check(cfg.kernel, max(cfg.n_max, 1))
         kernels = derive_kernels(cfg.kernel, cfg.grid)
         manifest = _base_manifest(cfg, kernels)
+        # alpha^2 > 1: the lowest modes have non-real oscillation frequencies
         manifest["derived"]["nonreal_frequency_warning"] = \
             bool(cfg.kernel.alpha ** 2 > 1.0)
         _TASK_RUNNERS[cfg.task](cfg, kernels, out, manifest)

@@ -232,19 +232,15 @@ def is_exceptional_index(n: int, alpha: float) -> bool:
         EXCEPTIONAL_INDEX_FACTOR * np.finfo(float).eps * n_sq
 
 
-def exceptional_index_check(kernel: MemoryKernel, n_max: int) -> bool:
+def exceptional_index_check(kernel: MemoryKernel, n_max: int) -> None:
     """Scan modes 1..n_max for a collision with the damping rate.
 
     Raises ExceptionalIndexError if alpha^2 equals n^2 (in the sense of
     `is_exceptional_index`) for some n in range, since that mode has no
-    oscillator representation.  Returns True as a warning flag when
-    alpha^2 > 1, meaning the lowest modes have non-real oscillation
-    frequencies (solvers do not care, but `spectral.mode_params` rejects
-    those modes).
+    oscillator representation.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     for n in range(1, n_max + 1):
         if is_exceptional_index(n, kernel.alpha):
             raise ExceptionalIndexError(n, kernel.alpha)
-    return kernel.alpha * kernel.alpha > 1.0

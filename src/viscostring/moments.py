@@ -203,10 +203,10 @@ class SynthesisReport:
         self.residuals.setflags(write=False)
 
 
-def build_family(kernels: DerivedKernelSet, grid: TimeGrid, n_max: int,
+def build_family(kernels: DerivedKernelSet, n_max: int,
                  mode_family: Sequence[ModeTrajectory] | None = None
                  ) -> list[ModeTrajectory]:
-    """Moment kernels for n = 1..n_max, cross-checked between both routes.
+    """Moment kernels for n = 1..n_max on `kernels.grid`, cross-checked.
 
     All kernels are time stepped from their own equation in one batch, and
     each is independently assembled by quadrature from its mode response;
@@ -216,14 +216,14 @@ def build_family(kernels: DerivedKernelSet, grid: TimeGrid, n_max: int,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    grid.require_resolution(n_max)
+    kernels.grid.require_resolution(n_max)
     if mode_family is not None and len(mode_family) < n_max:
         raise ValueError("mode_family does not cover n = 1..n_max")
-    tolerance = CROSS_CHECK_FACTOR * grid.step ** 2
+    tolerance = CROSS_CHECK_FACTOR * kernels.grid.step ** 2
     ns = range(1, n_max + 1)
-    family = solve_moment_kernels(ns, kernels, grid)
+    family = solve_moment_kernels(ns, kernels)
     modes = mode_family[:n_max] if mode_family is not None \
-        else solve_modes(ns, kernels, grid)
+        else solve_modes(ns, kernels)
     for n, stepped, base in zip(ns, family, modes):
         assembled = assemble_moment_kernel(base, kernels)
         deviation = float(np.max(np.abs(stepped.samples - assembled.samples)))
@@ -267,21 +267,28 @@ def _factorise(indices: tuple, functions: Sequence[np.ndarray], grid: TimeGrid,
                       matrix=np.einsum("ij,kj->ik", lower, lower.conj()))
 
 
-def gram(family: Sequence[ModeTrajectory], grid: TimeGrid) -> GramSystem:
-    """Hermitian Gram system of the family extended to signed indices.
-
-    Rows for -n are the conjugate kernels; inner products are trapezoidal.
-    """
+def _family_grid(family: Sequence[ModeTrajectory]) -> TimeGrid:
+    """The one grid of a nonempty moment-kernel family."""
     if not family:
         raise ValueError("moment kernel family is empty")
+    grid = family[0].grid
     for traj in family:
         if traj.kind is not TrajectoryKind.MOMENT_KERNEL:
-            raise ValueError("gram expects moment kernels")
+            raise ValueError(f"expected moment kernels, got {traj.kind}")
         if traj.grid != grid:
-            raise ValueError("family grid mismatch")
+            raise ValueError("family mixes grids")
+    return grid
+
+
+def gram(family: Sequence[ModeTrajectory]) -> GramSystem:
+    """Hermitian Gram system of the family extended to signed indices.
+
+    Rows for -n are the conjugate kernels; inner products are trapezoidal
+    on the family's grid.
+    """
     indices = tuple(t.n for t in family) + tuple(-t.n for t in family)
-    return _factorise(indices, [t.samples for t in family], grid,
-                      conjugated=True)
+    return _factorise(indices, [t.samples for t in family],
+                      _family_grid(family), conjugated=True)
 
 
 def _minimal_norm_report(system: GramSystem, targets: np.ndarray,
@@ -359,8 +366,8 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
     return _minimal_norm_report(system, target.gamma_for(system.indices), alpha)
 
 
-def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
-                        deformation_targets, stress_targets) -> SynthesisReport:
+def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
+                        stress_targets) -> SynthesisReport:
     """Assign deformation and stress coefficients for modes 1..N at once.
 
     Works at any positive horizon.  The moment functions are the real
@@ -389,10 +396,9 @@ def finite_pair_control(kernels: DerivedKernelSet, grid: TimeGrid,
     n_pair = len(c)
     if n_pair > 16:
         raise ValueError(f"finite pair problem limited to 16 modes, got {n_pair}")
-    if kernels.grid != grid:
-        raise ValueError("kernel grid mismatch")
 
-    modes = solve_modes(range(1, n_pair + 1), kernels, grid)
+    grid = kernels.grid
+    modes = solve_modes(range(1, n_pair + 1), kernels)
     ns = tuple(t.n for t in modes)
     functions = [float(t.n) * convolve(kernels.relaxation_scaled, t.samples, grid)
                  for t in modes]
@@ -484,12 +490,12 @@ def frame_bounds(kernel, horizon: float, n_max: int,
         raise TypeError("kernel must be a MemoryKernel or DerivedKernelSet")
 
     if family is None:
-        family = build_family(kernels, grid, n_max)
-    elif len(family) < n_max:
-        raise ValueError("family does not cover n = 1..n_max")
+        family = build_family(kernels, n_max)
+    elif len(family) < n_max or family[0].grid != grid:
+        raise ValueError("family does not cover n = 1..n_max on the kernel grid")
     # only the small Gram is kept: LAPACK's eigensolver is paged in below,
     # and next to the factor that would raise a run's peak RSS
-    matrix = gram(family[:n_max], grid).matrix
+    matrix = gram(family[:n_max]).matrix
     norms = np.sqrt(np.diag(matrix).real)
     normalised = matrix / np.outer(norms, norms)
 
@@ -522,27 +528,23 @@ class ClosenessReport:
 
 
 def quadratic_closeness(family: Sequence[ModeTrajectory],
-                        params: Sequence[ModeParams],
-                        grid: TimeGrid) -> ClosenessReport:
+                        params: Sequence[ModeParams]) -> ClosenessReport:
     """Squared distances d_n = ||Z_n - exp((alpha + i*beta_n) t)||^2.
 
     Summability of d_n over the family is what anchors the Riesz property
     of the kernels to that of the limit exponentials; the scaled sequence
-    d_n * n^2 staying bounded is the desk-scale check of it.  The family
-    must live on `grid`.
+    d_n * n^2 staying bounded is the desk-scale check of it.  The norms
+    are taken on the family's grid, which must be one grid.
     """
     if len(family) != len(params):
         raise ValueError("family and params must align")
+    grid = _family_grid(family)
     weights = grid.trapezoid_weights()
     times = grid.times()
     ns, dists = [], []
     for traj, par in zip(family, params):
         if traj.n != par.n:
             raise ValueError("family and params must align index by index")
-        if traj.kind is not TrajectoryKind.MOMENT_KERNEL:
-            raise ValueError("closeness expects moment kernels")
-        if traj.grid != grid:
-            raise ValueError("family grid mismatch")
         # negative indices carry conjugate kernels, hence signed frequencies
         freq = par.beta if par.n > 0 else -par.beta
         reference = np.exp((par.alpha + 1j * freq) * times)

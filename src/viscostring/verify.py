@@ -9,6 +9,9 @@ is at most twice the maximum over the lower half, and GROWING otherwise.
 The rule is scale invariant, so rescaling kernels, controls or targets
 cannot flip a verdict.
 
+Every check reads its grid from the derived kernel set.  A precomputed
+`mode_family` must have been solved on that same grid.
+
 `closed_loop_roundtrip`, shared by the steer and verify tasks, re-simulates
 a synthesised control over every mode of the family it is given.
 """
@@ -21,12 +24,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernels import DerivedKernelSet, MemoryKernel
+from .kernels import DerivedKernelSet
 from .moments import MomentTarget, SynthesisReport, build_family, gram, synthesize_control
 from .spectral import SpectralState, mode_params, simulate_coefficients
 from .volterra import (
     ModeTrajectory,
-    TimeGrid,
     convolve,
     mode_derivative,
     solve_modes,
@@ -87,45 +89,48 @@ def _trend_report(label: str, ns: Sequence[int], deviations: Sequence[float],
                             step=step, horizon=horizon)
 
 
-def _modes_for(kernels: DerivedKernelSet, grid: TimeGrid, ns: Sequence[int],
+def _modes_for(kernels: DerivedKernelSet, ns: Sequence[int],
                mode_family: Sequence[ModeTrajectory] | None) -> list[ModeTrajectory]:
     """Mode responses for `ns`: one solved batch, or looked up in `mode_family`.
 
     Responses are even in n, so a family of positive indices serves
-    negative ones too.
+    negative ones too.  A family solved on another grid than the kernels'
+    is rejected.
     """
     if mode_family is None:
-        return solve_modes(ns, kernels, grid)
+        return solve_modes(ns, kernels)
     by_index = {abs(t.n): t for t in mode_family}
     if not {abs(n) for n in ns} <= by_index.keys():
         raise ValueError("mode_family does not cover the requested modes")
-    return [by_index[abs(n)] for n in ns]
+    modes = [by_index[abs(n)] for n in ns]
+    if any(y.grid != kernels.grid for y in modes):
+        raise ValueError("mode_family grid does not match the kernel grid")
+    return modes
 
 
-def _mode_trend(label: str, kernels: DerivedKernelSet, grid: TimeGrid,
-                n_range: Iterable[int], mode_family, deviation) -> AsymptoticReport:
+def _mode_trend(label: str, kernels: DerivedKernelSet, n_range: Iterable[int],
+                mode_family, deviation) -> AsymptoticReport:
     """Trend report of deviation(n, params, y_n) over `n_range`."""
     ns = list(n_range)
     params = [mode_params(n, kernels.alpha) for n in ns]
-    modes = _modes_for(kernels, grid, ns, mode_family)
+    modes = _modes_for(kernels, ns, mode_family)
     devs = [float(deviation(n, par, y)) for n, par, y in zip(ns, params, modes)]
-    return _trend_report(label, ns, devs, grid.step, grid.horizon)
+    return _trend_report(label, ns, devs, kernels.grid.step, kernels.grid.horizon)
 
 
-def check_mode_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
-                           n_range: Iterable[int],
+def check_mode_asymptotics(kernels: DerivedKernelSet, n_range: Iterable[int],
                            mode_family: Sequence[ModeTrajectory] | None = None
                            ) -> AsymptoticReport:
     """Deviation of each mode response from its damped cosine.
 
     Pass a precomputed `mode_family` to reuse mode responses.
     """
-    times = grid.times()
-    return _mode_trend("mode vs damped cosine", kernels, grid, n_range, mode_family,
+    times = kernels.grid.times()
+    return _mode_trend("mode vs damped cosine", kernels, n_range, mode_family,
                        lambda n, par, y: np.max(np.abs(y.samples - par.damped_cos(times))))
 
 
-def check_mode_derivative_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
+def check_mode_derivative_asymptotics(kernels: DerivedKernelSet,
                                       n_range: Iterable[int],
                                       mode_family: Sequence[ModeTrajectory] | None = None
                                       ) -> AsymptoticReport:
@@ -133,38 +138,34 @@ def check_mode_derivative_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
 
     Pass a precomputed `mode_family` to reuse mode responses.
     """
-    times = grid.times()
+    times = kernels.grid.times()
 
     def deviation(n, par, y):
         dy = mode_derivative(y, kernels)
         return np.max(np.abs(dy.samples / par.beta + par.damped_sin(times)))
 
-    return _mode_trend("mode derivative vs damped sine", kernels, grid, n_range,
+    return _mode_trend("mode derivative vs damped sine", kernels, n_range,
                        mode_family, deviation)
 
 
-def check_convolution_asymptotics(kernels: DerivedKernelSet, grid: TimeGrid,
-                                  smooth_factor, n_range: Iterable[int],
+def check_convolution_asymptotics(kernels: DerivedKernelSet, smooth_factor,
+                                  n_range: Iterable[int],
                                   mode_family: Sequence[ModeTrajectory] | None = None
                                   ) -> AsymptoticReport:
     """Deviation of n * (F ⋆ y_n) from F(0) times the damped sine.
 
-    `smooth_factor` is either a MemoryKernel (evaluated in closed form on
-    the grid, value at zero exact) or a pair (samples, value_at_zero) for
-    derived kernels such as the stress series kernel.  Pass a precomputed
-    `mode_family` to reuse mode responses.
+    `smooth_factor` holds the samples of F on the kernel grid, such as
+    the stress series kernel; its first sample is F(0).  Pass a
+    precomputed `mode_family` to reuse mode responses.
     """
+    grid = kernels.grid
     times = grid.times()
-    if isinstance(smooth_factor, MemoryKernel):
-        samples = smooth_factor.memory(times)
-        at_zero = float(smooth_factor.memory(0.0))
-    else:
-        samples, at_zero = smooth_factor
-        samples = np.asarray(samples, dtype=float)
+    samples = np.asarray(smooth_factor, dtype=float)
     if len(samples) != grid.steps + 1:
         raise ValueError("factor sample length does not match the grid")
+    at_zero = samples[0]
     return _mode_trend(
-        "smooth convolution vs damped sine", kernels, grid, n_range, mode_family,
+        "smooth convolution vs damped sine", kernels, n_range, mode_family,
         lambda n, par, y: np.max(np.abs(float(n) * convolve(samples, y.samples, grid)
                                         - at_zero * par.damped_sin(times))))
 
@@ -190,8 +191,7 @@ def _oscillator_kernels(kernels: DerivedKernelSet):
     return na_d1, float(q0[0]), q1, resolvent
 
 
-def check_resolvent_identity(kernels: DerivedKernelSet, grid: TimeGrid,
-                             ns: Iterable[int],
+def check_resolvent_identity(kernels: DerivedKernelSet, ns: Iterable[int],
                              mode_family: Sequence[ModeTrajectory] | None = None
                              ) -> list[float]:
     """Residual of the oscillator representation of each mode response in `ns`.
@@ -205,8 +205,9 @@ def check_resolvent_identity(kernels: DerivedKernelSet, grid: TimeGrid,
     """
     ns = list(ns)
     params = [mode_params(n, kernels.alpha) for n in ns]
-    modes = _modes_for(kernels, grid, ns, mode_family)
+    modes = _modes_for(kernels, ns, mode_family)
     na_d1, q0_at_zero, q1, resolvent = _oscillator_kernels(kernels)
+    grid = kernels.grid
     times = grid.times()
     residuals = []
     for par, mode in zip(params, modes):
@@ -247,8 +248,7 @@ class RoundtripReport:
         self.achieved.setflags(write=False)
 
 
-def closed_loop_roundtrip(kernels: DerivedKernelSet, grid: TimeGrid,
-                          target: MomentTarget,
+def closed_loop_roundtrip(kernels: DerivedKernelSet, target: MomentTarget,
                           mode_family: Sequence[ModeTrajectory] | None = None
                           ) -> RoundtripReport:
     """Synthesise a steering control, re-simulate it, compare coefficients.
@@ -263,9 +263,9 @@ def closed_loop_roundtrip(kernels: DerivedKernelSet, grid: TimeGrid,
     """
     n_max = target.n_max
     modes = (mode_family if mode_family is not None
-             else solve_modes(range(1, n_max + 1), kernels, grid))
-    family = build_family(kernels, grid, n_max, mode_family=modes)
-    system = gram(family, grid)
+             else solve_modes(range(1, n_max + 1), kernels))
+    family = build_family(kernels, n_max, mode_family=modes)
+    system = gram(family)
     synthesis = synthesize_control(system, target, alpha=kernels.alpha)
     state = simulate_coefficients(synthesis.control, modes, kernels)
     achieved = state.velocity[:n_max] + 1j * state.stress[:n_max]

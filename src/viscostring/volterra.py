@@ -20,7 +20,8 @@ round-off is absolute, about eps*step*|a|*|b| in the 2-norms of the
 factors.  pocketfft is single-threaded and deterministic and calls no
 BLAS, so reruns give the same bytes under any BLAS thread count.
 
-One march advances a whole batch of mode indices at once: the state holds
+One march advances a whole batch of mode indices at once, on the grid the
+kernel set was derived on (`DerivedKernelSet.grid`): the state holds
 one row per mode, every step's history sums are a single BLAS
 matrix-vector product over the batch, and the closed-form step update is
 applied to the whole column.  Callers solve each family once per run
@@ -302,9 +303,9 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
     return out
 
 
-def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet", grid: TimeGrid,
+def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
                  kind: TrajectoryKind) -> list[ModeTrajectory]:
-    """March every distinct |n| of `ns` in one batch and map rows back.
+    """March every distinct |n| of `ns` on the grid of `kernels`, in one batch.
 
     Mode responses are even in n and moment kernels satisfy
     Z_{-n} = conj(Z_n), so both signs share one row and the symmetry is
@@ -316,8 +317,7 @@ def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet", grid: TimeGrid,
         raise ValueError("no mode indices given")
     if 0 in ns:
         raise ValueError("mode index must be a nonzero integer")
-    if grid != kernels.grid:
-        raise ValueError("grid does not match the one the kernels were derived on")
+    grid = kernels.grid
     sizes = sorted({abs(n) for n in ns})
     grid.require_resolution(sizes[-1])
     size = np.array(sizes, dtype=float)
@@ -341,21 +341,20 @@ def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet", grid: TimeGrid,
     return out
 
 
-def solve_modes(ns: Iterable[int], kernels: "DerivedKernelSet",
-                grid: TimeGrid) -> list[ModeTrajectory]:
+def solve_modes(ns: Iterable[int], kernels: "DerivedKernelSet") -> list[ModeTrajectory]:
     """Solve the memory oscillators of every mode in `ns` in one batch.
 
     The mode response y_n satisfies y' = 2*alpha*y - n^2 (Na * y) with
     y(0) = 1, where Na is the scaled relaxation kernel.  The response is
-    real and even in the mode index.  Trajectories come back in the order
-    of `ns`.
+    real and even in the mode index.  Trajectories live on `kernels.grid`
+    and come back in the order of `ns`.
     """
-    return _solve_batch(ns, kernels, grid, TrajectoryKind.MODE)
+    return _solve_batch(ns, kernels, TrajectoryKind.MODE)
 
 
-def solve_mode(n: int, kernels: "DerivedKernelSet", grid: TimeGrid) -> ModeTrajectory:
+def solve_mode(n: int, kernels: "DerivedKernelSet") -> ModeTrajectory:
     """Solve the memory oscillator of mode n (a one-index `solve_modes`)."""
-    return solve_modes([n], kernels, grid)[0]
+    return solve_modes([n], kernels)[0]
 
 
 def mode_derivative(trajectory: ModeTrajectory, kernels: "DerivedKernelSet") -> ModeTrajectory:
@@ -376,21 +375,20 @@ def mode_derivative(trajectory: ModeTrajectory, kernels: "DerivedKernelSet") -> 
                           samples=samples, grid=trajectory.grid)
 
 
-def solve_moment_kernels(ns: Iterable[int], kernels: "DerivedKernelSet",
-                         grid: TimeGrid) -> list[ModeTrajectory]:
+def solve_moment_kernels(ns: Iterable[int],
+                         kernels: "DerivedKernelSet") -> list[ModeTrajectory]:
     """Solve the complex moment kernels of every mode in `ns` in one batch.
 
     The kernel Z_n satisfies Z' = 2*alpha*Z - n^2 (Na * Z) + Hv + i*n*Ks
     with Z(0) = 1, where Hv and Ks are the velocity and stress series
     kernels.  Same scheme as `solve_modes`; Z_{-n} = conj(Z_n) exactly.
     """
-    return _solve_batch(ns, kernels, grid, TrajectoryKind.MOMENT_KERNEL)
+    return _solve_batch(ns, kernels, TrajectoryKind.MOMENT_KERNEL)
 
 
-def solve_moment_kernel(n: int, kernels: "DerivedKernelSet",
-                        grid: TimeGrid) -> ModeTrajectory:
+def solve_moment_kernel(n: int, kernels: "DerivedKernelSet") -> ModeTrajectory:
     """Solve the moment kernel of mode n (a one-index `solve_moment_kernels`)."""
-    return solve_moment_kernels([n], kernels, grid)[0]
+    return solve_moment_kernels([n], kernels)[0]
 
 
 def assemble_moment_kernel(trajectory: ModeTrajectory,

@@ -31,11 +31,11 @@ def elastic_kernels(desk_grid):
 
 
 @pytest.fixture(scope="session")
-def desk_modes_32(desk_kernels, desk_grid):
+def desk_modes_32(desk_kernels):
     """Mode responses n = 1..32 for the default kernel at desk scale."""
-    return [solve_mode(n, desk_kernels, desk_grid) for n in range(1, 33)]
+    return [solve_mode(n, desk_kernels) for n in range(1, 33)]
 
 
 @pytest.fixture(scope="session")
-def elastic_modes_16(elastic_kernels, desk_grid):
-    return [solve_mode(n, elastic_kernels, desk_grid) for n in range(1, 17)]
+def elastic_modes_16(elastic_kernels):
+    return [solve_mode(n, elastic_kernels) for n in range(1, 17)]

@@ -51,10 +51,10 @@ def desk_moment_family(desk_kernels, desk_grid, desk_modes_32):
 
 
 @pytest.fixture(scope="module")
-def steer_setup(desk_kernels, desk_grid, desk_modes_32):
-    family = build_family(desk_kernels, desk_grid, 8,
+def steer_setup(desk_kernels, desk_modes_32):
+    family = build_family(desk_kernels, 8,
                           mode_family=desk_modes_32[:8])
-    return gram(family, desk_grid)
+    return gram(family)
 
 
 def test_criterion_01_elastic_limit_exactness():
@@ -65,7 +65,7 @@ def test_criterion_01_elastic_limit_exactness():
     t = grid.times()
     worst = 0.0
     for n in range(1, 17):
-        big = solve_moment_kernel(n, kernels, grid)
+        big = solve_moment_kernel(n, kernels)
         worst = max(worst, float(np.max(np.abs(big.samples - np.exp(1j * n * t)))))
     report(1, "elastic moment kernels track the complex exponentials",
            worst <= 5e-4, f"max deviation {worst:.3e} (tol 5e-4)")
@@ -76,14 +76,14 @@ def test_criterion_02_oracle_equivalence():
     kernels = derive_kernels(DESK_KERNEL, grid)
     worst = 0.0
     for n in (1, 4, 16):
-        z = solve_mode(n, kernels, grid)
+        z = solve_mode(n, kernels)
         ref = oracle_exponential_mode(n, DESK_KERNEL, grid)
         worst = max(worst, float(np.max(np.abs(z.samples - ref.samples))))
     errs = []
     for steps in (2048, 4096):
         g = TimeGrid(TWO_PI, steps)
         dk = derive_kernels(DESK_KERNEL, g)
-        z = solve_mode(4, dk, g)
+        z = solve_mode(4, dk)
         ref = oracle_exponential_mode(4, DESK_KERNEL, g)
         errs.append(float(np.max(np.abs(z.samples - ref.samples))))
     order = math.log2(errs[0] / errs[1])
@@ -97,7 +97,7 @@ def test_criterion_03_dual_construction(desk_kernels, desk_grid, desk_modes_32,
     tolerance = 100.0 * desk_grid.step ** 2
     worst = 0.0
     for n in range(1, 33):
-        stepped = solve_moment_kernel(n, desk_kernels, desk_grid)
+        stepped = solve_moment_kernel(n, desk_kernels)
         assembled = desk_moment_family[n - 1]
         worst = max(worst, float(np.max(np.abs(stepped.samples
                                                - assembled.samples))))
@@ -106,9 +106,9 @@ def test_criterion_03_dual_construction(desk_kernels, desk_grid, desk_modes_32,
            f"max deviation {worst:.3e} (tol {tolerance:.3e})")
 
 
-def test_criterion_04_mode_asymptotics(desk_kernels, desk_grid):
-    mode_rep = check_mode_asymptotics(desk_kernels, desk_grid, range(1, 33))
-    deriv_rep = check_mode_derivative_asymptotics(desk_kernels, desk_grid,
+def test_criterion_04_mode_asymptotics(desk_kernels):
+    mode_rep = check_mode_asymptotics(desk_kernels, range(1, 33))
+    deriv_rep = check_mode_derivative_asymptotics(desk_kernels,
                                                   range(1, 33))
     ok = (mode_rep.verdict is TrendVerdict.BOUNDED
           and deriv_rep.verdict is TrendVerdict.BOUNDED)
@@ -117,10 +117,10 @@ def test_criterion_04_mode_asymptotics(desk_kernels, desk_grid):
            f"derivative {deriv_rep.upper_max:.3f}/{deriv_rep.lower_max:.3f}")
 
 
-def test_criterion_05_quadratic_closeness(desk_kernels, desk_grid,
+def test_criterion_05_quadratic_closeness(desk_kernels,
                                           desk_moment_family):
     params = [mode_params(n, desk_kernels.alpha) for n in range(1, 33)]
-    closeness = quadratic_closeness(desk_moment_family, params, desk_grid)
+    closeness = quadratic_closeness(desk_moment_family, params)
     lower = float(np.max(closeness.scaled[:16]))
     upper = float(np.max(closeness.scaled[16:]))
     report(5, "scaled squared distances to the limit exponentials stay bounded",
@@ -189,12 +189,12 @@ def test_criterion_08_stress_deformation_gap(desk_kernels, desk_grid,
 def test_criterion_09_finite_pair_assignment():
     grid = TimeGrid(1.0, 2048)
     kernels = derive_kernels(DESK_KERNEL, grid)
-    pair = finite_pair_control(kernels, grid, [1.0, 0.0, 0.0, 0.0],
+    pair = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
                                [0.0, 1.0, 0.0, 0.0])
     residual = pair.roundtrip["relative_error"]
     elastic_kernels = derive_kernels(ELASTIC_KERNEL, grid)
     try:
-        finite_pair_control(elastic_kernels, grid, [1.0, 0.0, 0.0, 0.0],
+        finite_pair_control(elastic_kernels, [1.0, 0.0, 0.0, 0.0],
                             [0.0, 1.0, 0.0, 0.0])
         degenerate = False
     except ElasticDegeneracyError:

@@ -230,9 +230,9 @@ kind = zero
         doc = json.loads((out / "synthesis.json").read_text())
         # the tail family steer simulates: modes 1..2*n_max at this step
         kernels = viscostring.derive_kernels(cfg.kernel, cfg.grid)
-        modes = volterra.solve_modes(range(1, 17), kernels, cfg.grid)
+        modes = volterra.solve_modes(range(1, 17), kernels)
         trip = viscostring.closed_loop_roundtrip(
-            kernels, cfg.grid, random_unit_target(cfg.seed, 8), mode_family=modes)
+            kernels, random_unit_target(cfg.seed, 8), mode_family=modes)
         assert doc["roundtrip_relative_error"] == trip.relative_error
         assert doc["achieved"] == [[z.real, z.imag] for z in trip.achieved.tolist()]
         assert trip.state.n_max == 16

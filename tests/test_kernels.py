@@ -136,14 +136,13 @@ def test_kernel_validation():
 
 
 def test_exceptional_index_scan():
-    assert exceptional_index_check(ELASTIC_KERNEL, 32) is False
-    assert exceptional_index_check(DESK_KERNEL, 64) is False
+    exceptional_index_check(ELASTIC_KERNEL, 32)
+    exceptional_index_check(DESK_KERNEL, 64)
     with pytest.raises(ExceptionalIndexError) as info:
         exceptional_index_check(MemoryKernel.exponential_sum([(2.0, 1.0)]), 32)
     assert info.value.n == 1
-    # alpha^2 > 1 without an exact collision only warns
-    assert exceptional_index_check(
-        MemoryKernel.exponential_sum([(3.0, 1.0)]), 32) is True
+    # alpha^2 > 1 without an exact collision passes the scan
+    exceptional_index_check(MemoryKernel.exponential_sum([(3.0, 1.0)]), 32)
 
 
 def test_near_exceptional_index_is_rejected():
@@ -156,8 +155,8 @@ def test_near_exceptional_index_is_rejected():
         mode_params(1, near.alpha)
     assert mode_params(2, near.alpha).beta > 0.0
     # a genuine, if small, gap stays a regular mode
-    assert exceptional_index_check(
-        MemoryKernel.exponential_sum([(2.0 * (1.0 - 1e-9), 1.0)]), 4) is False
+    exceptional_index_check(
+        MemoryKernel.exponential_sum([(2.0 * (1.0 - 1e-9), 1.0)]), 4)
 
 
 def test_derived_kernels_are_read_only(desk_kernels):

@@ -28,14 +28,14 @@ from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
 
 
 @pytest.fixture(scope="module")
-def desk_family_8(desk_kernels, desk_grid, desk_modes_32):
-    return build_family(desk_kernels, desk_grid, 8,
+def desk_family_8(desk_kernels, desk_modes_32):
+    return build_family(desk_kernels, 8,
                         mode_family=desk_modes_32[:8])
 
 
 @pytest.fixture(scope="module")
-def desk_gram_8(desk_family_8, desk_grid):
-    return gram(desk_family_8, desk_grid)
+def desk_gram_8(desk_family_8):
+    return gram(desk_family_8)
 
 
 class TestTarget:
@@ -56,7 +56,7 @@ class TestTarget:
 class TestFamily:
     def test_elastic_family_matches_exponentials(self, elastic_kernels,
                                                  desk_grid):
-        family = build_family(elastic_kernels, desk_grid, 4)
+        family = build_family(elastic_kernels, 4)
         t = desk_grid.times()
         for n, traj in enumerate(family, start=1):
             assert np.max(np.abs(traj.samples - np.exp(1j * n * t))) < 5e-4
@@ -66,23 +66,23 @@ class TestFamily:
             assert traj.samples[0] == 1.0 + 0.0j
 
     def test_cross_check_accepts_desk_kernel_at_16(self, desk_kernels,
-                                                   desk_grid, desk_modes_32):
-        family = build_family(desk_kernels, desk_grid, 16,
+                                                   desk_modes_32):
+        family = build_family(desk_kernels, 16,
                               mode_family=desk_modes_32[:16])
         assert len(family) == 16
 
 
 class TestGram:
-    def test_elastic_full_period_is_diagonal(self, elastic_kernels, desk_grid):
-        family = build_family(elastic_kernels, desk_grid, 3)
-        system = gram(family, desk_grid)
+    def test_elastic_full_period_is_diagonal(self, elastic_kernels):
+        family = build_family(elastic_kernels, 3)
+        system = gram(family)
         assert np.max(np.abs(system.matrix - TWO_PI * np.eye(6))) < 1e-3
         assert system.lambda_min == pytest.approx(TWO_PI, abs=1e-3)
 
     def test_elastic_half_period_pair(self):
         grid = TimeGrid(math.pi, 2048)
         kernels = derive_kernels(ELASTIC_KERNEL, grid)
-        system = gram(build_family(kernels, grid, 1), grid)
+        system = gram(build_family(kernels, 1))
         # indices (1, -1): diagonal pi, off-diagonal integral of e^{2it}
         assert system.matrix[0, 0].real == pytest.approx(math.pi, abs=1e-3)
         assert abs(system.matrix[0, 1]) < 1e-3
@@ -117,8 +117,8 @@ class TestGram:
 class TestSynthesize:
     def test_elastic_single_mode_recovers_cosine(self, elastic_kernels,
                                                  desk_grid):
-        family = build_family(elastic_kernels, desk_grid, 3)
-        system = gram(family, desk_grid)
+        family = build_family(elastic_kernels, 3)
+        system = gram(family)
         target = MomentTarget(np.array([1.0, 0.0, 0.0]), np.zeros(3))
         report = synthesize_control(system, target, alpha=0.0)
         expected = np.cos(desk_grid.times()) / math.pi
@@ -158,16 +158,16 @@ class TestSynthesize:
     def test_short_horizon_warns_and_collapse_raises(self):
         grid = TimeGrid(math.pi / 2.0, 1024)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        family = build_family(kernels, grid, 16)
-        system = gram(family, grid)
+        family = build_family(kernels, 16)
+        system = gram(family)
         with pytest.warns(UserWarning):
             with pytest.raises(NearSingularGramError):
                 synthesize_control(system, MomentTarget(np.ones(16),
                                                         np.zeros(16)),
                                    alpha=kernels.alpha)
 
-    def test_duplicated_row_is_near_singular(self, desk_family_8, desk_grid):
-        system = gram(list(desk_family_8[:3]) + [desk_family_8[0]], desk_grid)
+    def test_duplicated_row_is_near_singular(self, desk_family_8):
+        system = gram(list(desk_family_8[:3]) + [desk_family_8[0]])
         with pytest.raises(NearSingularGramError):
             synthesize_control(system, MomentTarget(np.ones(3), np.zeros(3)),
                                alpha=-0.2)
@@ -202,7 +202,7 @@ class TestFinitePair:
     def test_desk_kernel_short_horizon(self):
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        report = finite_pair_control(kernels, grid, [1.0, 0.0, 0.0, 0.0],
+        report = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
                                      [0.0, 1.0, 0.0, 0.0])
         assert report.roundtrip["relative_error"] <= 1e-2
         assert report.lambda_min > 0.0
@@ -210,9 +210,9 @@ class TestFinitePair:
     def test_extremes_are_squared_singular_values(self):
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        report = finite_pair_control(kernels, grid, [1.0, 0.0, 0.0, 0.0],
+        report = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
                                      [0.0, 1.0, 0.0, 0.0])
-        modes = solve_modes(range(1, 5), kernels, grid)
+        modes = solve_modes(range(1, 5), kernels)
         rows = np.vstack(
             [t.n * convolve(kernels.relaxation_scaled, t.samples, grid)
              for t in modes]
@@ -229,7 +229,7 @@ class TestFinitePair:
         # condition number and reaches ~1e-3
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        report = finite_pair_control(kernels, grid, [1.0, 0.0, 0.0, 0.0],
+        report = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
                                      [0.0, 1.0, 0.0, 0.0])
         assert report.roundtrip["relative_error"] <= 5.17e-6
         assert report.max_relative_residual <= 1e-6
@@ -239,19 +239,19 @@ class TestFinitePair:
         kernels = derive_kernels(DESK_KERNEL, grid)
         solve = moments.solve_modes
 
-        def duplicated(ns, kernels, grid):
-            modes = solve(ns, kernels, grid)
+        def duplicated(ns, kernels):
+            modes = solve(ns, kernels)
             return modes[:-1] + [modes[0]]
 
         monkeypatch.setattr(moments, "solve_modes", duplicated)
         with pytest.raises(NearSingularGramError):
-            finite_pair_control(kernels, grid, [1.0, 0.0, 0.0],
+            finite_pair_control(kernels, [1.0, 0.0, 0.0],
                                 [0.0, 1.0, 0.0])
 
     def test_elastic_consistent_targets(self):
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(ELASTIC_KERNEL, grid)
-        report = finite_pair_control(kernels, grid, [1.0, 0.0, 0.0, 0.0],
+        report = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
                                      [1.0, 0.0, 0.0, 0.0])
         assert report.roundtrip["relative_error"] <= 1e-2
         assert np.max(np.abs(report.roundtrip["stress"]
@@ -261,11 +261,11 @@ class TestFinitePair:
         grid = TimeGrid(1.0, 1024)
         kernels = derive_kernels(ELASTIC_KERNEL, grid)
         with pytest.raises(ElasticDegeneracyError):
-            finite_pair_control(kernels, grid, [0.0], [1.0])
+            finite_pair_control(kernels, [0.0], [1.0])
 
-    def test_rejects_oversized_problems(self, desk_kernels, desk_grid):
+    def test_rejects_oversized_problems(self, desk_kernels):
         with pytest.raises(ValueError):
-            finite_pair_control(desk_kernels, desk_grid,
+            finite_pair_control(desk_kernels,
                                 np.zeros(17), np.zeros(17))
 
 
@@ -281,9 +281,8 @@ class TestFrameBounds:
         assert abs(report.lambda_min - 1.0) < 1e-3
         assert abs(report.lambda_max - 1.0) < 1e-3
 
-    def test_prebuilt_family_gives_the_same_bounds(self, desk_kernels,
-                                                   desk_grid):
-        family = build_family(desk_kernels, desk_grid, 4)
+    def test_prebuilt_family_gives_the_same_bounds(self, desk_kernels):
+        family = build_family(desk_kernels, 4)
         reused = frame_bounds(desk_kernels, TWO_PI, 4, family=family)
         assert reused == frame_bounds(desk_kernels, TWO_PI, 4)
         with pytest.raises(ValueError):
@@ -306,7 +305,7 @@ class TestFrameBounds:
                                (TWO_PI, 4096), (3 * math.pi, 6144)):
             grid = TimeGrid(horizon, steps)
             kernels = derive_kernels(DESK_KERNEL, grid)
-            system = gram(build_family(kernels, grid, 4), grid)
+            system = gram(build_family(kernels, 4))
             assert system.lambda_min >= previous - 1e-12
             previous = system.lambda_min
 
@@ -320,36 +319,48 @@ class TestFrameBounds:
 
 
 class TestCloseness:
-    def test_elastic_distances_vanish(self, elastic_kernels, desk_grid):
-        family = build_family(elastic_kernels, desk_grid, 8)
+    def test_elastic_distances_vanish(self, elastic_kernels):
+        family = build_family(elastic_kernels, 8)
         params = [mode_params(n, 0.0) for n in range(1, 9)]
-        report = quadratic_closeness(family, params, desk_grid)
+        report = quadratic_closeness(family, params)
         assert np.max(report.distances) < 1e-6
 
-    def test_family_on_another_grid_is_rejected(self, elastic_kernels, desk_grid):
-        family = build_family(elastic_kernels, desk_grid, 2)
-        params = [mode_params(n, 0.0) for n in (1, 2)]
+    def test_mixed_or_foreign_grid_family_is_rejected(self, elastic_kernels,
+                                                      desk_grid):
         other = TimeGrid(1.5 * desk_grid.horizon, desk_grid.steps)
+        foreign = build_family(derive_kernels(ELASTIC_KERNEL, other), 2)
+        mixed = [build_family(elastic_kernels, 2)[0], foreign[1]]
+        params = [mode_params(n, 0.0) for n in (1, 2)]
         with pytest.raises(ValueError, match="grid"):
-            quadratic_closeness(family, params, other)
+            gram(mixed)
+        with pytest.raises(ValueError, match="grid"):
+            quadratic_closeness(mixed, params)
+        with pytest.raises(ValueError, match="grid"):
+            frame_bounds(elastic_kernels, desk_grid.horizon, 2, family=foreign)
 
-    def test_conjugate_pair_has_equal_distance(self, desk_kernels, desk_grid,
+    def test_empty_family_is_rejected(self):
+        with pytest.raises(ValueError):
+            gram([])
+        with pytest.raises(ValueError):
+            quadratic_closeness([], [])
+
+    def test_conjugate_pair_has_equal_distance(self, desk_kernels,
                                                desk_modes_32):
-        family = build_family(desk_kernels, desk_grid, 2,
+        family = build_family(desk_kernels, 2,
                               mode_family=desk_modes_32[:2])
         mirrored = [traj.conjugated() for traj in family]
         params = [mode_params(n, desk_kernels.alpha) for n in (1, 2)]
         mirrored_params = [mode_params(-n, desk_kernels.alpha) for n in (1, 2)]
-        direct = quadratic_closeness(family, params, desk_grid)
-        conj = quadratic_closeness(mirrored, mirrored_params, desk_grid)
+        direct = quadratic_closeness(family, params)
+        conj = quadratic_closeness(mirrored, mirrored_params)
         assert np.array_equal(direct.distances, conj.distances)
 
-    def test_scaled_distances_do_not_grow(self, desk_kernels, desk_grid,
+    def test_scaled_distances_do_not_grow(self, desk_kernels,
                                           desk_modes_32):
-        family = build_family(desk_kernels, desk_grid, 32,
+        family = build_family(desk_kernels, 32,
                               mode_family=desk_modes_32)
         params = [mode_params(n, desk_kernels.alpha) for n in range(1, 33)]
-        report = quadratic_closeness(family, params, desk_grid)
+        report = quadratic_closeness(family, params)
         assert np.max(report.scaled[16:]) <= 2.0 * np.max(report.scaled[:16])
 
 

@@ -90,7 +90,7 @@ class TestSimulate:
         pairing = desk_grid.trapezoid_weights() \
             * control.reweighted(desk_kernels.alpha)[::-1]
         for n in (1, 4, 16):
-            big = solve_moment_kernel(n, desk_kernels, desk_grid)
+            big = solve_moment_kernel(n, desk_kernels)
             moment = np.sum(pairing * big.samples)
             assembled = state.velocity[n - 1] + 1j * state.stress[n - 1]
             assert abs(moment - assembled) <= 5.0 * desk_grid.step ** 2

@@ -58,44 +58,61 @@ def _reference_resolvent_residual(kernel, grid, n, y):
 
 
 class TestModeAsymptotics:
-    def test_desk_kernel_is_bounded(self, desk_kernels, desk_grid):
-        report = check_mode_asymptotics(desk_kernels, desk_grid, range(1, 33))
+    def test_desk_kernel_is_bounded(self, desk_kernels):
+        report = check_mode_asymptotics(desk_kernels, range(1, 33))
         assert report.verdict is TrendVerdict.BOUNDED
 
-    def test_elastic_deviations_are_quadrature_level(self, elastic_kernels,
-                                                     desk_grid):
-        report = check_mode_asymptotics(elastic_kernels, desk_grid, range(1, 5))
+    def test_elastic_deviations_are_quadrature_level(self, elastic_kernels):
+        report = check_mode_asymptotics(elastic_kernels, range(1, 5))
         assert np.max(report.deviations) < 1e-3
 
-    def test_symmetric_in_mode_sign(self, desk_kernels, desk_grid):
-        report = check_mode_asymptotics(desk_kernels, desk_grid, [4, -4])
+    def test_symmetric_in_mode_sign(self, desk_kernels):
+        report = check_mode_asymptotics(desk_kernels, [4, -4])
         assert report.deviations[0] == report.deviations[1]
 
     def test_precomputed_modes_give_the_same_reports(self, desk_kernels,
-                                                     desk_grid, desk_modes_32):
+                                                     desk_modes_32):
         ns = [1, 4, -4, 8]
         checks = [
-            lambda **kw: check_mode_asymptotics(desk_kernels, desk_grid, ns, **kw),
-            lambda **kw: check_mode_derivative_asymptotics(desk_kernels, desk_grid,
+            lambda **kw: check_mode_asymptotics(desk_kernels, ns, **kw),
+            lambda **kw: check_mode_derivative_asymptotics(desk_kernels,
                                                            ns, **kw),
             lambda **kw: check_convolution_asymptotics(
-                desk_kernels, desk_grid, DESK_KERNEL, ns, **kw),
+                desk_kernels, DESK_KERNEL.memory(desk_kernels.grid.times()), ns,
+                **kw),
         ]
         for check in checks:
             np.testing.assert_allclose(check(mode_family=desk_modes_32).deviations,
                                        check().deviations, rtol=1e-10)
-        assert check_resolvent_identity(desk_kernels, desk_grid, [-2]) \
-            == check_resolvent_identity(desk_kernels, desk_grid, [2],
+        assert check_resolvent_identity(desk_kernels, [-2]) \
+            == check_resolvent_identity(desk_kernels, [2],
                                         mode_family=desk_modes_32)
         with pytest.raises(ValueError):
-            check_mode_asymptotics(desk_kernels, desk_grid, [9],
+            check_mode_asymptotics(desk_kernels, [9],
                                    mode_family=desk_modes_32[:8])
+
+    def test_mode_family_on_another_grid_is_rejected(self):
+        # same node count, other horizon: only the grid tells them apart
+        kernels = derive_kernels(DESK_KERNEL, TimeGrid(TWO_PI, 1024))
+        modes = solve_modes(range(1, 5),
+                            derive_kernels(DESK_KERNEL, TimeGrid(3.0, 1024)))
+        ns = range(1, 5)
+        checks = [
+            lambda: check_mode_asymptotics(kernels, ns, mode_family=modes),
+            lambda: check_mode_derivative_asymptotics(kernels, ns, mode_family=modes),
+            lambda: check_convolution_asymptotics(kernels, kernels.stress_kernel, ns,
+                                                  mode_family=modes),
+            lambda: check_resolvent_identity(kernels, ns, mode_family=modes),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="grid"):
+                check()
 
     def test_heavily_damped_kernel_rejected(self, desk_grid):
         kernels = derive_kernels(MemoryKernel.exponential_sum([(3.0, 1.0)]),
                                  desk_grid)
         with pytest.raises(ValueError):
-            check_mode_asymptotics(kernels, desk_grid, range(1, 3))
+            check_mode_asymptotics(kernels, range(1, 3))
 
     def test_deviation_converges_under_refinement(self):
         # successive deviation differences shrink at order >= 1.5
@@ -103,7 +120,7 @@ class TestModeAsymptotics:
         for steps in (1024, 2048, 4096):
             grid = TimeGrid(TWO_PI, steps)
             kernels = derive_kernels(DESK_KERNEL, grid)
-            rep = check_mode_asymptotics(kernels, grid, [4, 5])
+            rep = check_mode_asymptotics(kernels, [4, 5])
             values.append(rep.deviations[0])
         d1 = abs(values[0] - values[1])
         d2 = abs(values[1] - values[2])
@@ -111,18 +128,18 @@ class TestModeAsymptotics:
 
 
 class TestDerivativeAsymptotics:
-    def test_desk_kernel_is_bounded(self, desk_kernels, desk_grid):
-        report = check_mode_derivative_asymptotics(desk_kernels, desk_grid,
+    def test_desk_kernel_is_bounded(self, desk_kernels):
+        report = check_mode_derivative_asymptotics(desk_kernels,
                                                    range(1, 33))
         assert report.verdict is TrendVerdict.BOUNDED
 
-    def test_elastic_deviations_small(self, elastic_kernels, desk_grid):
-        report = check_mode_derivative_asymptotics(elastic_kernels, desk_grid,
+    def test_elastic_deviations_small(self, elastic_kernels):
+        report = check_mode_derivative_asymptotics(elastic_kernels,
                                                    range(1, 5))
         assert np.max(report.deviations) < 1e-3
 
-    def test_symmetric_in_mode_sign(self, desk_kernels, desk_grid):
-        report = check_mode_derivative_asymptotics(desk_kernels, desk_grid,
+    def test_symmetric_in_mode_sign(self, desk_kernels):
+        report = check_mode_derivative_asymptotics(desk_kernels,
                                                    [3, -3])
         assert report.deviations[0] == report.deviations[1]
 
@@ -130,36 +147,35 @@ class TestDerivativeAsymptotics:
 class TestConvolutionAsymptotics:
     def test_zero_factor_vanishes(self, desk_kernels, desk_grid):
         zeros = np.zeros(desk_grid.steps + 1)
-        report = check_convolution_asymptotics(desk_kernels, desk_grid,
-                                               (zeros, 0.0), range(1, 5))
+        report = check_convolution_asymptotics(desk_kernels,
+                                               zeros, range(1, 5))
         assert np.max(report.deviations) == 0.0
 
     def test_elastic_constant_factor_is_exact(self, elastic_kernels, desk_grid):
         ones = np.ones(desk_grid.steps + 1)
-        report = check_convolution_asymptotics(elastic_kernels, desk_grid,
-                                               (ones, 1.0), range(1, 5))
+        report = check_convolution_asymptotics(elastic_kernels,
+                                               ones, range(1, 5))
         assert np.max(report.deviations) < 5e-4
 
-    def test_stress_kernel_factor_is_bounded(self, desk_kernels, desk_grid):
+    def test_stress_kernel_factor_is_bounded(self, desk_kernels):
         report = check_convolution_asymptotics(
-            desk_kernels, desk_grid, (desk_kernels.stress_kernel, 1.0),
-            range(1, 33))
+            desk_kernels, desk_kernels.stress_kernel, range(1, 33))
         assert report.verdict is TrendVerdict.BOUNDED
 
-    def test_memory_kernel_factor(self, desk_kernels, desk_grid):
-        report = check_convolution_asymptotics(desk_kernels, desk_grid,
-                                               DESK_KERNEL, range(1, 17))
+    def test_memory_kernel_factor(self, desk_kernels):
+        report = check_convolution_asymptotics(
+            desk_kernels, DESK_KERNEL.memory(desk_kernels.grid.times()),
+            range(1, 17))
         assert report.verdict is TrendVerdict.BOUNDED
 
 
 class TestResolventIdentity:
-    def test_elastic_residual_is_quadrature_level(self, elastic_kernels,
-                                                  desk_grid):
-        (residual,) = check_resolvent_identity(elastic_kernels, desk_grid, [2])
+    def test_elastic_residual_is_quadrature_level(self, elastic_kernels):
+        (residual,) = check_resolvent_identity(elastic_kernels, [2])
         assert residual < 1e-4
 
     def test_desk_residual_within_budget(self, desk_kernels, desk_grid):
-        (residual,) = check_resolvent_identity(desk_kernels, desk_grid, [2])
+        (residual,) = check_resolvent_identity(desk_kernels, [2])
         assert residual <= 200.0 * desk_grid.step ** 2
 
     def test_second_order_in_step(self):
@@ -167,12 +183,12 @@ class TestResolventIdentity:
         for steps in (1024, 2048):
             grid = TimeGrid(TWO_PI, steps)
             kernels = derive_kernels(DESK_KERNEL, grid)
-            residuals.extend(check_resolvent_identity(kernels, grid, [2]))
+            residuals.extend(check_resolvent_identity(kernels, [2]))
         assert residuals[0] / residuals[1] >= 3.0
 
-    def test_symmetric_in_mode_sign(self, desk_kernels, desk_grid):
-        assert check_resolvent_identity(desk_kernels, desk_grid, [2]) \
-            == check_resolvent_identity(desk_kernels, desk_grid, [-2])
+    def test_symmetric_in_mode_sign(self, desk_kernels):
+        assert check_resolvent_identity(desk_kernels, [2]) \
+            == check_resolvent_identity(desk_kernels, [-2])
 
     @pytest.mark.parametrize("kernel", [
         DESK_KERNEL,
@@ -182,10 +198,10 @@ class TestResolventIdentity:
     def test_matches_the_per_mode_reference(self, desk_grid, kernel):
         kernels = derive_kernels(kernel, desk_grid)
         ns = [1, 2, 4, 8]
-        modes = solve_modes(ns, kernels, desk_grid)
+        modes = solve_modes(ns, kernels)
         want = [_reference_resolvent_residual(kernel, desk_grid, n, y.samples)
                 for n, y in zip(ns, modes)]
-        assert check_resolvent_identity(kernels, desk_grid, ns) == want
+        assert check_resolvent_identity(kernels, ns) == want
 
 
 class TestStressDeformationGap:
@@ -234,43 +250,43 @@ class TestPolynomialKernelValidation:
     """Polynomial kernels have no ODE-system oracle; their validation
     rests on the dual moment-kernel construction and the identity checks."""
 
-    def test_dual_construction_accepts(self, poly_kernels, desk_grid):
+    def test_dual_construction_accepts(self, poly_kernels):
         from viscostring import build_family
-        family = build_family(poly_kernels, desk_grid, 8)
+        family = build_family(poly_kernels, 8)
         assert len(family) == 8
 
-    def test_mode_asymptotics_bounded(self, poly_kernels, desk_grid):
-        report = check_mode_asymptotics(poly_kernels, desk_grid, range(1, 17))
+    def test_mode_asymptotics_bounded(self, poly_kernels):
+        report = check_mode_asymptotics(poly_kernels, range(1, 17))
         assert report.verdict is TrendVerdict.BOUNDED
 
     def test_resolvent_identity(self, poly_kernels, desk_grid):
-        (residual,) = check_resolvent_identity(poly_kernels, desk_grid, [2])
+        (residual,) = check_resolvent_identity(poly_kernels, [2])
         assert residual <= 200.0 * desk_grid.step ** 2
 
 
 class TestRoundtrip:
-    def test_zero_target(self, desk_kernels, desk_grid):
-        trip = closed_loop_roundtrip(desk_kernels, desk_grid,
+    def test_zero_target(self, desk_kernels):
+        trip = closed_loop_roundtrip(desk_kernels,
                                      MomentTarget.zero(4))
         assert trip.relative_error == 0.0
         assert np.all(trip.synthesis.control.samples == 0.0)
 
-    def test_elastic_single_mode(self, elastic_kernels, desk_grid):
+    def test_elastic_single_mode(self, elastic_kernels):
         target = MomentTarget(np.array([1.0, 0.0]), np.zeros(2))
-        trip = closed_loop_roundtrip(elastic_kernels, desk_grid, target)
+        trip = closed_loop_roundtrip(elastic_kernels, target)
         assert trip.relative_error <= 1e-3
 
-    def test_desk_seeded_target(self, desk_kernels, desk_grid):
+    def test_desk_seeded_target(self, desk_kernels):
         target = random_unit_target(99, 8)
-        trip = closed_loop_roundtrip(desk_kernels, desk_grid, target)
+        trip = closed_loop_roundtrip(desk_kernels, target)
         assert trip.relative_error <= 1e-2
         assert trip.synthesis.lambda_min > 0.0
 
-    def test_state_covers_the_whole_family(self, desk_kernels, desk_grid,
+    def test_state_covers_the_whole_family(self, desk_kernels,
                                            desk_modes_32):
         target = random_unit_target(99, 8)
-        own = closed_loop_roundtrip(desk_kernels, desk_grid, target)
-        tail = closed_loop_roundtrip(desk_kernels, desk_grid, target,
+        own = closed_loop_roundtrip(desk_kernels, target)
+        tail = closed_loop_roundtrip(desk_kernels, target,
                                      mode_family=desk_modes_32[:16])
         assert own.state.n_max == 8
         assert tail.state.n_max == 16

@@ -213,36 +213,32 @@ def test_second_kind_solver_against_exponential():
 
 class TestSolveMode:
     def test_elastic_limit_is_cosine(self, elastic_kernels, desk_grid):
-        z = solve_mode(2, elastic_kernels, desk_grid)
+        z = solve_mode(2, elastic_kernels)
         quarter = desk_grid.steps // 4  # t = pi/2
         assert abs(z.samples[quarter] - math.cos(math.pi)) < 5e-4
-        z1 = solve_mode(1, elastic_kernels, desk_grid)
+        z1 = solve_mode(1, elastic_kernels)
         assert abs(z1.samples[-1] - 1.0) < 5e-4
 
     def test_matches_oracle(self, desk_kernels, desk_grid):
-        z = solve_mode(1, desk_kernels, desk_grid)
+        z = solve_mode(1, desk_kernels)
         ref = oracle_exponential_mode(1, DESK_KERNEL, desk_grid)
         assert np.max(np.abs(z.samples - ref.samples)) < 1e-5
 
-    def test_even_in_mode_index(self, desk_kernels, desk_grid):
-        plus = solve_mode(3, desk_kernels, desk_grid)
-        minus = solve_mode(-3, desk_kernels, desk_grid)
+    def test_even_in_mode_index(self, desk_kernels):
+        plus = solve_mode(3, desk_kernels)
+        minus = solve_mode(-3, desk_kernels)
         assert np.array_equal(plus.samples, minus.samples)
 
-    def test_resolution_guard(self, desk_kernels, desk_grid):
+    def test_resolution_guard(self, desk_kernels):
         with pytest.raises(ValueError):
-            solve_mode(4096, desk_kernels, desk_grid)
-
-    def test_grid_mismatch(self, desk_kernels):
-        with pytest.raises(ValueError):
-            solve_mode(1, desk_kernels, TimeGrid(TWO_PI, 2048))
+            solve_mode(4096, desk_kernels)
 
     def test_convergence_is_second_order(self):
         errs = []
         for steps in (2048, 4096):
             grid = TimeGrid(TWO_PI, steps)
             dk = derive_kernels(DESK_KERNEL, grid)
-            z = solve_mode(4, dk, grid)
+            z = solve_mode(4, dk)
             ref = oracle_exponential_mode(4, DESK_KERNEL, grid)
             errs.append(np.max(np.abs(z.samples - ref.samples)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -252,34 +248,34 @@ class TestSolveMode:
         for steps in (2048, 4096):
             grid = TimeGrid(TWO_PI, steps)
             dk = derive_kernels(ELASTIC_KERNEL, grid)
-            z = solve_mode(8, dk, grid)
+            z = solve_mode(8, dk)
             errs.append(np.max(np.abs(z.samples - np.cos(8 * grid.times()))))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 class TestModeDerivative:
     def test_elastic_derivative_is_negative_sine(self, elastic_kernels, desk_grid):
-        z = solve_mode(1, elastic_kernels, desk_grid)
+        z = solve_mode(1, elastic_kernels)
         dz = mode_derivative(z, elastic_kernels)
         assert dz.samples[0] == 0.0
         assert np.max(np.abs(dz.samples + np.sin(desk_grid.times()))) < 5e-4
 
-    def test_initial_value_is_twice_alpha(self, desk_kernels, desk_grid):
-        z = solve_mode(5, desk_kernels, desk_grid)
+    def test_initial_value_is_twice_alpha(self, desk_kernels):
+        z = solve_mode(5, desk_kernels)
         dz = mode_derivative(z, desk_kernels)
         assert dz.samples[0] == 2.0 * desk_kernels.alpha
 
     def test_consistent_with_centered_differences(self, desk_kernels, desk_grid):
         # the finite-difference oracle itself carries a z''' h^2 / 6
         # truncation term, about 15 h^2 for this mode
-        z = solve_mode(4, desk_kernels, desk_grid)
+        z = solve_mode(4, desk_kernels)
         dz = mode_derivative(z, desk_kernels)
         h = desk_grid.step
         fd = (z.samples[2:] - z.samples[:-2]) / (2.0 * h)
         assert np.max(np.abs(dz.samples[1:-1] - fd)) <= 20.0 * h ** 2
 
-    def test_rejects_wrong_kind(self, desk_kernels, desk_grid):
-        z = solve_mode(1, desk_kernels, desk_grid)
+    def test_rejects_wrong_kind(self, desk_kernels):
+        z = solve_mode(1, desk_kernels)
         dz = mode_derivative(z, desk_kernels)
         with pytest.raises(ValueError):
             mode_derivative(dz, desk_kernels)
@@ -287,37 +283,37 @@ class TestModeDerivative:
 
 class TestMomentKernel:
     def test_elastic_limit_is_complex_exponential(self, elastic_kernels, desk_grid):
-        big = solve_moment_kernel(1, elastic_kernels, desk_grid)
+        big = solve_moment_kernel(1, elastic_kernels)
         half = desk_grid.steps // 2  # t = pi
         assert abs(big.samples[half] - (-1.0 + 0.0j)) < 5e-4
 
-    def test_conjugate_symmetry_is_exact(self, desk_kernels, desk_grid):
-        plus = solve_moment_kernel(1, desk_kernels, desk_grid)
-        minus = solve_moment_kernel(-1, desk_kernels, desk_grid)
+    def test_conjugate_symmetry_is_exact(self, desk_kernels):
+        plus = solve_moment_kernel(1, desk_kernels)
+        minus = solve_moment_kernel(-1, desk_kernels)
         assert np.array_equal(np.conj(plus.samples), minus.samples)
 
-    def test_assembly_starts_at_one(self, desk_kernels, desk_grid):
-        z = solve_mode(2, desk_kernels, desk_grid)
+    def test_assembly_starts_at_one(self, desk_kernels):
+        z = solve_mode(2, desk_kernels)
         big = assemble_moment_kernel(z, desk_kernels)
         assert big.samples[0] == 1.0 + 0.0j
 
     def test_elastic_assembly_is_complex_exponential(self, elastic_kernels,
                                                      desk_grid):
-        z = solve_mode(1, elastic_kernels, desk_grid)
+        z = solve_mode(1, elastic_kernels)
         big = assemble_moment_kernel(z, elastic_kernels)
         t = desk_grid.times()
         assert np.max(np.abs(big.samples - np.exp(1j * t))) < 5e-4
 
     @pytest.mark.parametrize("n,factor", [(3, 5.0), (8, 5.0)])
     def test_routes_agree(self, desk_kernels, desk_grid, n, factor):
-        stepped = solve_moment_kernel(n, desk_kernels, desk_grid)
+        stepped = solve_moment_kernel(n, desk_kernels)
         assembled = assemble_moment_kernel(
-            solve_mode(n, desk_kernels, desk_grid), desk_kernels)
+            solve_mode(n, desk_kernels), desk_kernels)
         dev = np.max(np.abs(stepped.samples - assembled.samples))
         assert dev <= factor * desk_grid.step ** 2
 
-    def test_assembly_rejects_wrong_kind(self, desk_kernels, desk_grid):
-        big = solve_moment_kernel(1, desk_kernels, desk_grid)
+    def test_assembly_rejects_wrong_kind(self, desk_kernels):
+        big = solve_moment_kernel(1, desk_kernels)
         with pytest.raises(ValueError):
             assemble_moment_kernel(big, desk_kernels)
 
@@ -378,8 +374,8 @@ def _reference_march(grid, kernel, local, weight, forcing, dtype):
 
 def _assert_batch_matches_reference(dk, grid, ns):
     """Batched modes and moment kernels within 1e-13*max|y| of one-mode marches."""
-    modes = solve_modes(ns, dk, grid)
-    kernels_z = solve_moment_kernels(ns, dk, grid)
+    modes = solve_modes(ns, dk)
+    kernels_z = solve_moment_kernels(ns, dk)
     for n, y, z in zip(ns, modes, kernels_z):
         assert (y.n, z.n) == (n, n)
         weight = float(n) * float(n)
@@ -405,13 +401,13 @@ def test_batched_engine_matches_per_mode_reference(kernel):
     dk = derive_kernels(kernel, grid)
     _assert_batch_matches_reference(dk, grid, [3, -1, 16, 1, -3])
     with pytest.raises(ValueError):
-        solve_modes([1, 0], dk, grid)
+        solve_modes([1, 0], dk)
     with pytest.raises(ValueError):
-        solve_moment_kernels([0], dk, grid)
+        solve_moment_kernels([0], dk)
     with pytest.raises(ValueError):
-        solve_modes([1, 17], dk, grid)  # step * 17 > RESOLUTION_LIMIT
+        solve_modes([1, 17], dk)  # step * 17 > RESOLUTION_LIMIT
     with pytest.raises(ValueError):
-        solve_moment_kernels([-17], dk, grid)
+        solve_moment_kernels([-17], dk)
 
 
 exponential_terms = st.lists(
@@ -437,7 +433,7 @@ def test_modes_converge_to_the_oracle_at_second_order(terms):
     errs = []
     for steps in (512, 1024):
         grid = TimeGrid(TWO_PI, steps)
-        modes = solve_modes(ns, derive_kernels(kernel, grid), grid)
+        modes = solve_modes(ns, derive_kernels(kernel, grid))
         errs.append(np.array([
             np.max(np.abs(y.samples - oracle_exponential_mode(n, kernel, grid).samples))
             for n, y in zip(ns, modes)]))
@@ -446,7 +442,7 @@ def test_modes_converge_to_the_oracle_at_second_order(terms):
     assert np.all(np.log2(errs[0] / errs[1]) >= 1.9)
 
 
-def test_batch_rows_are_read_only_views(desk_kernels, desk_grid):
-    modes = solve_modes([1, 2], desk_kernels, desk_grid)
+def test_batch_rows_are_read_only_views(desk_kernels):
+    modes = solve_modes([1, 2], desk_kernels)
     assert modes[0].samples.base is modes[1].samples.base
     assert not modes[0].samples.flags.writeable
