@@ -4,10 +4,11 @@ Config files are flat INI: named sections of key = value lines, nothing
 nested.  A run reads one config, executes the requested task and writes a
 manifest plus plot-ready CSVs into the output directory.  Identical
 config and seed give byte-identical outputs; wall time therefore lives in
-a separate timing.json sidecar rather than in the manifest.  Each run
-solves its mode responses and moment kernels once, in one batch each,
-and hands them to every consumer.  The thread count (`--threads`,
-`[run] threads`) is still accepted and validated, but has no effect.
+a separate timing.json sidecar rather than in the manifest.  Each task
+below solves its mode responses once, in one batch, and passes them to
+every consumer; the consumers take solved families as arguments.  The
+thread count (`--threads`, `[run] threads`) is still accepted and
+validated, but has no effect.
 
 Random targets and controls come from an explicit 64-bit generator so
 other toolchains can reproduce them from the documented integer
@@ -39,8 +40,8 @@ from .kernels import (
     exceptional_index_check,
 )
 from .moments import (
-    RECOMMENDED_HORIZON,
     MomentTarget,
+    below_critical_horizon,
     build_family,
     finite_pair_control,
     frame_bounds,
@@ -470,7 +471,7 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
     # the grid allows
     tail_n = max(min(2 * n_max, int(RESOLUTION_LIMIT / grid.step)), n_max)
     modes = solve_modes(range(1, tail_n + 1), kernels)
-    trip = closed_loop_roundtrip(kernels, target, mode_family=modes)
+    trip = closed_loop_roundtrip(kernels, target, modes)
     _state_outputs(trip.state, out, manifest, steered=n_max)
     _synthesis_outputs(out, manifest, trip.synthesis, trip.relative_error,
                        targets_velocity=[float(v) for v in target.xi],
@@ -498,11 +499,10 @@ def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
 
 
 def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
-    grid = cfg.grid
-    n_max = cfg.n_max
-    params = [mode_params(n, kernels.alpha) for n in range(1, n_max + 1)]
-    family = build_family(kernels, n_max)
-    bounds = frame_bounds(kernels, grid.horizon, n_max, family=family)
+    ns = range(1, cfg.n_max + 1)
+    params = [mode_params(n, kernels.alpha) for n in ns]
+    family = build_family(kernels, solve_modes(ns, kernels))
+    bounds = frame_bounds(family)
     write_csv(out / "frame_bounds.csv", ["n_max", "lambda_min", "lambda_max"],
               [(bounds.sizes, bounds.lambda_min_by_size,
                 bounds.lambda_max_by_size)])
@@ -525,20 +525,18 @@ def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
 def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
     grid = cfg.grid
     n_max = cfg.n_max
-    n_range = range(1, n_max + 1)
-    modes = solve_modes(n_range, kernels)
+    modes = solve_modes(range(1, n_max + 1), kernels)
     reports = {
-        "mode_asymptotics": check_mode_asymptotics(kernels, n_range,
-                                                   mode_family=modes),
+        "mode_asymptotics": check_mode_asymptotics(kernels, modes),
         "mode_derivative_asymptotics": check_mode_derivative_asymptotics(
-            kernels, n_range, mode_family=modes),
+            kernels, modes),
         "convolution_asymptotics": check_convolution_asymptotics(
-            kernels, kernels.stress_kernel, n_range, mode_family=modes),
+            kernels, kernels.stress_kernel, modes),
     }
 
     resolvent_ns = [n for n in (1, 2, 4, 8) if n <= n_max]
-    residuals = check_resolvent_identity(kernels, resolvent_ns,
-                                         mode_family=modes)
+    residuals = check_resolvent_identity(kernels,
+                                         [modes[n - 1] for n in resolvent_ns])
     write_csv(out / "resolvent_residuals.csv", ["n", "max_residual"],
               [(resolvent_ns, residuals)])
     manifest["resolvent_residuals"] = {str(n): r
@@ -553,9 +551,9 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
     verdicts = {name: report.verdict.value for name, report in reports.items()}
 
     roundtrip_doc = None
-    if grid.horizon >= RECOMMENDED_HORIZON - 1e-12:
+    if not below_critical_horizon(grid.horizon):
         target = random_unit_target(cfg.seed, min(n_max, 8))
-        trip = closed_loop_roundtrip(kernels, target, mode_family=modes)
+        trip = closed_loop_roundtrip(kernels, target, modes)
         roundtrip_doc = {
             "n_max": target.n_max,
             "relative_error": trip.relative_error,

@@ -26,6 +26,11 @@ of the family's Riesz property: bounded away from zero they certify
 solvability at this truncation, collapsing they flag a horizon that is too
 short.  Synthesis refuses to run when lambda_min <= 1e3 * eps * lambda_max.
 
+Solved families are arguments: `build_family(kernels, modes)` checks the
+moment kernels n = 1..len(modes) against the caller's mode responses, and
+`gram`, `frame_bounds` and `quadratic_closeness` read the family it
+returns.  `finite_pair_control` alone solves its modes, as their only reader.
+
 A second, finite moment problem assigns deformation and stress pairs for
 the first few modes using the real kernel pair (n*(Na * y_n), n*(Fg * y_n));
 it goes through the same factorisation and solve.  Without memory the gap
@@ -48,10 +53,9 @@ from .errors import (
     ElasticDegeneracyError,
     NearSingularGramError,
 )
-from .kernels import DerivedKernelSet, MemoryKernel, derive_kernels
+from .kernels import DerivedKernelSet
 from .spectral import ControlSignal, ModeParams, simulate_coefficients
 from .volterra import (
-    RESOLUTION_LIMIT,
     ModeTrajectory,
     TimeGrid,
     TrajectoryKind,
@@ -59,6 +63,7 @@ from .volterra import (
     convolve,
     solve_modes,
     solve_moment_kernels,
+    validate_family,
 )
 
 __all__ = [
@@ -92,6 +97,11 @@ NEAR_SINGULAR_FACTOR = 1e3
 PAIR_NEAR_SINGULAR_RATIO = 1e3 * 2.0 ** -63
 
 RECOMMENDED_HORIZON = 2.0 * math.pi
+
+
+def below_critical_horizon(horizon: float) -> bool:
+    """True when `horizon` is too short for arbitrary steering targets."""
+    return horizon < RECOMMENDED_HORIZON - 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,34 +213,26 @@ class SynthesisReport:
         self.residuals.setflags(write=False)
 
 
-def build_family(kernels: DerivedKernelSet, n_max: int,
-                 mode_family: Sequence[ModeTrajectory] | None = None
-                 ) -> list[ModeTrajectory]:
-    """Moment kernels for n = 1..n_max on `kernels.grid`, cross-checked.
+def build_family(kernels: DerivedKernelSet,
+                 modes: Sequence[ModeTrajectory]) -> list[ModeTrajectory]:
+    """Moment kernels for n = 1..len(modes) on `kernels.grid`, cross-checked.
 
-    All kernels are time stepped from their own equation in one batch, and
-    each is independently assembled by quadrature from its mode response;
-    a uniform deviation beyond CROSS_CHECK_FACTOR * step^2 on any mode
-    aborts the build.  Pass a precomputed `mode_family` (n = 1, 2, ... in
-    order) to reuse mode responses.
+    `modes` holds the mode responses n = 1, 2, ... in order on the kernel
+    grid.  All kernels are time stepped from their own equation in one
+    batch, and each is independently assembled by quadrature from its mode
+    response; a uniform deviation beyond CROSS_CHECK_FACTOR * step^2 on any
+    mode aborts the build.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    kernels.grid.require_resolution(n_max)
-    if mode_family is not None and len(mode_family) < n_max:
-        raise ValueError("mode_family does not cover n = 1..n_max")
+    validate_family(modes, TrajectoryKind.MODE, kernels.grid, ordered=True)
     tolerance = CROSS_CHECK_FACTOR * kernels.grid.step ** 2
-    ns = range(1, n_max + 1)
-    family = solve_moment_kernels(ns, kernels)
-    modes = mode_family[:n_max] if mode_family is not None \
-        else solve_modes(ns, kernels)
-    for n, stepped, base in zip(ns, family, modes):
+    family = solve_moment_kernels(range(1, len(modes) + 1), kernels)
+    for stepped, base in zip(family, modes):
         assembled = assemble_moment_kernel(base, kernels)
         deviation = float(np.max(np.abs(stepped.samples - assembled.samples)))
         if deviation > tolerance:
             raise CrossCheckError(
-                f"moment kernel n={n}: route deviation {deviation:.3e} exceeds "
-                f"{tolerance:.3e}"
+                f"moment kernel n={base.n}: route deviation {deviation:.3e} "
+                f"exceeds {tolerance:.3e}"
             )
     return family
 
@@ -267,28 +269,16 @@ def _factorise(indices: tuple, functions: Sequence[np.ndarray], grid: TimeGrid,
                       matrix=np.einsum("ij,kj->ik", lower, lower.conj()))
 
 
-def _family_grid(family: Sequence[ModeTrajectory]) -> TimeGrid:
-    """The one grid of a nonempty moment-kernel family."""
-    if not family:
-        raise ValueError("moment kernel family is empty")
-    grid = family[0].grid
-    for traj in family:
-        if traj.kind is not TrajectoryKind.MOMENT_KERNEL:
-            raise ValueError(f"expected moment kernels, got {traj.kind}")
-        if traj.grid != grid:
-            raise ValueError("family mixes grids")
-    return grid
-
-
 def gram(family: Sequence[ModeTrajectory]) -> GramSystem:
     """Hermitian Gram system of the family extended to signed indices.
 
     Rows for -n are the conjugate kernels; inner products are trapezoidal
     on the family's grid.
     """
+    grid = validate_family(family, TrajectoryKind.MOMENT_KERNEL)
     indices = tuple(t.n for t in family) + tuple(-t.n for t in family)
-    return _factorise(indices, [t.samples for t in family],
-                      _family_grid(family), conjugated=True)
+    return _factorise(indices, [t.samples for t in family], grid,
+                      conjugated=True)
 
 
 def _minimal_norm_report(system: GramSystem, targets: np.ndarray,
@@ -350,7 +340,7 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
     the Riesz property at this truncation; warns when the horizon is below
     the critical length for solvability of arbitrary targets.
     """
-    if system.grid.horizon < RECOMMENDED_HORIZON - 1e-12:
+    if below_critical_horizon(system.grid.horizon):
         warnings.warn(
             f"horizon {system.grid.horizon:.6g} is below the critical length "
             f"{RECOMMENDED_HORIZON:.6g}; arbitrary targets may be unreachable",
@@ -456,46 +446,21 @@ class FrameBoundsReport:
 
 
 _FRAME_SIZES = (4, 8, 16, 32)
-_DEFAULT_DENSITY = 4096 / (2.0 * math.pi)  # grid nodes per unit time
 
 
-def frame_bounds(kernel, horizon: float, n_max: int,
-                 steps: int | None = None,
-                 family: Sequence[ModeTrajectory] | None = None
-                 ) -> FrameBoundsReport:
+def frame_bounds(family: Sequence[ModeTrajectory]) -> FrameBoundsReport:
     """Eigenvalue extremes of the normalised Gram at growing truncations.
 
-    Accepts either a memory kernel (derived internally on a grid for the
-    requested horizon) or an already derived kernel set whose horizon
-    matches.  The family is built once at n_max, or taken from `family`
-    (the output of `build_family` for this kernel set), and the smaller
-    truncations in {4, 8, 16, 32} are read off principal submatrices of
-    the normalised Gram.
+    `family` holds the moment kernels n = 1..n_max in order, as
+    `build_family` returns them.  The Gram is formed once at n_max, and
+    the smaller truncations in {4, 8, 16, 32} are read off its principal
+    submatrices.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if isinstance(kernel, MemoryKernel):
-        if steps is None:
-            by_resolution = int(math.ceil(horizon * n_max / RESOLUTION_LIMIT))
-            by_density = int(math.ceil(horizon * _DEFAULT_DENSITY))
-            steps = max(by_resolution, by_density)
-        grid = TimeGrid(horizon, steps)
-        kernels = derive_kernels(kernel, grid)
-    elif isinstance(kernel, DerivedKernelSet):
-        kernels = kernel
-        grid = kernels.grid
-        if abs(grid.horizon - horizon) > 1e-12:
-            raise ValueError("derived kernel horizon does not match the request")
-    else:
-        raise TypeError("kernel must be a MemoryKernel or DerivedKernelSet")
-
-    if family is None:
-        family = build_family(kernels, n_max)
-    elif len(family) < n_max or family[0].grid != grid:
-        raise ValueError("family does not cover n = 1..n_max on the kernel grid")
+    grid = validate_family(family, TrajectoryKind.MOMENT_KERNEL, ordered=True)
+    n_max = len(family)
     # only the small Gram is kept: LAPACK's eigensolver is paged in below,
     # and next to the factor that would raise a run's peak RSS
-    matrix = gram(family[:n_max]).matrix
+    matrix = gram(family).matrix
     norms = np.sqrt(np.diag(matrix).real)
     normalised = matrix / np.outer(norms, norms)
 
@@ -538,7 +503,7 @@ def quadratic_closeness(family: Sequence[ModeTrajectory],
     """
     if len(family) != len(params):
         raise ValueError("family and params must align")
-    grid = _family_grid(family)
+    grid = validate_family(family, TrajectoryKind.MOMENT_KERNEL)
     weights = grid.trapezoid_weights()
     times = grid.times()
     ns, dists = [], []

@@ -31,7 +31,13 @@ import numpy as np
 
 from .errors import ExceptionalIndexError
 from .kernels import is_exceptional_index
-from .volterra import ModeTrajectory, TimeGrid, TrajectoryKind, convolve_transpose
+from .volterra import (
+    ModeTrajectory,
+    TimeGrid,
+    TrajectoryKind,
+    convolve_transpose,
+    validate_family,
+)
 
 __all__ = [
     "ModeParams",
@@ -140,25 +146,12 @@ class SpectralState:
         return math.exp(-2.0 * self.alpha * self.horizon) * (2.0 / math.pi)
 
 
-def _validate_family(family: Sequence[ModeTrajectory], grid: TimeGrid) -> None:
-    if not family:
-        raise ValueError("mode family is empty")
-    for i, traj in enumerate(family, start=1):
-        if traj.kind is not TrajectoryKind.MODE:
-            raise ValueError(f"family entry {i} is not a mode response")
-        if traj.n != i:
-            raise ValueError(f"family must cover n = 1..{len(family)} in order, "
-                             f"entry {i} has n={traj.n}")
-        if traj.grid != grid:
-            raise ValueError("family grid does not match the control grid")
-
-
 def simulate_coefficients(control: ControlSignal,
-                          mode_family: Sequence[ModeTrajectory],
+                          modes: Sequence[ModeTrajectory],
                           kernels) -> SpectralState:
     """Evaluate the raw coefficient functionals for a physical control.
 
-    `mode_family` must hold the mode responses for n = 1..n_max on the
+    `modes` must hold the mode responses for n = 1..n_max on the
     control grid.  Each functional is linear in the mode response: the
     series brackets are product-trapezoidal convolutions paired with the
     reweighted, time-reversed control by trapezoidal quadrature, so each
@@ -169,7 +162,7 @@ def simulate_coefficients(control: ControlSignal,
     grid = control.grid
     if kernels.grid != grid:
         raise ValueError("kernel grid does not match the control grid")
-    _validate_family(mode_family, grid)
+    validate_family(modes, TrajectoryKind.MODE, grid, ordered=True)
 
     fw = control.reweighted(kernels.alpha)
     weights = grid.trapezoid_weights()
@@ -182,9 +175,9 @@ def simulate_coefficients(control: ControlSignal,
         convolve_transpose(kernels.stress_kernel, pairing, grid),
         convolve_transpose(kernels.stress_kernel, accumulated, grid),
     ], axis=1)
-    ys = np.stack([traj.samples for traj in mode_family])
+    ys = np.stack([traj.samples for traj in modes])
     values = ys @ representers
-    ns = np.arange(1, len(mode_family) + 1, dtype=float)
+    ns = np.arange(1, len(modes) + 1, dtype=float)
     values[:, [0, 2, 3]] *= ns[:, None]
     w, v, sigma, q = (np.ascontiguousarray(col) for col in values.T)
     return SpectralState(horizon=grid.horizon, alpha=kernels.alpha,

@@ -9,8 +9,10 @@ is at most twice the maximum over the lower half, and GROWING otherwise.
 The rule is scale invariant, so rescaling kernels, controls or targets
 cannot flip a verdict.
 
-Every check reads its grid from the derived kernel set.  A precomputed
-`mode_family` must have been solved on that same grid.
+Every check takes the solved mode responses it reads, `modes`, and reads
+the mode indices from them; `volterra.validate_family` rejects a family
+that is empty, holds another kind of trajectory or lies on another grid
+than the kernel set's.
 
 `closed_loop_roundtrip`, shared by the steer and verify tasks, re-simulates
 a synthesised control over every mode of the family it is given.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +31,11 @@ from .moments import MomentTarget, SynthesisReport, build_family, gram, synthesi
 from .spectral import SpectralState, mode_params, simulate_coefficients
 from .volterra import (
     ModeTrajectory,
+    TrajectoryKind,
     convolve,
     mode_derivative,
-    solve_modes,
     solve_volterra_second_kind,
+    validate_family,
 )
 
 __all__ = [
@@ -89,74 +92,45 @@ def _trend_report(label: str, ns: Sequence[int], deviations: Sequence[float],
                             step=step, horizon=horizon)
 
 
-def _modes_for(kernels: DerivedKernelSet, ns: Sequence[int],
-               mode_family: Sequence[ModeTrajectory] | None) -> list[ModeTrajectory]:
-    """Mode responses for `ns`: one solved batch, or looked up in `mode_family`.
-
-    Responses are even in n, so a family of positive indices serves
-    negative ones too.  A family solved on another grid than the kernels'
-    is rejected.
-    """
-    if mode_family is None:
-        return solve_modes(ns, kernels)
-    by_index = {abs(t.n): t for t in mode_family}
-    if not {abs(n) for n in ns} <= by_index.keys():
-        raise ValueError("mode_family does not cover the requested modes")
-    modes = [by_index[abs(n)] for n in ns]
-    if any(y.grid != kernels.grid for y in modes):
-        raise ValueError("mode_family grid does not match the kernel grid")
-    return modes
-
-
-def _mode_trend(label: str, kernels: DerivedKernelSet, n_range: Iterable[int],
-                mode_family, deviation) -> AsymptoticReport:
-    """Trend report of deviation(n, params, y_n) over `n_range`."""
-    ns = list(n_range)
+def _mode_trend(label: str, kernels: DerivedKernelSet,
+                modes: Sequence[ModeTrajectory], deviation) -> AsymptoticReport:
+    """Trend report of deviation(n, params, y_n) over the family `modes`."""
+    validate_family(modes, TrajectoryKind.MODE, kernels.grid)
+    ns = [y.n for y in modes]
     params = [mode_params(n, kernels.alpha) for n in ns]
-    modes = _modes_for(kernels, ns, mode_family)
     devs = [float(deviation(n, par, y)) for n, par, y in zip(ns, params, modes)]
     return _trend_report(label, ns, devs, kernels.grid.step, kernels.grid.horizon)
 
 
-def check_mode_asymptotics(kernels: DerivedKernelSet, n_range: Iterable[int],
-                           mode_family: Sequence[ModeTrajectory] | None = None
-                           ) -> AsymptoticReport:
-    """Deviation of each mode response from its damped cosine.
-
-    Pass a precomputed `mode_family` to reuse mode responses.
-    """
+def check_mode_asymptotics(kernels: DerivedKernelSet,
+                           modes: Sequence[ModeTrajectory]) -> AsymptoticReport:
+    """Deviation of each mode response in `modes` from its damped cosine."""
     times = kernels.grid.times()
-    return _mode_trend("mode vs damped cosine", kernels, n_range, mode_family,
+    return _mode_trend("mode vs damped cosine", kernels, modes,
                        lambda n, par, y: np.max(np.abs(y.samples - par.damped_cos(times))))
 
 
 def check_mode_derivative_asymptotics(kernels: DerivedKernelSet,
-                                      n_range: Iterable[int],
-                                      mode_family: Sequence[ModeTrajectory] | None = None
+                                      modes: Sequence[ModeTrajectory]
                                       ) -> AsymptoticReport:
-    """Deviation of each scaled mode derivative from its damped sine.
-
-    Pass a precomputed `mode_family` to reuse mode responses.
-    """
+    """Deviation of each scaled mode derivative from its damped sine."""
     times = kernels.grid.times()
 
     def deviation(n, par, y):
         dy = mode_derivative(y, kernels)
         return np.max(np.abs(dy.samples / par.beta + par.damped_sin(times)))
 
-    return _mode_trend("mode derivative vs damped sine", kernels, n_range,
-                       mode_family, deviation)
+    return _mode_trend("mode derivative vs damped sine", kernels, modes,
+                       deviation)
 
 
 def check_convolution_asymptotics(kernels: DerivedKernelSet, smooth_factor,
-                                  n_range: Iterable[int],
-                                  mode_family: Sequence[ModeTrajectory] | None = None
+                                  modes: Sequence[ModeTrajectory]
                                   ) -> AsymptoticReport:
     """Deviation of n * (F ⋆ y_n) from F(0) times the damped sine.
 
     `smooth_factor` holds the samples of F on the kernel grid, such as
-    the stress series kernel; its first sample is F(0).  Pass a
-    precomputed `mode_family` to reuse mode responses.
+    the stress series kernel; its first sample is F(0).
     """
     grid = kernels.grid
     times = grid.times()
@@ -165,7 +139,7 @@ def check_convolution_asymptotics(kernels: DerivedKernelSet, smooth_factor,
         raise ValueError("factor sample length does not match the grid")
     at_zero = samples[0]
     return _mode_trend(
-        "smooth convolution vs damped sine", kernels, n_range, mode_family,
+        "smooth convolution vs damped sine", kernels, modes,
         lambda n, par, y: np.max(np.abs(float(n) * convolve(samples, y.samples, grid)
                                         - at_zero * par.damped_sin(times))))
 
@@ -191,21 +165,18 @@ def _oscillator_kernels(kernels: DerivedKernelSet):
     return na_d1, float(q0[0]), q1, resolvent
 
 
-def check_resolvent_identity(kernels: DerivedKernelSet, ns: Iterable[int],
-                             mode_family: Sequence[ModeTrajectory] | None = None
-                             ) -> list[float]:
-    """Residual of the oscillator representation of each mode response in `ns`.
+def check_resolvent_identity(kernels: DerivedKernelSet,
+                             modes: Sequence[ModeTrajectory]) -> list[float]:
+    """Residual of the oscillator representation of each mode response.
 
     The mode response y_n should equal G_n + R ⋆ G_n where R is the
     resolvent kernel and G_n collects the damped oscillator profile plus
     three correction convolutions built from y_n itself.  Returns the
-    maximum absolute residual over the grid for each n; O(step^2) for
-    smooth kernels.  The resolvent is solved once per call.  Pass a
-    precomputed `mode_family` to reuse the mode responses.
+    maximum absolute residual over the grid for each entry of `modes`;
+    O(step^2) for smooth kernels.  The resolvent is solved once per call.
     """
-    ns = list(ns)
-    params = [mode_params(n, kernels.alpha) for n in ns]
-    modes = _modes_for(kernels, ns, mode_family)
+    validate_family(modes, TrajectoryKind.MODE, kernels.grid)
+    params = [mode_params(y.n, kernels.alpha) for y in modes]
     na_d1, q0_at_zero, q1, resolvent = _oscillator_kernels(kernels)
     grid = kernels.grid
     times = grid.times()
@@ -249,22 +220,20 @@ class RoundtripReport:
 
 
 def closed_loop_roundtrip(kernels: DerivedKernelSet, target: MomentTarget,
-                          mode_family: Sequence[ModeTrajectory] | None = None
-                          ) -> RoundtripReport:
+                          modes: Sequence[ModeTrajectory]) -> RoundtripReport:
     """Synthesise a steering control, re-simulate it, compare coefficients.
 
     The control steers modes 1..target.n_max.  The re-simulation covers
-    every mode of `mode_family` (n = 1, 2, ... in order, at least n_max of
-    them; solved here when omitted), so a longer family also yields the
-    unconstrained tail in `state`.  The comparison norm is the
-    coefficient-space distance between the achieved velocity/stress pairs
-    of modes 1..n_max and the requested ones, relative to the target norm
-    (zero targets compare absolutely).
+    every mode of `modes` (n = 1, 2, ... in order, at least n_max of
+    them), so a longer family also yields the unconstrained tail in
+    `state`.  The comparison norm is the coefficient-space distance
+    between the achieved velocity/stress pairs of modes 1..n_max and the
+    requested ones, relative to the target norm (zero targets compare
+    absolutely).
     """
+    validate_family(modes, TrajectoryKind.MODE, kernels.grid, ordered=True)
     n_max = target.n_max
-    modes = (mode_family if mode_family is not None
-             else solve_modes(range(1, n_max + 1), kernels))
-    family = build_family(kernels, n_max, mode_family=modes)
+    family = build_family(kernels, modes[:n_max])
     system = gram(family)
     synthesis = synthesize_control(system, target, alpha=kernels.alpha)
     state = simulate_coefficients(synthesis.control, modes, kernels)

@@ -44,7 +44,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "TimeGrid",
     "TrajectoryKind",
     "ModeTrajectory",
+    "validate_family",
     "convolve",
     "convolve_transpose",
     "solve_volterra_second_kind",
@@ -148,6 +149,29 @@ class ModeTrajectory:
         return ModeTrajectory(
             n=-self.n, kind=self.kind, samples=np.conj(self.samples), grid=self.grid
         )
+
+
+def validate_family(family: Sequence[ModeTrajectory], kind: TrajectoryKind,
+                    grid: TimeGrid | None = None, ordered: bool = False) -> TimeGrid:
+    """Check a solved family and return its one grid.
+
+    The family must be nonempty, hold trajectories of `kind` only and lie
+    on one grid, which is `grid` when given.  With `ordered` entry i must
+    be mode n = i, for callers that zip the family with 1..N.
+    """
+    if not family:
+        raise ValueError(f"{kind.value} family is empty")
+    grid = family[0].grid if grid is None else grid
+    for i, traj in enumerate(family, start=1):
+        if traj.kind is not kind:
+            raise ValueError(f"family entry {i} is a {traj.kind.value}, "
+                             f"expected a {kind.value}")
+        if ordered and traj.n != i:
+            raise ValueError(f"family must cover n = 1..{len(family)} in order, "
+                             f"entry {i} has n={traj.n}")
+        if traj.grid != grid:
+            raise ValueError(f"family entry {i} is on another grid")
+    return grid
 
 
 def _as_samples(seq, grid: TimeGrid, name: str) -> np.ndarray:

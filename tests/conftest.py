@@ -5,14 +5,21 @@ import pytest
 from viscostring import (
     MemoryKernel,
     TimeGrid,
+    build_family,
     derive_kernels,
     solve_mode,
+    solve_modes,
 )
 
 TWO_PI = 2.0 * math.pi
 
 DESK_KERNEL = MemoryKernel.exponential_sum([(0.4, 1.0)])
 ELASTIC_KERNEL = MemoryKernel.zero()
+
+
+def moment_family(kernels, n_max):
+    """Moment kernels n = 1..n_max, cross-checked against one solved batch."""
+    return build_family(kernels, solve_modes(range(1, n_max + 1), kernels))
 
 
 @pytest.fixture(scope="session")

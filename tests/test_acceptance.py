@@ -29,13 +29,14 @@ from viscostring import (
     quadratic_closeness,
     simulate_coefficients,
     solve_mode,
+    solve_modes,
     solve_moment_kernel,
     synthesize_control,
 )
 from viscostring.errors import ElasticDegeneracyError, NearSingularGramError
 from viscostring.harness import load_config, random_control, random_unit_target, run
 
-from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
+from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI, moment_family
 
 
 def report(number: int, description: str, passed: bool, detail: str = "") -> None:
@@ -52,8 +53,7 @@ def desk_moment_family(desk_kernels, desk_grid, desk_modes_32):
 
 @pytest.fixture(scope="module")
 def steer_setup(desk_kernels, desk_modes_32):
-    family = build_family(desk_kernels, 8,
-                          mode_family=desk_modes_32[:8])
+    family = build_family(desk_kernels, desk_modes_32[:8])
     return gram(family)
 
 
@@ -107,9 +107,9 @@ def test_criterion_03_dual_construction(desk_kernels, desk_grid, desk_modes_32,
 
 
 def test_criterion_04_mode_asymptotics(desk_kernels):
-    mode_rep = check_mode_asymptotics(desk_kernels, range(1, 33))
-    deriv_rep = check_mode_derivative_asymptotics(desk_kernels,
-                                                  range(1, 33))
+    modes = solve_modes(range(1, 33), desk_kernels)
+    mode_rep = check_mode_asymptotics(desk_kernels, modes)
+    deriv_rep = check_mode_derivative_asymptotics(desk_kernels, modes)
     ok = (mode_rep.verdict is TrendVerdict.BOUNDED
           and deriv_rep.verdict is TrendVerdict.BOUNDED)
     report(4, "scaled mode and derivative deviations stay bounded", ok,
@@ -151,8 +151,10 @@ def test_criterion_06_steering_roundtrip(desk_kernels, desk_grid,
 
 
 def test_criterion_07_frame_collapse():
-    long_bounds = frame_bounds(DESK_KERNEL, TWO_PI, 16)
-    short_bounds = frame_bounds(DESK_KERNEL, math.pi / 2.0, 16)
+    long_bounds = frame_bounds(moment_family(
+        derive_kernels(DESK_KERNEL, TimeGrid(TWO_PI, 4096)), 16))
+    short_bounds = frame_bounds(moment_family(
+        derive_kernels(DESK_KERNEL, TimeGrid(math.pi / 2.0, 1024)), 16))
     ok = short_bounds.lambda_min <= long_bounds.lambda_min / 100.0
     report(7, "normalised frame bound collapses below the critical horizon",
            ok, f"lambda_min {short_bounds.lambda_min:.3e} at T=pi/2 vs "

@@ -232,7 +232,7 @@ kind = zero
         kernels = viscostring.derive_kernels(cfg.kernel, cfg.grid)
         modes = volterra.solve_modes(range(1, 17), kernels)
         trip = viscostring.closed_loop_roundtrip(
-            kernels, random_unit_target(cfg.seed, 8), mode_family=modes)
+            kernels, random_unit_target(cfg.seed, 8), modes)
         assert doc["roundtrip_relative_error"] == trip.relative_error
         assert doc["achieved"] == [[z.real, z.imag] for z in trip.achieved.tolist()]
         assert trip.state.n_max == 16

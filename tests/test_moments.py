@@ -24,13 +24,12 @@ from viscostring import (
 from viscostring import moments
 from viscostring.errors import ElasticDegeneracyError, NearSingularGramError
 
-from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
+from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI, moment_family
 
 
 @pytest.fixture(scope="module")
 def desk_family_8(desk_kernels, desk_modes_32):
-    return build_family(desk_kernels, 8,
-                        mode_family=desk_modes_32[:8])
+    return build_family(desk_kernels, desk_modes_32[:8])
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +55,7 @@ class TestTarget:
 class TestFamily:
     def test_elastic_family_matches_exponentials(self, elastic_kernels,
                                                  desk_grid):
-        family = build_family(elastic_kernels, 4)
+        family = moment_family(elastic_kernels, 4)
         t = desk_grid.times()
         for n, traj in enumerate(family, start=1):
             assert np.max(np.abs(traj.samples - np.exp(1j * n * t))) < 5e-4
@@ -67,14 +66,13 @@ class TestFamily:
 
     def test_cross_check_accepts_desk_kernel_at_16(self, desk_kernels,
                                                    desk_modes_32):
-        family = build_family(desk_kernels, 16,
-                              mode_family=desk_modes_32[:16])
+        family = build_family(desk_kernels, desk_modes_32[:16])
         assert len(family) == 16
 
 
 class TestGram:
     def test_elastic_full_period_is_diagonal(self, elastic_kernels):
-        family = build_family(elastic_kernels, 3)
+        family = moment_family(elastic_kernels, 3)
         system = gram(family)
         assert np.max(np.abs(system.matrix - TWO_PI * np.eye(6))) < 1e-3
         assert system.lambda_min == pytest.approx(TWO_PI, abs=1e-3)
@@ -82,7 +80,7 @@ class TestGram:
     def test_elastic_half_period_pair(self):
         grid = TimeGrid(math.pi, 2048)
         kernels = derive_kernels(ELASTIC_KERNEL, grid)
-        system = gram(build_family(kernels, 1))
+        system = gram(moment_family(kernels, 1))
         # indices (1, -1): diagonal pi, off-diagonal integral of e^{2it}
         assert system.matrix[0, 0].real == pytest.approx(math.pi, abs=1e-3)
         assert abs(system.matrix[0, 1]) < 1e-3
@@ -117,7 +115,7 @@ class TestGram:
 class TestSynthesize:
     def test_elastic_single_mode_recovers_cosine(self, elastic_kernels,
                                                  desk_grid):
-        family = build_family(elastic_kernels, 3)
+        family = moment_family(elastic_kernels, 3)
         system = gram(family)
         target = MomentTarget(np.array([1.0, 0.0, 0.0]), np.zeros(3))
         report = synthesize_control(system, target, alpha=0.0)
@@ -158,7 +156,7 @@ class TestSynthesize:
     def test_short_horizon_warns_and_collapse_raises(self):
         grid = TimeGrid(math.pi / 2.0, 1024)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        family = build_family(kernels, 16)
+        family = moment_family(kernels, 16)
         system = gram(family)
         with pytest.warns(UserWarning):
             with pytest.raises(NearSingularGramError):
@@ -270,30 +268,34 @@ class TestFinitePair:
 
 
 class TestFrameBounds:
-    def test_elastic_normalized_gram_is_identity(self):
-        report = frame_bounds(ELASTIC_KERNEL, TWO_PI, 8)
+    def test_elastic_normalized_gram_is_identity(self, elastic_kernels):
+        report = frame_bounds(moment_family(elastic_kernels, 8))
         for lo, hi in zip(report.lambda_min_by_size, report.lambda_max_by_size):
             assert abs(lo - 1.0) < 1e-3
             assert abs(hi - 1.0) < 1e-3
 
     def test_elastic_identity_persists_at_16_on_finer_grid(self):
-        report = frame_bounds(ELASTIC_KERNEL, TWO_PI, 16, steps=8192)
+        kernels = derive_kernels(ELASTIC_KERNEL, TimeGrid(TWO_PI, 8192))
+        report = frame_bounds(moment_family(kernels, 16))
         assert abs(report.lambda_min - 1.0) < 1e-3
         assert abs(report.lambda_max - 1.0) < 1e-3
 
-    def test_prebuilt_family_gives_the_same_bounds(self, desk_kernels):
-        family = build_family(desk_kernels, 4)
-        reused = frame_bounds(desk_kernels, TWO_PI, 4, family=family)
-        assert reused == frame_bounds(desk_kernels, TWO_PI, 4)
+    def test_prebuilt_family_gives_the_same_bounds(self, desk_kernels,
+                                                   desk_modes_32):
+        # the moment kernels are stepped by build_family whichever route
+        # solved the modes it cross-checks them against
+        family = build_family(desk_kernels, desk_modes_32[:4])
+        assert frame_bounds(family) == frame_bounds(moment_family(desk_kernels, 4))
         with pytest.raises(ValueError):
-            frame_bounds(desk_kernels, TWO_PI, 8, family=family)
+            frame_bounds(family[1:])
 
     def test_short_horizon_collapse(self):
-        report = frame_bounds(ELASTIC_KERNEL, math.pi / 2.0, 16)
+        kernels = derive_kernels(ELASTIC_KERNEL, TimeGrid(math.pi / 2.0, 1024))
+        report = frame_bounds(moment_family(kernels, 16))
         assert report.lambda_min < 1e-2
 
-    def test_desk_stabilization_trend(self):
-        report = frame_bounds(DESK_KERNEL, TWO_PI, 32)
+    def test_desk_stabilization_trend(self, desk_kernels):
+        report = frame_bounds(moment_family(desk_kernels, 32))
         by_size = dict(zip(report.sizes, report.lambda_min_by_size))
         assert by_size[32] >= 0.5 * by_size[16]
 
@@ -305,38 +307,28 @@ class TestFrameBounds:
                                (TWO_PI, 4096), (3 * math.pi, 6144)):
             grid = TimeGrid(horizon, steps)
             kernels = derive_kernels(DESK_KERNEL, grid)
-            system = gram(build_family(kernels, 4))
+            system = gram(moment_family(kernels, 4))
             assert system.lambda_min >= previous - 1e-12
             previous = system.lambda_min
 
     def test_normalized_bound_grows_until_saturation(self):
         # after normalisation strict monotonicity is lost at the saturated
         # end (measured dip under one percent), so allow a 2% slack
-        values = [frame_bounds(DESK_KERNEL, horizon, 4).lambda_min
-                  for horizon in (math.pi / 2, math.pi, TWO_PI, 3 * math.pi)]
+        values = []
+        for horizon, steps in ((math.pi / 2, 1024), (math.pi, 2048),
+                               (TWO_PI, 4096), (3 * math.pi, 6144)):
+            kernels = derive_kernels(DESK_KERNEL, TimeGrid(horizon, steps))
+            values.append(frame_bounds(moment_family(kernels, 4)).lambda_min)
         for earlier, later in zip(values, values[1:]):
             assert later >= 0.98 * earlier
 
 
 class TestCloseness:
     def test_elastic_distances_vanish(self, elastic_kernels):
-        family = build_family(elastic_kernels, 8)
+        family = moment_family(elastic_kernels, 8)
         params = [mode_params(n, 0.0) for n in range(1, 9)]
         report = quadratic_closeness(family, params)
         assert np.max(report.distances) < 1e-6
-
-    def test_mixed_or_foreign_grid_family_is_rejected(self, elastic_kernels,
-                                                      desk_grid):
-        other = TimeGrid(1.5 * desk_grid.horizon, desk_grid.steps)
-        foreign = build_family(derive_kernels(ELASTIC_KERNEL, other), 2)
-        mixed = [build_family(elastic_kernels, 2)[0], foreign[1]]
-        params = [mode_params(n, 0.0) for n in (1, 2)]
-        with pytest.raises(ValueError, match="grid"):
-            gram(mixed)
-        with pytest.raises(ValueError, match="grid"):
-            quadratic_closeness(mixed, params)
-        with pytest.raises(ValueError, match="grid"):
-            frame_bounds(elastic_kernels, desk_grid.horizon, 2, family=foreign)
 
     def test_empty_family_is_rejected(self):
         with pytest.raises(ValueError):
@@ -346,8 +338,7 @@ class TestCloseness:
 
     def test_conjugate_pair_has_equal_distance(self, desk_kernels,
                                                desk_modes_32):
-        family = build_family(desk_kernels, 2,
-                              mode_family=desk_modes_32[:2])
+        family = build_family(desk_kernels, desk_modes_32[:2])
         mirrored = [traj.conjugated() for traj in family]
         params = [mode_params(n, desk_kernels.alpha) for n in (1, 2)]
         mirrored_params = [mode_params(-n, desk_kernels.alpha) for n in (1, 2)]
@@ -357,8 +348,7 @@ class TestCloseness:
 
     def test_scaled_distances_do_not_grow(self, desk_kernels,
                                           desk_modes_32):
-        family = build_family(desk_kernels, 32,
-                              mode_family=desk_modes_32)
+        family = build_family(desk_kernels, desk_modes_32)
         params = [mode_params(n, desk_kernels.alpha) for n in range(1, 33)]
         report = quadratic_closeness(family, params)
         assert np.max(report.scaled[16:]) <= 2.0 * np.max(report.scaled[:16])

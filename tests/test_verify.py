@@ -19,12 +19,13 @@ from viscostring import (
     derive_kernels,
     mode_params,
     simulate_coefficients,
+    solve_mode,
     solve_modes,
     solve_volterra_second_kind,
 )
 from viscostring.harness import bump_control, random_unit_target
 
-from conftest import DESK_KERNEL, TWO_PI
+from conftest import DESK_KERNEL, TWO_PI, moment_family
 
 
 def _reference_resolvent_residual(kernel, grid, n, y):
@@ -59,60 +60,43 @@ def _reference_resolvent_residual(kernel, grid, n, y):
 
 class TestModeAsymptotics:
     def test_desk_kernel_is_bounded(self, desk_kernels):
-        report = check_mode_asymptotics(desk_kernels, range(1, 33))
+        report = check_mode_asymptotics(desk_kernels,
+                                        solve_modes(range(1, 33), desk_kernels))
         assert report.verdict is TrendVerdict.BOUNDED
 
     def test_elastic_deviations_are_quadrature_level(self, elastic_kernels):
-        report = check_mode_asymptotics(elastic_kernels, range(1, 5))
+        report = check_mode_asymptotics(elastic_kernels,
+                                        solve_modes(range(1, 5), elastic_kernels))
         assert np.max(report.deviations) < 1e-3
 
     def test_symmetric_in_mode_sign(self, desk_kernels):
-        report = check_mode_asymptotics(desk_kernels, [4, -4])
+        report = check_mode_asymptotics(desk_kernels,
+                                        solve_modes([4, -4], desk_kernels))
         assert report.deviations[0] == report.deviations[1]
 
-    def test_precomputed_modes_give_the_same_reports(self, desk_kernels,
-                                                     desk_modes_32):
+    def test_precomputed_modes_give_the_same_reports(self, desk_kernels):
+        # one batch against per-mode solves of the same indices
         ns = [1, 4, -4, 8]
+        batch = solve_modes(ns, desk_kernels)
+        per_mode = [solve_mode(n, desk_kernels) for n in ns]
         checks = [
-            lambda **kw: check_mode_asymptotics(desk_kernels, ns, **kw),
-            lambda **kw: check_mode_derivative_asymptotics(desk_kernels,
-                                                           ns, **kw),
-            lambda **kw: check_convolution_asymptotics(
-                desk_kernels, DESK_KERNEL.memory(desk_kernels.grid.times()), ns,
-                **kw),
+            lambda modes: check_mode_asymptotics(desk_kernels, modes),
+            lambda modes: check_mode_derivative_asymptotics(desk_kernels, modes),
+            lambda modes: check_convolution_asymptotics(
+                desk_kernels, DESK_KERNEL.memory(desk_kernels.grid.times()), modes),
         ]
         for check in checks:
-            np.testing.assert_allclose(check(mode_family=desk_modes_32).deviations,
-                                       check().deviations, rtol=1e-10)
-        assert check_resolvent_identity(desk_kernels, [-2]) \
-            == check_resolvent_identity(desk_kernels, [2],
-                                        mode_family=desk_modes_32)
-        with pytest.raises(ValueError):
-            check_mode_asymptotics(desk_kernels, [9],
-                                   mode_family=desk_modes_32[:8])
-
-    def test_mode_family_on_another_grid_is_rejected(self):
-        # same node count, other horizon: only the grid tells them apart
-        kernels = derive_kernels(DESK_KERNEL, TimeGrid(TWO_PI, 1024))
-        modes = solve_modes(range(1, 5),
-                            derive_kernels(DESK_KERNEL, TimeGrid(3.0, 1024)))
-        ns = range(1, 5)
-        checks = [
-            lambda: check_mode_asymptotics(kernels, ns, mode_family=modes),
-            lambda: check_mode_derivative_asymptotics(kernels, ns, mode_family=modes),
-            lambda: check_convolution_asymptotics(kernels, kernels.stress_kernel, ns,
-                                                  mode_family=modes),
-            lambda: check_resolvent_identity(kernels, ns, mode_family=modes),
-        ]
-        for check in checks:
-            with pytest.raises(ValueError, match="grid"):
-                check()
+            np.testing.assert_allclose(check(per_mode).deviations,
+                                       check(batch).deviations, rtol=1e-10)
+        assert check_resolvent_identity(desk_kernels, solve_modes([-2], desk_kernels)) \
+            == check_resolvent_identity(desk_kernels, [solve_mode(2, desk_kernels)])
 
     def test_heavily_damped_kernel_rejected(self, desk_grid):
         kernels = derive_kernels(MemoryKernel.exponential_sum([(3.0, 1.0)]),
                                  desk_grid)
+        modes = solve_modes(range(1, 3), kernels)
         with pytest.raises(ValueError):
-            check_mode_asymptotics(kernels, range(1, 3))
+            check_mode_asymptotics(kernels, modes)
 
     def test_deviation_converges_under_refinement(self):
         # successive deviation differences shrink at order >= 1.5
@@ -120,7 +104,7 @@ class TestModeAsymptotics:
         for steps in (1024, 2048, 4096):
             grid = TimeGrid(TWO_PI, steps)
             kernels = derive_kernels(DESK_KERNEL, grid)
-            rep = check_mode_asymptotics(kernels, [4, 5])
+            rep = check_mode_asymptotics(kernels, solve_modes([4, 5], kernels))
             values.append(rep.deviations[0])
         d1 = abs(values[0] - values[1])
         d2 = abs(values[1] - values[2])
@@ -129,53 +113,56 @@ class TestModeAsymptotics:
 
 class TestDerivativeAsymptotics:
     def test_desk_kernel_is_bounded(self, desk_kernels):
-        report = check_mode_derivative_asymptotics(desk_kernels,
-                                                   range(1, 33))
+        report = check_mode_derivative_asymptotics(
+            desk_kernels, solve_modes(range(1, 33), desk_kernels))
         assert report.verdict is TrendVerdict.BOUNDED
 
     def test_elastic_deviations_small(self, elastic_kernels):
-        report = check_mode_derivative_asymptotics(elastic_kernels,
-                                                   range(1, 5))
+        report = check_mode_derivative_asymptotics(
+            elastic_kernels, solve_modes(range(1, 5), elastic_kernels))
         assert np.max(report.deviations) < 1e-3
 
     def test_symmetric_in_mode_sign(self, desk_kernels):
-        report = check_mode_derivative_asymptotics(desk_kernels,
-                                                   [3, -3])
+        report = check_mode_derivative_asymptotics(
+            desk_kernels, solve_modes([3, -3], desk_kernels))
         assert report.deviations[0] == report.deviations[1]
 
 
 class TestConvolutionAsymptotics:
     def test_zero_factor_vanishes(self, desk_kernels, desk_grid):
         zeros = np.zeros(desk_grid.steps + 1)
-        report = check_convolution_asymptotics(desk_kernels,
-                                               zeros, range(1, 5))
+        report = check_convolution_asymptotics(
+            desk_kernels, zeros, solve_modes(range(1, 5), desk_kernels))
         assert np.max(report.deviations) == 0.0
 
     def test_elastic_constant_factor_is_exact(self, elastic_kernels, desk_grid):
         ones = np.ones(desk_grid.steps + 1)
-        report = check_convolution_asymptotics(elastic_kernels,
-                                               ones, range(1, 5))
+        report = check_convolution_asymptotics(
+            elastic_kernels, ones, solve_modes(range(1, 5), elastic_kernels))
         assert np.max(report.deviations) < 5e-4
 
     def test_stress_kernel_factor_is_bounded(self, desk_kernels):
         report = check_convolution_asymptotics(
-            desk_kernels, desk_kernels.stress_kernel, range(1, 33))
+            desk_kernels, desk_kernels.stress_kernel,
+            solve_modes(range(1, 33), desk_kernels))
         assert report.verdict is TrendVerdict.BOUNDED
 
     def test_memory_kernel_factor(self, desk_kernels):
         report = check_convolution_asymptotics(
             desk_kernels, DESK_KERNEL.memory(desk_kernels.grid.times()),
-            range(1, 17))
+            solve_modes(range(1, 17), desk_kernels))
         assert report.verdict is TrendVerdict.BOUNDED
 
 
 class TestResolventIdentity:
     def test_elastic_residual_is_quadrature_level(self, elastic_kernels):
-        (residual,) = check_resolvent_identity(elastic_kernels, [2])
+        (residual,) = check_resolvent_identity(elastic_kernels,
+                                               solve_modes([2], elastic_kernels))
         assert residual < 1e-4
 
     def test_desk_residual_within_budget(self, desk_kernels, desk_grid):
-        (residual,) = check_resolvent_identity(desk_kernels, [2])
+        (residual,) = check_resolvent_identity(desk_kernels,
+                                               solve_modes([2], desk_kernels))
         assert residual <= 200.0 * desk_grid.step ** 2
 
     def test_second_order_in_step(self):
@@ -183,12 +170,13 @@ class TestResolventIdentity:
         for steps in (1024, 2048):
             grid = TimeGrid(TWO_PI, steps)
             kernels = derive_kernels(DESK_KERNEL, grid)
-            residuals.extend(check_resolvent_identity(kernels, [2]))
+            residuals.extend(check_resolvent_identity(kernels,
+                                                      solve_modes([2], kernels)))
         assert residuals[0] / residuals[1] >= 3.0
 
     def test_symmetric_in_mode_sign(self, desk_kernels):
-        assert check_resolvent_identity(desk_kernels, [2]) \
-            == check_resolvent_identity(desk_kernels, [-2])
+        assert check_resolvent_identity(desk_kernels, solve_modes([2], desk_kernels)) \
+            == check_resolvent_identity(desk_kernels, solve_modes([-2], desk_kernels))
 
     @pytest.mark.parametrize("kernel", [
         DESK_KERNEL,
@@ -201,7 +189,7 @@ class TestResolventIdentity:
         modes = solve_modes(ns, kernels)
         want = [_reference_resolvent_residual(kernel, desk_grid, n, y.samples)
                 for n, y in zip(ns, modes)]
-        assert check_resolvent_identity(kernels, ns) == want
+        assert check_resolvent_identity(kernels, modes) == want
 
 
 class TestStressDeformationGap:
@@ -251,43 +239,46 @@ class TestPolynomialKernelValidation:
     rests on the dual moment-kernel construction and the identity checks."""
 
     def test_dual_construction_accepts(self, poly_kernels):
-        from viscostring import build_family
-        family = build_family(poly_kernels, 8)
+        family = moment_family(poly_kernels, 8)
         assert len(family) == 8
 
     def test_mode_asymptotics_bounded(self, poly_kernels):
-        report = check_mode_asymptotics(poly_kernels, range(1, 17))
+        report = check_mode_asymptotics(poly_kernels,
+                                        solve_modes(range(1, 17), poly_kernels))
         assert report.verdict is TrendVerdict.BOUNDED
 
     def test_resolvent_identity(self, poly_kernels, desk_grid):
-        (residual,) = check_resolvent_identity(poly_kernels, [2])
+        (residual,) = check_resolvent_identity(poly_kernels,
+                                               solve_modes([2], poly_kernels))
         assert residual <= 200.0 * desk_grid.step ** 2
 
 
 class TestRoundtrip:
     def test_zero_target(self, desk_kernels):
-        trip = closed_loop_roundtrip(desk_kernels,
-                                     MomentTarget.zero(4))
+        trip = closed_loop_roundtrip(desk_kernels, MomentTarget.zero(4),
+                                     solve_modes(range(1, 5), desk_kernels))
         assert trip.relative_error == 0.0
         assert np.all(trip.synthesis.control.samples == 0.0)
 
     def test_elastic_single_mode(self, elastic_kernels):
         target = MomentTarget(np.array([1.0, 0.0]), np.zeros(2))
-        trip = closed_loop_roundtrip(elastic_kernels, target)
+        trip = closed_loop_roundtrip(elastic_kernels, target,
+                                     solve_modes(range(1, 3), elastic_kernels))
         assert trip.relative_error <= 1e-3
 
     def test_desk_seeded_target(self, desk_kernels):
         target = random_unit_target(99, 8)
-        trip = closed_loop_roundtrip(desk_kernels, target)
+        trip = closed_loop_roundtrip(desk_kernels, target,
+                                     solve_modes(range(1, 9), desk_kernels))
         assert trip.relative_error <= 1e-2
         assert trip.synthesis.lambda_min > 0.0
 
     def test_state_covers_the_whole_family(self, desk_kernels,
                                            desk_modes_32):
         target = random_unit_target(99, 8)
-        own = closed_loop_roundtrip(desk_kernels, target)
-        tail = closed_loop_roundtrip(desk_kernels, target,
-                                     mode_family=desk_modes_32[:16])
+        own = closed_loop_roundtrip(desk_kernels, target,
+                                    solve_modes(range(1, 9), desk_kernels))
+        tail = closed_loop_roundtrip(desk_kernels, target, desk_modes_32[:16])
         assert own.state.n_max == 8
         assert tail.state.n_max == 16
         assert len(tail.achieved) == 8
