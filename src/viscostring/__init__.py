@@ -55,7 +55,7 @@ from .verify import (
     closed_loop_roundtrip,
 )
 from .volterra import (
-    ModeTrajectory,
+    ModeFamily,
     TimeGrid,
     TrajectoryKind,
     assemble_moment_kernel,

@@ -5,10 +5,10 @@ nested.  A run reads one config, executes the requested task and writes a
 manifest plus plot-ready CSVs into the output directory.  Identical
 config and seed give byte-identical outputs; wall time therefore lives in
 a separate timing.json sidecar rather than in the manifest.  Each task
-below solves its mode responses once, in one batch, and passes them to
-every consumer; the consumers take solved families as arguments.  The
-thread count (`--threads`, `[run] threads`) is still accepted and
-validated, but has no effect.
+below solves its mode responses once, in one batch, and passes the
+family, one `ModeFamily` array, to every consumer.  The thread count
+(`--threads`, `[run] threads`) is still accepted and validated, but has
+no effect.
 
 Random targets and controls come from an explicit 64-bit generator so
 other toolchains can reproduce them from the documented integer
@@ -238,10 +238,15 @@ def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file (flat INI sections).
 
     Sections and keys outside `CONFIG_KEYS` raise ValueError naming them,
-    so a misspelt key cannot fall back to its default silently.
+    so a misspelt key cannot fall back to its default silently; so do
+    malformed INI text and a seed outside [0, 2^64).
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(str(path))
+    try:  # reading every value once raises any interpolation error here
+        read = parser.read(str(path))
+        raw = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
@@ -272,8 +277,8 @@ def load_config(path) -> ExperimentConfig:
     if "run" in parser:
         run_sec = parser["run"]
         cfg.seed = run_sec.getint("seed", 0)
-        if cfg.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= cfg.seed <= _MASK64:
+            raise ValueError(f"seed must be a nonnegative 64-bit integer, got {cfg.seed}")
         cfg.out_dir = run_sec.get("out", cfg.out_dir)
         if "threads" in run_sec:
             cfg.threads = run_sec.getint("threads")
@@ -301,7 +306,7 @@ def load_config(path) -> ExperimentConfig:
         if "width" in ctl:
             cfg.control_width = ctl.getfloat("width")
 
-    cfg.raw = {name: dict(parser[name]) for name in parser.sections()}
+    cfg.raw = raw
     return cfg
 
 
@@ -366,12 +371,11 @@ def _complex_list(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values)]
 
 
-def _trajectory_blocks(trajectories, grid: TimeGrid):
-    """One block of (n, t, re, im) columns per trajectory."""
-    times = grid.times()
-    for traj in trajectories:
-        yield (np.full(len(times), traj.n), times, traj.samples.real,
-               traj.samples.imag)
+def _trajectory_blocks(family):
+    """One block of (n, t, re, im) columns per row of a solved family."""
+    times = family.grid.times()
+    for n, samples in zip(family.ns, family.samples):
+        yield np.full(len(times), n), times, samples.real, samples.imag
 
 
 def _base_manifest(cfg: ExperimentConfig, kernels: DerivedKernelSet) -> dict:
@@ -447,7 +451,7 @@ def _task_simulate(cfg, kernels, out: Path, manifest: dict) -> None:
     _state_outputs(state, out, manifest)
     _control_output(out, control, control.reweighted(kernels.alpha))
     write_csv(out / "trajectories.csv", ["n", "t", "re", "im"],
-              _trajectory_blocks(modes, grid))
+              _trajectory_blocks(modes))
     manifest["control"] = {"kind": cfg.control_kind}
 
 
@@ -536,7 +540,7 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
 
     resolvent_ns = [n for n in (1, 2, 4, 8) if n <= n_max]
     residuals = check_resolvent_identity(kernels,
-                                         [modes[n - 1] for n in resolvent_ns])
+                                         modes[[n - 1 for n in resolvent_ns]])
     write_csv(out / "resolvent_residuals.csv", ["n", "max_residual"],
               [(resolvent_ns, residuals)])
     manifest["resolvent_residuals"] = {str(n): r

@@ -26,10 +26,12 @@ of the family's Riesz property: bounded away from zero they certify
 solvability at this truncation, collapsing they flag a horizon that is too
 short.  Synthesis refuses to run when lambda_min <= 1e3 * eps * lambda_max.
 
-Solved families are arguments: `build_family(kernels, modes)` checks the
-moment kernels n = 1..len(modes) against the caller's mode responses, and
-`gram`, `frame_bounds` and `quadratic_closeness` read the family it
-returns.  `finite_pair_control` alone solves its modes, as their only reader.
+Solved families are arguments, each one `ModeFamily` array:
+`build_family(kernels, modes)` checks the moment kernels n = 1..len(modes)
+against the caller's mode responses, and `gram`, `frame_bounds` and
+`quadratic_closeness` read the family it returns.  `finite_pair_control`
+alone solves its modes, as their only reader.  Every consumer checks its
+family with `ModeFamily.require` and works on all its rows at once.
 
 A second, finite moment problem assigns deformation and stress pairs for
 the first few modes using the real kernel pair (n*(Na * y_n), n*(Fg * y_n));
@@ -56,14 +58,13 @@ from .errors import (
 from .kernels import DerivedKernelSet
 from .spectral import ControlSignal, ModeParams, simulate_coefficients
 from .volterra import (
-    ModeTrajectory,
+    ModeFamily,
     TimeGrid,
     TrajectoryKind,
     assemble_moment_kernel,
     convolve,
     solve_modes,
     solve_moment_kernels,
-    validate_family,
 )
 
 __all__ = [
@@ -159,7 +160,7 @@ class GramSystem:
     """
 
     indices: tuple              # mode index of each row, signed for steering
-    functions: tuple            # sample arrays of the leading rows
+    functions: np.ndarray       # samples of the leading rows, (lead, K+1)
     conjugated: bool            # rows are `functions`, then their conjugates
     grid: TimeGrid
     lower: np.ndarray           # L, lower triangular, (rows, rows)
@@ -167,7 +168,7 @@ class GramSystem:
     matrix: np.ndarray          # G[a, b] = int rows[a] * conj(rows[b])
 
     def __post_init__(self):
-        for arr in (self.lower, self.orthonormal, self.matrix):
+        for arr in (self.functions, self.lower, self.orthonormal, self.matrix):
             arr.setflags(write=False)
 
     @cached_property
@@ -213,31 +214,30 @@ class SynthesisReport:
         self.residuals.setflags(write=False)
 
 
-def build_family(kernels: DerivedKernelSet,
-                 modes: Sequence[ModeTrajectory]) -> list[ModeTrajectory]:
+def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
     """Moment kernels for n = 1..len(modes) on `kernels.grid`, cross-checked.
 
     `modes` holds the mode responses n = 1, 2, ... in order on the kernel
     grid.  All kernels are time stepped from their own equation in one
-    batch, and each is independently assembled by quadrature from its mode
-    response; a uniform deviation beyond CROSS_CHECK_FACTOR * step^2 on any
-    mode aborts the build.
+    batch, and all are independently assembled by quadrature from the mode
+    responses; a uniform deviation beyond CROSS_CHECK_FACTOR * step^2 on
+    any mode aborts the build.
     """
-    validate_family(modes, TrajectoryKind.MODE, kernels.grid, ordered=True)
+    modes.require(TrajectoryKind.MODE, kernels.grid, ordered=True)
     tolerance = CROSS_CHECK_FACTOR * kernels.grid.step ** 2
     family = solve_moment_kernels(range(1, len(modes) + 1), kernels)
-    for stepped, base in zip(family, modes):
-        assembled = assemble_moment_kernel(base, kernels)
-        deviation = float(np.max(np.abs(stepped.samples - assembled.samples)))
+    assembled = assemble_moment_kernel(modes, kernels)
+    for n, stepped, check in zip(modes.ns, family.samples, assembled.samples):
+        deviation = float(np.max(np.abs(stepped - check)))
         if deviation > tolerance:
             raise CrossCheckError(
-                f"moment kernel n={base.n}: route deviation {deviation:.3e} "
+                f"moment kernel n={n}: route deviation {deviation:.3e} "
                 f"exceeds {tolerance:.3e}"
             )
     return family
 
 
-def _factorise(indices: tuple, functions: Sequence[np.ndarray], grid: TimeGrid,
+def _factorise(indices: tuple, functions: np.ndarray, grid: TimeGrid,
                conjugated: bool) -> GramSystem:
     """LQ factor of A = rows * sqrt(w), in place, by Gram-Schmidt twice.
 
@@ -247,9 +247,8 @@ def _factorise(indices: tuple, functions: Sequence[np.ndarray], grid: TimeGrid,
     """
     sqrt_w = np.sqrt(grid.trapezoid_weights())
     count, lead = len(indices), len(functions)
-    factor = np.empty((count, len(sqrt_w)), dtype=np.result_type(*functions))
-    for row, samples in zip(factor, functions):
-        np.multiply(samples, sqrt_w, out=row)
+    factor = np.empty((count, len(sqrt_w)), dtype=functions.dtype)
+    np.multiply(functions, sqrt_w, out=factor[:lead])
     if conjugated:
         np.conjugate(factor[:lead], out=factor[lead:])
     lower = np.zeros((count, count), dtype=factor.dtype)
@@ -263,22 +262,21 @@ def _factorise(indices: tuple, functions: Sequence[np.ndarray], grid: TimeGrid,
         lower[i, i] = norm
         if norm > 0.0:
             row /= norm
-    return GramSystem(indices=indices, functions=tuple(functions),
+    return GramSystem(indices=indices, functions=functions,
                       conjugated=conjugated, grid=grid, lower=lower,
                       orthonormal=factor,
                       matrix=np.einsum("ij,kj->ik", lower, lower.conj()))
 
 
-def gram(family: Sequence[ModeTrajectory]) -> GramSystem:
+def gram(family: ModeFamily) -> GramSystem:
     """Hermitian Gram system of the family extended to signed indices.
 
     Rows for -n are the conjugate kernels; inner products are trapezoidal
     on the family's grid.
     """
-    grid = validate_family(family, TrajectoryKind.MOMENT_KERNEL)
-    indices = tuple(t.n for t in family) + tuple(-t.n for t in family)
-    return _factorise(indices, [t.samples for t in family], grid,
-                      conjugated=True)
+    family.require(TrajectoryKind.MOMENT_KERNEL)
+    indices = family.ns + tuple(-n for n in family.ns)
+    return _factorise(indices, family.samples, family.grid, conjugated=True)
 
 
 def _minimal_norm_report(system: GramSystem, targets: np.ndarray,
@@ -389,9 +387,9 @@ def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
 
     grid = kernels.grid
     modes = solve_modes(range(1, n_pair + 1), kernels)
-    ns = tuple(t.n for t in modes)
-    functions = [float(t.n) * convolve(kernels.relaxation_scaled, t.samples, grid)
-                 for t in modes]
+    ns = modes.ns
+    weights = np.array(ns, dtype=float)[:, None]
+    functions = weights * convolve(kernels.relaxation_scaled, modes.samples, grid)
     elastic = kernels.is_elastic
     if elastic:
         if not np.array_equal(c, d):
@@ -401,8 +399,8 @@ def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
             )
         targets = c.copy()
     else:
-        functions += [float(t.n) * convolve(kernels.stress_gap, t.samples, grid)
-                      for t in modes]
+        gap = weights * convolve(kernels.stress_gap, modes.samples, grid)
+        functions = np.concatenate([functions, gap])
         ns += ns
         targets = np.concatenate([c, d - c])
 
@@ -448,7 +446,7 @@ class FrameBoundsReport:
 _FRAME_SIZES = (4, 8, 16, 32)
 
 
-def frame_bounds(family: Sequence[ModeTrajectory]) -> FrameBoundsReport:
+def frame_bounds(family: ModeFamily) -> FrameBoundsReport:
     """Eigenvalue extremes of the normalised Gram at growing truncations.
 
     `family` holds the moment kernels n = 1..n_max in order, as
@@ -456,7 +454,7 @@ def frame_bounds(family: Sequence[ModeTrajectory]) -> FrameBoundsReport:
     the smaller truncations in {4, 8, 16, 32} are read off its principal
     submatrices.
     """
-    grid = validate_family(family, TrajectoryKind.MOMENT_KERNEL, ordered=True)
+    family.require(TrajectoryKind.MOMENT_KERNEL, ordered=True)
     n_max = len(family)
     # only the small Gram is kept: LAPACK's eigensolver is paged in below,
     # and next to the factor that would raise a run's peak RSS
@@ -473,7 +471,7 @@ def frame_bounds(family: Sequence[ModeTrajectory]) -> FrameBoundsReport:
         eigs = np.linalg.eigvalsh(sub)
         mins.append(float(eigs[0]))
         maxs.append(float(eigs[-1]))
-    return FrameBoundsReport(horizon=grid.horizon, sizes=sizes,
+    return FrameBoundsReport(horizon=family.grid.horizon, sizes=sizes,
                              lambda_min_by_size=tuple(mins),
                              lambda_max_by_size=tuple(maxs))
 
@@ -492,7 +490,7 @@ class ClosenessReport:
             arr.setflags(write=False)
 
 
-def quadratic_closeness(family: Sequence[ModeTrajectory],
+def quadratic_closeness(family: ModeFamily,
                         params: Sequence[ModeParams]) -> ClosenessReport:
     """Squared distances d_n = ||Z_n - exp((alpha + i*beta_n) t)||^2.
 
@@ -503,19 +501,18 @@ def quadratic_closeness(family: Sequence[ModeTrajectory],
     """
     if len(family) != len(params):
         raise ValueError("family and params must align")
-    grid = validate_family(family, TrajectoryKind.MOMENT_KERNEL)
-    weights = grid.trapezoid_weights()
-    times = grid.times()
-    ns, dists = [], []
-    for traj, par in zip(family, params):
-        if traj.n != par.n:
+    family.require(TrajectoryKind.MOMENT_KERNEL)
+    weights = family.grid.trapezoid_weights()
+    times = family.grid.times()
+    dists = []
+    for n, samples, par in zip(family.ns, family.samples, params):
+        if n != par.n:
             raise ValueError("family and params must align index by index")
         # negative indices carry conjugate kernels, hence signed frequencies
         freq = par.beta if par.n > 0 else -par.beta
         reference = np.exp((par.alpha + 1j * freq) * times)
-        dists.append(float(np.sum(weights * np.abs(traj.samples - reference) ** 2)))
-        ns.append(traj.n)
-    ns_arr = np.asarray(ns)
+        dists.append(float(np.sum(weights * np.abs(samples - reference) ** 2)))
+    ns_arr = np.asarray(family.ns)
     d_arr = np.asarray(dists)
     return ClosenessReport(ns=ns_arr, distances=d_arr,
                            scaled=d_arr * ns_arr.astype(float) ** 2,

@@ -25,19 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ExceptionalIndexError
 from .kernels import is_exceptional_index
-from .volterra import (
-    ModeTrajectory,
-    TimeGrid,
-    TrajectoryKind,
-    convolve_transpose,
-    validate_family,
-)
+from .volterra import ModeFamily, TimeGrid, TrajectoryKind, convolve_transpose
 
 __all__ = [
     "ModeParams",
@@ -146,8 +139,7 @@ class SpectralState:
         return math.exp(-2.0 * self.alpha * self.horizon) * (2.0 / math.pi)
 
 
-def simulate_coefficients(control: ControlSignal,
-                          modes: Sequence[ModeTrajectory],
+def simulate_coefficients(control: ControlSignal, modes: ModeFamily,
                           kernels) -> SpectralState:
     """Evaluate the raw coefficient functionals for a physical control.
 
@@ -162,7 +154,7 @@ def simulate_coefficients(control: ControlSignal,
     grid = control.grid
     if kernels.grid != grid:
         raise ValueError("kernel grid does not match the control grid")
-    validate_family(modes, TrajectoryKind.MODE, grid, ordered=True)
+    modes.require(TrajectoryKind.MODE, grid, ordered=True)
 
     fw = control.reweighted(kernels.alpha)
     weights = grid.trapezoid_weights()
@@ -175,8 +167,7 @@ def simulate_coefficients(control: ControlSignal,
         convolve_transpose(kernels.stress_kernel, pairing, grid),
         convolve_transpose(kernels.stress_kernel, accumulated, grid),
     ], axis=1)
-    ys = np.stack([traj.samples for traj in modes])
-    values = ys @ representers
+    values = modes.samples @ representers
     ns = np.arange(1, len(modes) + 1, dtype=float)
     values[:, [0, 2, 3]] *= ns[:, None]
     w, v, sigma, q = (np.ascontiguousarray(col) for col in values.T)

@@ -9,10 +9,11 @@ is at most twice the maximum over the lower half, and GROWING otherwise.
 The rule is scale invariant, so rescaling kernels, controls or targets
 cannot flip a verdict.
 
-Every check takes the solved mode responses it reads, `modes`, and reads
-the mode indices from them; `volterra.validate_family` rejects a family
-that is empty, holds another kind of trajectory or lies on another grid
-than the kernel set's.
+Every check takes the solved mode responses it reads, `modes`, one
+`ModeFamily`, and reads the mode indices from it; `ModeFamily.require`
+rejects a family of another kind or on another grid than the kernel
+set's.  Convolutions of the family with one fixed factor are one stacked
+`convolve` call.
 
 `closed_loop_roundtrip`, shared by the steer and verify tasks, re-simulates
 a synthesised control over every mode of the family it is given.
@@ -30,12 +31,11 @@ from .kernels import DerivedKernelSet
 from .moments import MomentTarget, SynthesisReport, build_family, gram, synthesize_control
 from .spectral import SpectralState, mode_params, simulate_coefficients
 from .volterra import (
-    ModeTrajectory,
+    ModeFamily,
     TrajectoryKind,
     convolve,
     mode_derivative,
     solve_volterra_second_kind,
-    validate_family,
 )
 
 __all__ = [
@@ -92,56 +92,52 @@ def _trend_report(label: str, ns: Sequence[int], deviations: Sequence[float],
                             step=step, horizon=horizon)
 
 
-def _mode_trend(label: str, kernels: DerivedKernelSet,
-                modes: Sequence[ModeTrajectory], deviation) -> AsymptoticReport:
-    """Trend report of deviation(n, params, y_n) over the family `modes`."""
-    validate_family(modes, TrajectoryKind.MODE, kernels.grid)
-    ns = [y.n for y in modes]
-    params = [mode_params(n, kernels.alpha) for n in ns]
-    devs = [float(deviation(n, par, y)) for n, par, y in zip(ns, params, modes)]
-    return _trend_report(label, ns, devs, kernels.grid.step, kernels.grid.horizon)
+def _mode_trend(label: str, kernels: DerivedKernelSet, modes: ModeFamily,
+                rows: np.ndarray, deviation) -> AsymptoticReport:
+    """Trend report of max |deviation(params_n, row_n)| over the family `modes`.
+
+    `rows` holds one row per mode of `modes`, already checked by the caller.
+    """
+    params = [mode_params(n, kernels.alpha) for n in modes.ns]
+    devs = [float(np.max(np.abs(deviation(par, row))))
+            for par, row in zip(params, rows)]
+    return _trend_report(label, modes.ns, devs, kernels.grid.step,
+                         kernels.grid.horizon)
 
 
 def check_mode_asymptotics(kernels: DerivedKernelSet,
-                           modes: Sequence[ModeTrajectory]) -> AsymptoticReport:
+                           modes: ModeFamily) -> AsymptoticReport:
     """Deviation of each mode response in `modes` from its damped cosine."""
+    modes.require(TrajectoryKind.MODE, kernels.grid)
     times = kernels.grid.times()
-    return _mode_trend("mode vs damped cosine", kernels, modes,
-                       lambda n, par, y: np.max(np.abs(y.samples - par.damped_cos(times))))
+    return _mode_trend("mode vs damped cosine", kernels, modes, modes.samples,
+                       lambda par, y: y - par.damped_cos(times))
 
 
 def check_mode_derivative_asymptotics(kernels: DerivedKernelSet,
-                                      modes: Sequence[ModeTrajectory]
-                                      ) -> AsymptoticReport:
+                                      modes: ModeFamily) -> AsymptoticReport:
     """Deviation of each scaled mode derivative from its damped sine."""
     times = kernels.grid.times()
-
-    def deviation(n, par, y):
-        dy = mode_derivative(y, kernels)
-        return np.max(np.abs(dy.samples / par.beta + par.damped_sin(times)))
-
     return _mode_trend("mode derivative vs damped sine", kernels, modes,
-                       deviation)
+                       mode_derivative(modes, kernels),
+                       lambda par, dy: dy / par.beta + par.damped_sin(times))
 
 
 def check_convolution_asymptotics(kernels: DerivedKernelSet, smooth_factor,
-                                  modes: Sequence[ModeTrajectory]
-                                  ) -> AsymptoticReport:
+                                  modes: ModeFamily) -> AsymptoticReport:
     """Deviation of n * (F ⋆ y_n) from F(0) times the damped sine.
 
     `smooth_factor` holds the samples of F on the kernel grid, such as
     the stress series kernel; its first sample is F(0).
     """
+    modes.require(TrajectoryKind.MODE, kernels.grid)
     grid = kernels.grid
     times = grid.times()
     samples = np.asarray(smooth_factor, dtype=float)
-    if len(samples) != grid.steps + 1:
-        raise ValueError("factor sample length does not match the grid")
-    at_zero = samples[0]
     return _mode_trend(
         "smooth convolution vs damped sine", kernels, modes,
-        lambda n, par, y: np.max(np.abs(float(n) * convolve(samples, y.samples, grid)
-                                        - at_zero * par.damped_sin(times))))
+        convolve(samples, modes.samples, grid),
+        lambda par, conv: float(par.n) * conv - samples[0] * par.damped_sin(times))
 
 
 def _oscillator_kernels(kernels: DerivedKernelSet):
@@ -166,7 +162,7 @@ def _oscillator_kernels(kernels: DerivedKernelSet):
 
 
 def check_resolvent_identity(kernels: DerivedKernelSet,
-                             modes: Sequence[ModeTrajectory]) -> list[float]:
+                             modes: ModeFamily) -> list[float]:
     """Residual of the oscillator representation of each mode response.
 
     The mode response y_n should equal G_n + R ⋆ G_n where R is the
@@ -175,26 +171,23 @@ def check_resolvent_identity(kernels: DerivedKernelSet,
     maximum absolute residual over the grid for each entry of `modes`;
     O(step^2) for smooth kernels.  The resolvent is solved once per call.
     """
-    validate_family(modes, TrajectoryKind.MODE, kernels.grid)
-    params = [mode_params(y.n, kernels.alpha) for y in modes]
+    modes.require(TrajectoryKind.MODE, kernels.grid)
+    params = [mode_params(n, kernels.alpha) for n in modes.ns]
     na_d1, q0_at_zero, q1, resolvent = _oscillator_kernels(kernels)
     grid = kernels.grid
     times = grid.times()
-    residuals = []
-    for par, mode in zip(params, modes):
-        y = mode.samples
-        damped_sin = par.damped_sin(times)
-
-        base = par.profile(times)
-        correction = (1.0 - par.mu) * convolve(na_d1, y, grid)
-        ring = q0_at_zero * (par.mu / par.beta) * convolve(damped_sin, y, grid)
-        inner = convolve(q1, damped_sin, grid)
-        double = (par.mu / par.beta) * convolve(inner, y, grid)
-        assembled = base + correction + ring - double
-
-        reconstructed = assembled + convolve(resolvent, assembled, grid)
-        residuals.append(float(np.max(np.abs(y - reconstructed))))
-    return residuals
+    ys = modes.samples
+    sines = np.array([par.damped_sin(times) for par in params])
+    inners = convolve(q1, sines, grid)
+    corrections = convolve(na_d1, ys, grid)
+    assembled = np.array([
+        par.profile(times) + (1.0 - par.mu) * correction
+        + q0_at_zero * (par.mu / par.beta) * convolve(sine, y, grid)
+        - (par.mu / par.beta) * convolve(inner, y, grid)
+        for par, y, sine, inner, correction
+        in zip(params, ys, sines, inners, corrections)])
+    reconstructed = assembled + convolve(resolvent, assembled, grid)
+    return np.max(np.abs(ys - reconstructed), axis=1).tolist()
 
 
 def check_stress_deformation_gap(state: SpectralState) -> AsymptoticReport:
@@ -220,7 +213,7 @@ class RoundtripReport:
 
 
 def closed_loop_roundtrip(kernels: DerivedKernelSet, target: MomentTarget,
-                          modes: Sequence[ModeTrajectory]) -> RoundtripReport:
+                          modes: ModeFamily) -> RoundtripReport:
     """Synthesise a steering control, re-simulate it, compare coefficients.
 
     The control steers modes 1..target.n_max.  The re-simulation covers
@@ -231,7 +224,7 @@ def closed_loop_roundtrip(kernels: DerivedKernelSet, target: MomentTarget,
     requested ones, relative to the target norm (zero targets compare
     absolutely).
     """
-    validate_family(modes, TrajectoryKind.MODE, kernels.grid, ordered=True)
+    modes.require(TrajectoryKind.MODE, kernels.grid, ordered=True)
     n_max = target.n_max
     family = build_family(kernels, modes[:n_max])
     system = gram(family)

@@ -13,23 +13,27 @@ in closed form at every step.  The scheme is A-stable in the local part and
 second-order accurate overall.  The march costs O(K^2) per trajectory,
 which is the accepted price at desk scale.
 
-Convolutions of known samples (`convolve`, `convolve_transpose`) are one
-real FFT product each, O(K log K), at the smallest 2*3*5-smooth length
-that holds the linear convolution.  They take real samples only.  Their
-round-off is absolute, about eps*step*|a|*|b| in the 2-norms of the
-factors.  pocketfft is single-threaded and deterministic and calls no
-BLAS, so reruns give the same bytes under any BLAS thread count.
+Convolutions of known samples (`convolve`, `convolve_transpose`) are
+real FFT products, O(K log K) per row, at the smallest 2*3*5-smooth
+length that holds the linear convolution.  `convolve` takes a stack of
+rows against one fixed factor, which it transforms once per call.  They
+take real samples only.  Their round-off is absolute, about
+eps*step*|a|*|b| in the 2-norms of the factors.  pocketfft is
+single-threaded and deterministic and calls no BLAS, so reruns give the
+same bytes under any BLAS thread count.
 
 One march advances a whole batch of mode indices at once, on the grid the
 kernel set was derived on (`DerivedKernelSet.grid`): the state holds
 one row per mode, every step's history sums are a single BLAS
 matrix-vector product over the batch, and the closed-form step update is
-applied to the whole column.  Callers solve each family once per run
-(`solve_modes`, `solve_moment_kernels`) and share it; `solve_mode` and
-`solve_moment_kernel` are one-index batches of the same engine.  The
-product's summation order depends on the batch shape, which the caller's
-index list fixes; the tests check that the BLAS thread count does not
-change a single byte.
+applied to the whole column.  A solved family is one `ModeFamily`: its
+indices, its kind and the read-only (N, K+1) array of its rows.  Callers
+solve each family once per run (`solve_modes`, `solve_moment_kernels`)
+and share it; every consumer checks it with `ModeFamily.require`.
+`solve_mode` and `solve_moment_kernel` are one-index batches of the same
+engine.  The product's summation order depends on the batch shape, which
+the caller's index list fixes; the tests check that the BLAS thread count
+does not change a single byte.
 
 An independent high-accuracy integrator for exponential-sum kernels
 (`oracle_exponential_mode`) rewrites the memory term as auxiliary ODE
@@ -44,7 +48,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -55,8 +59,7 @@ __all__ = [
     "RESOLUTION_LIMIT",
     "TimeGrid",
     "TrajectoryKind",
-    "ModeTrajectory",
-    "validate_family",
+    "ModeFamily",
     "convolve",
     "convolve_transpose",
     "solve_volterra_second_kind",
@@ -102,13 +105,6 @@ class TimeGrid:
         w[0] = w[-1] = 0.5 * self.step
         return w
 
-    def integrate(self, samples: np.ndarray):
-        """Trapezoidal integral of grid samples over [0, horizon]."""
-        samples = np.asarray(samples)
-        if samples.shape[-1] != self.steps + 1:
-            raise ValueError("sample length does not match the grid")
-        return np.sum(self.trapezoid_weights() * samples, axis=-1)
-
     def require_resolution(self, n_max: int) -> None:
         """Reject grids too coarse for modes up to ``n_max``."""
         if self.step * abs(n_max) > RESOLUTION_LIMIT + _RESOLUTION_SLACK:
@@ -121,68 +117,75 @@ class TimeGrid:
 class TrajectoryKind(Enum):
     MODE = "mode"                        # real response of one sine mode
     MOMENT_KERNEL = "moment_kernel"      # complex kernel of the moment functionals
-    MODE_DERIVATIVE = "mode_derivative"  # time derivative of a mode response
 
 
 @dataclass(frozen=True, eq=False)
-class ModeTrajectory:
-    """Samples of one mode quantity on a uniform grid.
+class ModeFamily:
+    """Samples of one mode quantity for the indices `ns`, one row per index.
 
-    Mode responses are real; moment kernels are complex, with the kernel
-    for index -n equal to the complex conjugate of the kernel for n.
+    `samples` is read-only, of shape (len(ns), K+1) on `grid`.  Mode
+    responses are real; moment kernels are complex, with the row for
+    index -n the complex conjugate of the row for n.
     """
 
-    n: int
+    ns: tuple
     kind: TrajectoryKind
     samples: np.ndarray
     grid: TimeGrid
 
     def __post_init__(self):
-        if self.n == 0:
-            raise ValueError("mode index must be a nonzero integer")
-        if len(self.samples) != self.grid.steps + 1:
-            raise ValueError("sample length does not match the grid")
+        ns = _mode_indices(self.ns)
+        if self.samples.shape != (len(ns), self.grid.steps + 1):
+            raise ValueError(f"samples of shape {self.samples.shape} do not hold "
+                             f"{len(ns)} rows of {self.grid.steps + 1} grid samples")
+        object.__setattr__(self, "ns", ns)
         self.samples.setflags(write=False)
 
-    def conjugated(self) -> "ModeTrajectory":
-        """The trajectory of the opposite mode index."""
-        return ModeTrajectory(
-            n=-self.n, kind=self.kind, samples=np.conj(self.samples), grid=self.grid
-        )
+    def __len__(self) -> int:
+        return len(self.ns)
 
+    def __getitem__(self, index) -> "ModeFamily":
+        """The rows at a position, a slice or a list of positions."""
+        rows = index if isinstance(index, slice) else np.atleast_1d(index)
+        return ModeFamily(tuple(np.array(self.ns)[rows].tolist()), self.kind,
+                          self.samples[rows], self.grid)
 
-def validate_family(family: Sequence[ModeTrajectory], kind: TrajectoryKind,
-                    grid: TimeGrid | None = None, ordered: bool = False) -> TimeGrid:
-    """Check a solved family and return its one grid.
+    def require(self, kind: TrajectoryKind, grid: TimeGrid | None = None,
+                ordered: bool = False) -> None:
+        """Check that the family is of `kind` and on `grid`, when given.
 
-    The family must be nonempty, hold trajectories of `kind` only and lie
-    on one grid, which is `grid` when given.  With `ordered` entry i must
-    be mode n = i, for callers that zip the family with 1..N.
-    """
-    if not family:
-        raise ValueError(f"{kind.value} family is empty")
-    grid = family[0].grid if grid is None else grid
-    for i, traj in enumerate(family, start=1):
-        if traj.kind is not kind:
-            raise ValueError(f"family entry {i} is a {traj.kind.value}, "
+        With `ordered` row i must be mode n = i, for callers that pair the
+        rows with 1..N.
+        """
+        if self.kind is not kind:
+            raise ValueError(f"family is a {self.kind.value} family, "
                              f"expected a {kind.value}")
-        if ordered and traj.n != i:
-            raise ValueError(f"family must cover n = 1..{len(family)} in order, "
-                             f"entry {i} has n={traj.n}")
-        if traj.grid != grid:
-            raise ValueError(f"family entry {i} is on another grid")
-    return grid
+        if grid is not None and self.grid != grid:
+            raise ValueError("family is on another grid")
+        wrong = [(i, n) for i, n in enumerate(self.ns, start=1) if n != i]
+        if ordered and wrong:
+            raise ValueError(f"family must cover n = 1..{len(self)} in order, "
+                             "entry {} has n={}".format(*wrong[0]))
 
 
-def _as_samples(seq, grid: TimeGrid, name: str) -> np.ndarray:
+def _mode_indices(ns) -> tuple:
+    ns = tuple(ns)
+    if not ns:
+        raise ValueError("no mode indices given")
+    if 0 in ns:
+        raise ValueError("mode index must be a nonzero integer")
+    return ns
+
+
+def _as_samples(seq, grid: TimeGrid, name: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(seq)
-    if arr.ndim != 1 or len(arr) != grid.steps + 1:
+    if arr.ndim not in (1, ndim) or arr.shape[-1] != grid.steps + 1:
         raise ValueError(f"{name}: expected {grid.steps + 1} samples, got shape {arr.shape}")
     return arr
 
 
-def _real_samples(seq, grid: TimeGrid, name: str) -> np.ndarray:
-    arr = _as_samples(seq, grid, name)
+def _real_samples(seq, grid: TimeGrid, name: str, ndim: int = 1) -> np.ndarray:
+    arr = _as_samples(seq, grid, name, ndim)
     if np.iscomplexobj(arr):
         raise ValueError(f"{name}: complex samples are not supported, convolve "
                          "real and imaginary parts separately")
@@ -213,30 +216,39 @@ def _fft_length(steps: int) -> int:
 
 
 def _convolution_head(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The first len(a) entries of np.convolve(a, b), by one real FFT product.
+    """The first len(a) entries of np.convolve(a, row) for each row of `b`.
 
-    `a` and `b` are real and of equal length.
+    `a` and the rows of `b` are real and of equal length.  Real FFT
+    products, `a` transformed once; each row gets its own rfft call, as
+    pocketfft rounds rows that share a call differently from a row alone.
     """
     size = len(a)
     n = _fft_length(size - 1)
     fft = np.fft  # numpy loads its fft module on first access
-    return fft.irfft(fft.rfft(a, n) * fft.rfft(b, n), n)[:size]
+    fa = fft.rfft(a, n)
+    out = np.empty(b.shape)
+    for dest, row in zip(out.reshape(-1, size), b.reshape(-1, size)):
+        dest[:] = fft.irfft(fa * fft.rfft(row, n), n)[:size]
+    return out
 
 
 def convolve(a, b, grid: TimeGrid) -> np.ndarray:
     """Product-trapezoidal convolution of two real sample sequences.
 
-    Returns samples of int_0^t a(t-s) b(s) ds on the grid.  The first
-    entry is exactly zero.  Accuracy is O(step^2) for smooth factors.  One
-    real FFT product gives all K+1 samples in O(K log K); its round-off is
-    absolute, about eps * step * |a| * |b| in the 2-norms of the factors.
-    Complex samples raise ValueError.
+    Returns samples of int_0^t a(t-s) b(s) ds on the grid, with the
+    shape of `b`: one sequence or an (N, K+1) stack of rows, each
+    convolved with `a`.  The first entry of each row is exactly zero.
+    Accuracy is O(step^2) for smooth factors.  Real FFT products give all
+    K+1 samples of a row in O(K log K), `a` transformed once per call;
+    round-off is absolute, about eps * step * |a| * |b| in the 2-norms of
+    the factors.  Complex samples raise ValueError.
     """
     av = _real_samples(a, grid, "a")
-    bv = _real_samples(b, grid, "b")
-    full = _convolution_head(av, bv)
-    out = grid.step * (full - 0.5 * (av * bv[0] + bv * av[0]))
-    out[0] = 0.0
+    bv = _real_samples(b, grid, "b", ndim=2)
+    out = _convolution_head(av, bv)
+    out -= 0.5 * (av * bv[..., :1] + bv * av[0])
+    out *= grid.step
+    out[..., 0] = 0.0
     return out
 
 
@@ -328,19 +340,16 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
 
 
 def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
-                 kind: TrajectoryKind) -> list[ModeTrajectory]:
+                 kind: TrajectoryKind) -> ModeFamily:
     """March every distinct |n| of `ns` on the grid of `kernels`, in one batch.
 
     Mode responses are even in n and moment kernels satisfy
     Z_{-n} = conj(Z_n), so both signs share one row and the symmetry is
-    exact.  Returned samples are read-only row views of the batch (copies
-    only for conjugated moment kernels).
+    exact.  When `ns` lists distinct positive indices in increasing order
+    the family holds the marched batch itself; otherwise its rows are a
+    reordered copy, conjugated for negative moment-kernel indices.
     """
-    ns = list(ns)
-    if not ns:
-        raise ValueError("no mode indices given")
-    if 0 in ns:
-        raise ValueError("mode index must be a nonzero integer")
+    ns = _mode_indices(ns)
     grid = kernels.grid
     sizes = sorted({abs(n) for n in ns})
     grid.require_resolution(sizes[-1])
@@ -354,53 +363,43 @@ def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
         dtype = complex
     batch = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
                    size * size, forcing, dtype)
-    batch.setflags(write=False)
-    rows = dict(zip(sizes, batch))
-    out = []
-    for n in ns:
-        samples = rows[abs(n)]
-        if n < 0 and dtype is complex:
-            samples = np.conj(samples)
-        out.append(ModeTrajectory(n=n, kind=kind, samples=samples, grid=grid))
-    return out
+    if list(ns) != sizes:  # conjugating a real mode row changes nothing
+        batch = batch[np.searchsorted(sizes, np.abs(ns))]
+        np.conjugate(batch, out=batch, where=np.less(ns, 0)[:, None])
+    return ModeFamily(ns, kind, batch, grid)
 
 
-def solve_modes(ns: Iterable[int], kernels: "DerivedKernelSet") -> list[ModeTrajectory]:
+def solve_modes(ns: Iterable[int], kernels: "DerivedKernelSet") -> ModeFamily:
     """Solve the memory oscillators of every mode in `ns` in one batch.
 
     The mode response y_n satisfies y' = 2*alpha*y - n^2 (Na * y) with
     y(0) = 1, where Na is the scaled relaxation kernel.  The response is
-    real and even in the mode index.  Trajectories live on `kernels.grid`
-    and come back in the order of `ns`.
+    real and even in the mode index.  The family lives on `kernels.grid`,
+    its rows in the order of `ns`.
     """
     return _solve_batch(ns, kernels, TrajectoryKind.MODE)
 
 
-def solve_mode(n: int, kernels: "DerivedKernelSet") -> ModeTrajectory:
+def solve_mode(n: int, kernels: "DerivedKernelSet") -> ModeFamily:
     """Solve the memory oscillator of mode n (a one-index `solve_modes`)."""
-    return solve_modes([n], kernels)[0]
+    return solve_modes([n], kernels)
 
 
-def mode_derivative(trajectory: ModeTrajectory, kernels: "DerivedKernelSet") -> ModeTrajectory:
-    """Derivative of a mode response, reconstructed from its own equation.
+def mode_derivative(modes: ModeFamily, kernels: "DerivedKernelSet") -> np.ndarray:
+    """Derivatives of the mode responses, reconstructed from their equation.
 
     Evaluating 2*alpha*y - n^2 (Na * y) on the solved samples keeps the
     derivative at the same O(step^2) accuracy as the response itself,
-    which differencing would not.
+    which differencing would not.  Returns one row per mode of `modes`.
     """
-    if trajectory.kind is not TrajectoryKind.MODE:
-        raise ValueError(f"expected a mode response, got {trajectory.kind}")
-    if trajectory.grid != kernels.grid:
-        raise ValueError("trajectory grid does not match the kernel grid")
-    n = trajectory.n
-    conv = convolve(kernels.relaxation_scaled, trajectory.samples, trajectory.grid)
-    samples = 2.0 * kernels.alpha * trajectory.samples - float(n) * float(n) * conv
-    return ModeTrajectory(n=n, kind=TrajectoryKind.MODE_DERIVATIVE,
-                          samples=samples, grid=trajectory.grid)
+    modes.require(TrajectoryKind.MODE, kernels.grid)
+    weights = np.square(np.array(modes.ns, dtype=float))[:, None]
+    conv = convolve(kernels.relaxation_scaled, modes.samples, modes.grid)
+    return 2.0 * kernels.alpha * modes.samples - weights * conv
 
 
 def solve_moment_kernels(ns: Iterable[int],
-                         kernels: "DerivedKernelSet") -> list[ModeTrajectory]:
+                         kernels: "DerivedKernelSet") -> ModeFamily:
     """Solve the complex moment kernels of every mode in `ns` in one batch.
 
     The kernel Z_n satisfies Z' = 2*alpha*Z - n^2 (Na * Z) + Hv + i*n*Ks
@@ -410,33 +409,29 @@ def solve_moment_kernels(ns: Iterable[int],
     return _solve_batch(ns, kernels, TrajectoryKind.MOMENT_KERNEL)
 
 
-def solve_moment_kernel(n: int, kernels: "DerivedKernelSet") -> ModeTrajectory:
+def solve_moment_kernel(n: int, kernels: "DerivedKernelSet") -> ModeFamily:
     """Solve the moment kernel of mode n (a one-index `solve_moment_kernels`)."""
-    return solve_moment_kernels([n], kernels)[0]
+    return solve_moment_kernels([n], kernels)
 
 
-def assemble_moment_kernel(trajectory: ModeTrajectory,
-                           kernels: "DerivedKernelSet") -> ModeTrajectory:
-    """Assemble the moment kernel of mode n from its solved mode response.
+def assemble_moment_kernel(modes: ModeFamily,
+                           kernels: "DerivedKernelSet") -> ModeFamily:
+    """Assemble the moment kernels of a family from its mode responses.
 
-    Z = y + Hv * y + i*n*(Ks * y), by direct quadrature.  Independent of
-    the time-stepping route in `solve_moment_kernel`, which it cross-checks.
+    Z_n = y_n + Hv * y_n + i*n*(Ks * y_n), by direct quadrature.
+    Independent of the time-stepping route in `solve_moment_kernels`,
+    which it cross-checks.
     """
-    if trajectory.kind is not TrajectoryKind.MODE:
-        raise ValueError(f"expected a mode response, got {trajectory.kind}")
-    if trajectory.grid != kernels.grid:
-        raise ValueError("trajectory grid does not match the kernel grid")
-    n = trajectory.n
-    grid = trajectory.grid
-    y = trajectory.samples
+    modes.require(TrajectoryKind.MODE, kernels.grid)
+    grid, y = modes.grid, modes.samples
+    ns = np.array(modes.ns, dtype=float)[:, None]
     samples = (y + convolve(kernels.velocity_kernel, y, grid)
-               + 1j * float(n) * convolve(kernels.stress_kernel, y, grid))
-    return ModeTrajectory(n=n, kind=TrajectoryKind.MOMENT_KERNEL,
-                          samples=samples, grid=grid)
+               + 1j * ns * convolve(kernels.stress_kernel, y, grid))
+    return ModeFamily(modes.ns, TrajectoryKind.MOMENT_KERNEL, samples, grid)
 
 
 def oracle_exponential_mode(n: int, kernel: "MemoryKernel", grid: TimeGrid,
-                            substeps: int = 8) -> ModeTrajectory:
+                            substeps: int = 8) -> ModeFamily:
     """High-accuracy mode response for exponential-sum memory kernels.
 
     When the scaled relaxation kernel is a finite exponential sum
@@ -451,11 +446,9 @@ def oracle_exponential_mode(n: int, kernel: "MemoryKernel", grid: TimeGrid,
     compose into a constant one-step matrix, which is precomputed and
     applied `substeps` times per grid node.
 
-    Raises ValueError for kernels whose scaled relaxation is not an
-    exponential sum.
+    Returns a one-row family.  Raises ValueError for kernels whose scaled
+    relaxation is not an exponential sum.
     """
-    if n == 0:
-        raise ValueError("mode index must be a nonzero integer")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     terms = kernel.scaled_relaxation_terms()
@@ -479,4 +472,4 @@ def oracle_exponential_mode(n: int, kernel: "MemoryKernel", grid: TimeGrid,
     for k in range(1, grid.steps + 1):
         state = per_node @ state
         samples[k] = state[0]
-    return ModeTrajectory(n=n, kind=TrajectoryKind.MODE, samples=samples, grid=grid)
+    return ModeFamily((n,), TrajectoryKind.MODE, samples[None], grid)

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from viscostring import (
     MemoryKernel,
+    ModeFamily,
     TimeGrid,
+    TrajectoryKind,
     build_family,
     derive_kernels,
     solve_mode,
@@ -37,12 +40,19 @@ def elastic_kernels(desk_grid):
     return derive_kernels(ELASTIC_KERNEL, desk_grid)
 
 
+def stacked_modes(kernels, n_max):
+    """Modes n = 1..n_max, each solved alone (`solve_mode`), as one family."""
+    rows = [solve_mode(n, kernels).samples for n in range(1, n_max + 1)]
+    return ModeFamily(range(1, n_max + 1), TrajectoryKind.MODE,
+                      np.concatenate(rows), kernels.grid)
+
+
 @pytest.fixture(scope="session")
 def desk_modes_32(desk_kernels):
     """Mode responses n = 1..32 for the default kernel at desk scale."""
-    return [solve_mode(n, desk_kernels) for n in range(1, 33)]
+    return stacked_modes(desk_kernels, 32)
 
 
 @pytest.fixture(scope="session")
 def elastic_modes_16(elastic_kernels):
-    return [solve_mode(n, elastic_kernels) for n in range(1, 17)]
+    return stacked_modes(elastic_kernels, 16)

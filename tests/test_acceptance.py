@@ -48,7 +48,7 @@ def report(number: int, description: str, passed: bool, detail: str = "") -> Non
 @pytest.fixture(scope="module")
 def desk_moment_family(desk_kernels, desk_grid, desk_modes_32):
     """Moment kernels n = 1..32 by quadrature assembly from the responses."""
-    return [assemble_moment_kernel(z, desk_kernels) for z in desk_modes_32]
+    return assemble_moment_kernel(desk_modes_32, desk_kernels)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
-"""Every consumer of a solved family checks it with the one validator.
+"""Every consumer of a solved family checks it with `ModeFamily.require`.
 
-The consumers take the family they read as an argument.  A family that
-is empty, holds the wrong kind of trajectory or lies on a foreign or
-mixed grid raises ValueError, and so does one out of order where the
-consumer pairs it with n = 1..N.
+The consumers take the family they read as an argument.  A family of the
+wrong kind or on a foreign grid raises ValueError, and so does one out of
+order where the consumer pairs it with n = 1..N.  An empty family, or one
+holding rows of another grid than its own, cannot be built: for those
+cases the input a consumer would be handed fails to build, so it never
+reaches the consumer.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from viscostring import (
     ControlSignal,
+    ModeFamily,
     MomentTarget,
     TimeGrid,
     build_family,
@@ -25,6 +28,7 @@ from viscostring import (
     mode_params,
     quadratic_closeness,
     simulate_coefficients,
+    TrajectoryKind,
     solve_modes,
 )
 
@@ -33,6 +37,8 @@ from conftest import DESK_KERNEL, TWO_PI
 # same node count, other horizon: only the grid tells the families apart
 KERNELS = derive_kernels(DESK_KERNEL, TimeGrid(TWO_PI, 1024))
 OTHER = derive_kernels(DESK_KERNEL, TimeGrid(3.0, 1024))
+# other node count: its rows do not fit a family on the grid of KERNELS
+COARSE = derive_kernels(DESK_KERNEL, TimeGrid(TWO_PI, 512))
 
 # consumers of mode responses, each with the grid its family must lie on
 MODE_CONSUMERS = {
@@ -54,29 +60,39 @@ MOMENT_CONSUMERS = {
     "gram": gram,
     "frame_bounds": frame_bounds,
     "quadratic_closeness": lambda f: quadratic_closeness(
-        f, [mode_params(t.n, KERNELS.alpha) for t in f]),
+        f, [mode_params(n, KERNELS.alpha) for n in f.ns]),
 }
 
 ORDERED = ("build_family", "closed_loop_roundtrip", "simulate_coefficients",
            "frame_bounds")
 
 
+def _misplaced(family, coarse):
+    """The rows of `coarse` labelled with the grid of `family`."""
+    return ModeFamily(family.ns, family.kind, coarse.samples, family.grid)
+
+
 @pytest.fixture(scope="module")
 def families():
+    """Builders of each case, so a case that cannot be built raises in the test."""
     modes = solve_modes(range(1, 5), KERNELS)
     other_modes = solve_modes(range(1, 5), OTHER)
+    coarse_modes = solve_modes(range(1, 5), COARSE)
     moments = build_family(KERNELS, modes)
-    other_moments = build_family(OTHER, other_modes)
+    coarse_moments = build_family(COARSE, coarse_modes)
     return {
-        "mode": {"good": modes, "wrong_kind": moments, "foreign_grid": other_modes,
-                 "mixed_grid": [modes[0], other_modes[1], *modes[2:]]},
-        "moment": {"good": moments, "wrong_kind": modes,
-                   "mixed_grid": [moments[0], other_moments[1], *moments[2:]]},
+        "mode": {"good": lambda: modes, "wrong_kind": lambda: moments,
+                 "foreign_grid": lambda: other_modes,
+                 "empty": lambda: modes[4:],
+                 "mixed_grid": lambda: _misplaced(modes, coarse_modes)},
+        "moment": {"good": lambda: moments, "wrong_kind": lambda: modes,
+                   "empty": lambda: moments[4:],
+                   "mixed_grid": lambda: _misplaced(moments, coarse_moments)},
     }
 
 
-BAD = {"empty": "empty", "wrong_kind": "expected a", "foreign_grid": "grid",
-       "mixed_grid": "grid"}
+BAD = {"empty": "no mode indices", "wrong_kind": "expected a",
+       "foreign_grid": "grid", "mixed_grid": "grid samples"}
 
 CASES = (
     [(name, "mode", bad) for name in MODE_CONSUMERS for bad in BAD]
@@ -92,14 +108,42 @@ def _consumer(name):
 @pytest.mark.parametrize("name, kind, bad", CASES,
                          ids=[f"{name}-{bad}" for name, _, bad in CASES])
 def test_consumer_rejects_a_bad_family(families, name, kind, bad):
-    family = [] if bad == "empty" else families[kind][bad]
     with pytest.raises(ValueError, match=BAD[bad]):
-        _consumer(name)(family)
+        _consumer(name)(families[kind][bad]())
 
 
 @pytest.mark.parametrize("name", ORDERED)
 def test_ordered_consumer_rejects_a_family_out_of_order(families, name):
     kind = "mode" if name in MODE_CONSUMERS else "moment"
-    family = families[kind]["good"][::-1]
+    family = families[kind]["good"]()[::-1]
     with pytest.raises(ValueError, match="entry 1 has n=4"):
         _consumer(name)(family)
+
+
+class TestModeFamily:
+    def test_construction_rejects_empty_zero_and_misshapen(self):
+        grid = KERNELS.grid
+        with pytest.raises(ValueError, match="no mode indices"):
+            ModeFamily((), TrajectoryKind.MODE, np.ones((0, grid.steps + 1)), grid)
+        with pytest.raises(ValueError, match="nonzero"):
+            ModeFamily((1, 0), TrajectoryKind.MODE, np.ones((2, grid.steps + 1)),
+                       grid)
+        with pytest.raises(ValueError, match="grid samples"):
+            ModeFamily((1,), TrajectoryKind.MODE, np.ones(grid.steps + 1), grid)
+        with pytest.raises(ValueError, match="grid samples"):
+            ModeFamily((1, 2), TrajectoryKind.MODE, np.ones((2, 7)), grid)
+
+    def test_indexing_by_position_slice_and_list(self, families):
+        modes = families["mode"]["good"]()
+        one = modes[2]
+        assert one.ns == (3,) and np.array_equal(one.samples, modes.samples[2:3])
+        part = modes[1:3]
+        assert part.ns == (2, 3) and np.shares_memory(part.samples, modes.samples)
+        picked = modes[[3, 0]]
+        assert picked.ns == (4, 1)
+        assert np.array_equal(picked.samples, modes.samples[[3, 0]])
+        for family in (modes, one, part, picked):
+            assert family.kind is TrajectoryKind.MODE and family.grid == KERNELS.grid
+            assert not family.samples.flags.writeable
+        with pytest.raises(ValueError):
+            modes.samples[0, 0] = 2.0

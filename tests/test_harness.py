@@ -154,6 +154,27 @@ kind = transmogrify
         assert cli_main(["steer", "--config", str(path)]) == EXIT_CONFIG
         assert "[mode]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "kind = steer\n",                               # no section header
+        "[task]\nkind = steer\nkind = steer\n",         # duplicate option
+        "[kernel]\nfamily = zero\n[grid]\nhorizon = 1.0\nsteps = 64\n"
+        "[task]\nkind = steer\n[run]\nout = 100%\n",   # bad interpolation
+    ], ids=["missing_section_header", "duplicate_option", "interpolation"])
+    def test_malformed_ini_is_a_config_error(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, text, name="bad.ini")
+        assert cli_main(["steer", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config file")
+        assert "Traceback" not in err
+
+    def test_seed_must_fit_64_bits(self, tmp_path, capsys):
+        too_big = steer_config(tmp_path, seed=2 ** 64, name="big.ini")
+        with pytest.raises(ValueError, match=str(2 ** 64)):
+            load_config(too_big)
+        assert cli_main(["steer", "--config", str(too_big)]) == EXIT_CONFIG
+        assert str(2 ** 64) in capsys.readouterr().err
+        assert load_config(steer_config(tmp_path, seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
+
     def test_example_configs_parse(self):
         configs = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
         assert configs
@@ -502,12 +523,12 @@ class TestExports:
 
     def test_three_samples_give_four_lines(self, tmp_path):
         from viscostring.harness import _trajectory_blocks
-        from viscostring import ModeTrajectory, TimeGrid, TrajectoryKind
+        from viscostring import ModeFamily, TimeGrid, TrajectoryKind
         grid = TimeGrid(1.0, 2)
-        traj = ModeTrajectory(1, TrajectoryKind.MOMENT_KERNEL,
-                              np.array([1 + 0j, 0.5 + 0.1j, 0.2 - 0.3j]), grid)
+        family = ModeFamily((1,), TrajectoryKind.MOMENT_KERNEL,
+                            np.array([[1 + 0j, 0.5 + 0.1j, 0.2 - 0.3j]]), grid)
         path = tmp_path / "traj.csv"
-        write_csv(path, ["n", "t", "re", "im"], _trajectory_blocks([traj], grid))
+        write_csv(path, ["n", "t", "re", "im"], _trajectory_blocks(family))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4
         assert lines[2].split(",")[2:] == ["0.5", "0.10000000000000001"]

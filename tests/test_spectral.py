@@ -133,15 +133,14 @@ def _reference_functionals(control, family, kernels):
     fw = control.reweighted(kernels.alpha)
     pairing = grid.trapezoid_weights() * fw[::-1]
     out = np.empty((len(family), 4))
-    for traj in family:
-        n = float(traj.n)
-        y = traj.samples
+    for index, y in zip(family.ns, family.samples):
+        n = float(index)
         stress = n * convolve(kernels.stress_kernel, y, grid)
-        out[traj.n - 1] = (
+        out[index - 1] = (
             np.sum(pairing * n * convolve(kernels.relaxation_scaled, y, grid)),
             np.sum(pairing * (y + convolve(kernels.velocity_kernel, y, grid))),
             np.sum(pairing * stress),
-            grid.integrate(convolve(fw, stress, grid)),
+            np.dot(grid.trapezoid_weights(), convolve(fw, stress, grid)),
         )
     return out
 

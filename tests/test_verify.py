@@ -6,8 +6,10 @@ import pytest
 from viscostring import (
     ControlSignal,
     MemoryKernel,
+    ModeFamily,
     MomentTarget,
     TimeGrid,
+    TrajectoryKind,
     TrendVerdict,
     check_convolution_asymptotics,
     check_mode_asymptotics,
@@ -78,7 +80,8 @@ class TestModeAsymptotics:
         # one batch against per-mode solves of the same indices
         ns = [1, 4, -4, 8]
         batch = solve_modes(ns, desk_kernels)
-        per_mode = [solve_mode(n, desk_kernels) for n in ns]
+        per_mode = ModeFamily(ns, TrajectoryKind.MODE, np.concatenate(
+            [solve_mode(n, desk_kernels).samples for n in ns]), desk_kernels.grid)
         checks = [
             lambda modes: check_mode_asymptotics(desk_kernels, modes),
             lambda modes: check_mode_derivative_asymptotics(desk_kernels, modes),
@@ -89,7 +92,7 @@ class TestModeAsymptotics:
             np.testing.assert_allclose(check(per_mode).deviations,
                                        check(batch).deviations, rtol=1e-10)
         assert check_resolvent_identity(desk_kernels, solve_modes([-2], desk_kernels)) \
-            == check_resolvent_identity(desk_kernels, [solve_mode(2, desk_kernels)])
+            == check_resolvent_identity(desk_kernels, solve_mode(2, desk_kernels))
 
     def test_heavily_damped_kernel_rejected(self, desk_grid):
         kernels = derive_kernels(MemoryKernel.exponential_sum([(3.0, 1.0)]),
@@ -187,8 +190,8 @@ class TestResolventIdentity:
         kernels = derive_kernels(kernel, desk_grid)
         ns = [1, 2, 4, 8]
         modes = solve_modes(ns, kernels)
-        want = [_reference_resolvent_residual(kernel, desk_grid, n, y.samples)
-                for n, y in zip(ns, modes)]
+        want = [_reference_resolvent_residual(kernel, desk_grid, n, y)
+                for n, y in zip(ns, modes.samples)]
         assert check_resolvent_identity(kernels, modes) == want
 
 

@@ -9,9 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from viscostring import (
     MemoryKernel,
-    ModeTrajectory,
     TimeGrid,
-    TrajectoryKind,
     assemble_moment_kernel,
     convolve,
     convolve_transpose,
@@ -25,6 +23,7 @@ from viscostring import (
     solve_volterra_second_kind,
 )
 
+from viscostring import volterra
 from viscostring.volterra import _fft_length
 
 from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
@@ -58,7 +57,7 @@ class TestTimeGrid:
 
     def test_trapezoid_integral(self):
         grid = TimeGrid(TWO_PI, 2048)
-        assert grid.integrate(np.sin(grid.times()) ** 2) == pytest.approx(
+        assert grid.trapezoid_weights() @ np.sin(grid.times()) ** 2 == pytest.approx(
             math.pi, abs=1e-10)
 
 
@@ -102,6 +101,16 @@ class TestConvolve:
             convolve(cplx, real, grid)
         with pytest.raises(ValueError, match="^p: complex"):
             convolve_transpose(real, cplx, grid)
+
+    def test_stack_matches_row_by_row_bit_for_bit(self, desk_kernels, desk_grid):
+        rows = solve_modes(range(1, 9), desk_kernels).samples
+        for kernel in (desk_kernels.relaxation_scaled, desk_kernels.stress_kernel):
+            stacked = convolve(kernel, rows, desk_grid)
+            assert stacked.shape == rows.shape
+            assert np.array_equal(stacked, [convolve(kernel, row, desk_grid)
+                                            for row in rows])
+        with pytest.raises(ValueError):
+            convolve(desk_kernels.stress_kernel, rows[None], desk_grid)
 
 
 EPS = np.finfo(float).eps
@@ -215,9 +224,9 @@ class TestSolveMode:
     def test_elastic_limit_is_cosine(self, elastic_kernels, desk_grid):
         z = solve_mode(2, elastic_kernels)
         quarter = desk_grid.steps // 4  # t = pi/2
-        assert abs(z.samples[quarter] - math.cos(math.pi)) < 5e-4
+        assert abs(z.samples[0, quarter] - math.cos(math.pi)) < 5e-4
         z1 = solve_mode(1, elastic_kernels)
-        assert abs(z1.samples[-1] - 1.0) < 5e-4
+        assert abs(z1.samples[0, -1] - 1.0) < 5e-4
 
     def test_matches_oracle(self, desk_kernels, desk_grid):
         z = solve_mode(1, desk_kernels)
@@ -257,13 +266,13 @@ class TestModeDerivative:
     def test_elastic_derivative_is_negative_sine(self, elastic_kernels, desk_grid):
         z = solve_mode(1, elastic_kernels)
         dz = mode_derivative(z, elastic_kernels)
-        assert dz.samples[0] == 0.0
-        assert np.max(np.abs(dz.samples + np.sin(desk_grid.times()))) < 5e-4
+        assert dz[0, 0] == 0.0
+        assert np.max(np.abs(dz + np.sin(desk_grid.times()))) < 5e-4
 
     def test_initial_value_is_twice_alpha(self, desk_kernels):
         z = solve_mode(5, desk_kernels)
         dz = mode_derivative(z, desk_kernels)
-        assert dz.samples[0] == 2.0 * desk_kernels.alpha
+        assert dz[0, 0] == 2.0 * desk_kernels.alpha
 
     def test_consistent_with_centered_differences(self, desk_kernels, desk_grid):
         # the finite-difference oracle itself carries a z''' h^2 / 6
@@ -271,21 +280,20 @@ class TestModeDerivative:
         z = solve_mode(4, desk_kernels)
         dz = mode_derivative(z, desk_kernels)
         h = desk_grid.step
-        fd = (z.samples[2:] - z.samples[:-2]) / (2.0 * h)
-        assert np.max(np.abs(dz.samples[1:-1] - fd)) <= 20.0 * h ** 2
+        fd = (z.samples[:, 2:] - z.samples[:, :-2]) / (2.0 * h)
+        assert np.max(np.abs(dz[:, 1:-1] - fd)) <= 20.0 * h ** 2
 
     def test_rejects_wrong_kind(self, desk_kernels):
-        z = solve_mode(1, desk_kernels)
-        dz = mode_derivative(z, desk_kernels)
+        big = solve_moment_kernel(1, desk_kernels)
         with pytest.raises(ValueError):
-            mode_derivative(dz, desk_kernels)
+            mode_derivative(big, desk_kernels)
 
 
 class TestMomentKernel:
     def test_elastic_limit_is_complex_exponential(self, elastic_kernels, desk_grid):
         big = solve_moment_kernel(1, elastic_kernels)
         half = desk_grid.steps // 2  # t = pi
-        assert abs(big.samples[half] - (-1.0 + 0.0j)) < 5e-4
+        assert abs(big.samples[0, half] - (-1.0 + 0.0j)) < 5e-4
 
     def test_conjugate_symmetry_is_exact(self, desk_kernels):
         plus = solve_moment_kernel(1, desk_kernels)
@@ -295,7 +303,7 @@ class TestMomentKernel:
     def test_assembly_starts_at_one(self, desk_kernels):
         z = solve_mode(2, desk_kernels)
         big = assemble_moment_kernel(z, desk_kernels)
-        assert big.samples[0] == 1.0 + 0.0j
+        assert big.samples[0, 0] == 1.0 + 0.0j
 
     def test_elastic_assembly_is_complex_exponential(self, elastic_kernels,
                                                      desk_grid):
@@ -326,7 +334,7 @@ class TestOracle:
     def test_self_convergence(self, desk_grid):
         a = oracle_exponential_mode(1, DESK_KERNEL, desk_grid, substeps=8)
         b = oracle_exponential_mode(1, DESK_KERNEL, desk_grid, substeps=16)
-        assert abs(a.samples[-1] - b.samples[-1]) <= 1e-9
+        assert abs(a.samples[0, -1] - b.samples[0, -1]) <= 1e-9
 
     def test_damped_envelope_bound(self, desk_grid):
         ref = oracle_exponential_mode(16, DESK_KERNEL, desk_grid)
@@ -336,14 +344,6 @@ class TestOracle:
     def test_rejects_polynomial_kernels(self, desk_grid):
         with pytest.raises(ValueError):
             oracle_exponential_mode(1, MemoryKernel.polynomial([0.2]), desk_grid)
-
-
-def test_mode_trajectory_validation(desk_grid):
-    with pytest.raises(ValueError):
-        ModeTrajectory(0, TrajectoryKind.MODE, np.ones(desk_grid.steps + 1),
-                       desk_grid)
-    with pytest.raises(ValueError):
-        ModeTrajectory(1, TrajectoryKind.MODE, np.ones(7), desk_grid)
 
 
 def _reference_march(grid, kernel, local, weight, forcing, dtype):
@@ -376,19 +376,19 @@ def _assert_batch_matches_reference(dk, grid, ns):
     """Batched modes and moment kernels within 1e-13*max|y| of one-mode marches."""
     modes = solve_modes(ns, dk)
     kernels_z = solve_moment_kernels(ns, dk)
-    for n, y, z in zip(ns, modes, kernels_z):
-        assert (y.n, z.n) == (n, n)
+    assert modes.ns == kernels_z.ns == tuple(ns)
+    for n, y, z in zip(ns, modes.samples, kernels_z.samples):
         weight = float(n) * float(n)
         ref_y = _reference_march(grid, dk.relaxation_scaled, 2.0 * dk.alpha,
                                  weight, None, float)
         forcing = dk.velocity_kernel + 1j * float(n) * dk.stress_kernel
         ref_z = _reference_march(grid, dk.relaxation_scaled, 2.0 * dk.alpha,
                                  weight, forcing, complex)
-        assert np.max(np.abs(y.samples - ref_y)) <= 1e-13 * np.max(np.abs(ref_y))
-        assert np.max(np.abs(z.samples - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
+        assert np.max(np.abs(y - ref_y)) <= 1e-13 * np.max(np.abs(ref_y))
+        assert np.max(np.abs(z - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
     by_n = {}
-    for z in kernels_z:
-        by_n.setdefault(z.n, z.samples)
+    for n, z in zip(kernels_z.ns, kernels_z.samples):
+        by_n.setdefault(n, z)
     for n in by_n:
         if -n in by_n:
             assert np.array_equal(by_n[-n], np.conj(by_n[n]))
@@ -435,14 +435,23 @@ def test_modes_converge_to_the_oracle_at_second_order(terms):
         grid = TimeGrid(TWO_PI, steps)
         modes = solve_modes(ns, derive_kernels(kernel, grid))
         errs.append(np.array([
-            np.max(np.abs(y.samples - oracle_exponential_mode(n, kernel, grid).samples))
-            for n, y in zip(ns, modes)]))
+            np.max(np.abs(y - oracle_exponential_mode(n, kernel, grid).samples))
+            for n, y in zip(ns, modes.samples)]))
         # within the phase-error estimate T n^3 h^2 / 12
         assert np.all(errs[-1] <= TWO_PI * np.array(ns) ** 3 * grid.step ** 2 / 12)
     assert np.all(np.log2(errs[0] / errs[1]) >= 1.9)
 
 
-def test_batch_rows_are_read_only_views(desk_kernels):
+def test_batch_rows_are_read_only_views(desk_kernels, monkeypatch):
+    marched = []
+    march = volterra._march
+    monkeypatch.setattr(volterra, "_march",
+                        lambda *args: marched.append(march(*args)) or marched[-1])
     modes = solve_modes([1, 2], desk_kernels)
-    assert modes[0].samples.base is modes[1].samples.base
-    assert not modes[0].samples.flags.writeable
+    assert modes.samples is marched[0]  # in order: the batch itself, no copy
+    first, second = modes.samples
+    assert first.base is second.base is modes.samples
+    assert not first.flags.writeable
+    reordered = solve_modes([2, 1], desk_kernels)
+    assert np.array_equal(reordered.samples, modes.samples[::-1])
+    assert not reordered.samples.flags.writeable
