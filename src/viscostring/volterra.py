@@ -141,6 +141,9 @@ class ModeFamily:
         object.__setattr__(self, "ns", ns)
         self.samples.setflags(write=False)
 
+    # not a sequence of rows: iterate over `ns` or `samples` instead
+    __iter__ = None
+
     def __len__(self) -> int:
         return len(self.ns)
 
@@ -246,7 +249,12 @@ def convolve(a, b, grid: TimeGrid) -> np.ndarray:
     av = _real_samples(a, grid, "a")
     bv = _real_samples(b, grid, "b", ndim=2)
     out = _convolution_head(av, bv)
-    out -= 0.5 * (av * bv[..., :1] + bv * av[0])
+    corr = np.empty(len(av))  # trapezoid end weights, one row at a time
+    for dest, row in zip(out.reshape(-1, len(av)), bv.reshape(-1, len(av))):
+        np.multiply(av, row[0], out=corr)
+        corr += row * av[0]
+        corr *= 0.5
+        dest -= corr
     out *= grid.step
     out[..., 0] = 0.0
     return out

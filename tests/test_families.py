@@ -147,3 +147,9 @@ class TestModeFamily:
             assert not family.samples.flags.writeable
         with pytest.raises(ValueError):
             modes.samples[0, 0] = 2.0
+
+    def test_is_not_iterable(self, families):
+        modes = families["mode"]["good"]()
+        with pytest.raises(TypeError, match="not iterable"):
+            for _ in modes:
+                pass
