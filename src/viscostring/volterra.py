@@ -6,34 +6,30 @@ equations solved here all read
     y'(t) = a*y(t) - w*(k * y)(t) + g(t),    (k * y)(t) = int_0^t k(t-s) y(s) ds
 
 on a uniform grid over [0, T].  The discretisation is implicit trapezoidal
-in the local and forcing terms with a product-trapezoidal memory sum.  The
-newest node enters the step equation through both the local term and the
-last quadrature weight; that equation is scalar and linear, so it is solved
-in closed form at every step.  The scheme is A-stable in the local part and
-second-order accurate overall.  The march costs O(K^2) per trajectory,
-which is the accepted price at desk scale.
+in the local and forcing terms with a product-trapezoidal memory sum,
+A-stable in the local part and second-order accurate overall.  The steps
+of one row form a lower-triangular Toeplitz system D0 + w*D1 for two fixed
+series (Lubich, Numer. Math. 52, 1988), which `_solve_toeplitz` solves for
+all rows at once by the divide-and-conquer FFT history of Hairer, Lubich
+and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): O(K log^2 K) per row,
+no Python loop per time step.  The second-kind solver shares it.
 
 Convolutions of known samples (`convolve`, `convolve_transpose`) are
 real FFT products, O(K log K) per row, at the smallest 2*3*5-smooth
 length that holds the linear convolution.  `convolve` takes a stack of
 rows against one fixed factor, which it transforms once per call.  They
 take real samples only.  Their round-off is absolute, about
-eps*step*|a|*|b| in the 2-norms of the factors.  pocketfft is
-single-threaded and deterministic and calls no BLAS, so reruns give the
-same bytes under any BLAS thread count.
+eps*step*|a|*|b| in the 2-norms of the factors.
 
-One march advances a whole batch of mode indices at once, on the grid the
-kernel set was derived on (`DerivedKernelSet.grid`): the state holds
-one row per mode, every step's history sums are a single BLAS
-matrix-vector product over the batch, and the closed-form step update is
-applied to the whole column.  A solved family is one `ModeFamily`: its
-indices, its kind and the read-only (N, K+1) array of its rows.  Callers
-solve each family once per run (`solve_modes`, `solve_moment_kernels`)
-and share it; every consumer checks it with `ModeFamily.require`.
-`solve_mode` and `solve_moment_kernel` are one-index batches of the same
-engine.  The product's summation order depends on the batch shape, which
-the caller's index list fixes; the tests check that the BLAS thread count
-does not change a single byte.
+One march solves a batch of mode indices on the grid of the kernel set
+(`DerivedKernelSet.grid`).  A solved family is one `ModeFamily`: indices,
+kind and the read-only (N, K+1) array of its rows.  Callers solve each
+family once per run (`solve_modes`, `solve_moment_kernels`; `solve_mode`
+and `solve_moment_kernel` are one-index batches) and share it; consumers
+check it with `ModeFamily.require`.  The solvers call pocketfft and
+`np.einsum`, which are single-threaded and deterministic and call no BLAS,
+and transform rows in fixed blocks: the bytes depend only on the caller's
+index list, under any BLAS thread count.
 
 An independent high-accuracy integrator for exponential-sum kernels
 (`oracle_exponential_mode`) rewrites the memory term as auxiliary ODE
@@ -76,6 +72,13 @@ __all__ = [
 #: least ~60 grid nodes per oscillation period.
 RESOLUTION_LIMIT = 0.1
 _RESOLUTION_SLACK = 1e-12
+
+#: Unknowns per leaf of the Toeplitz solver, solved by one dense product.
+_LEAF = 32
+#: Samples per FFT call of the Toeplitz solver: a transform of length L
+#: takes a fixed block of max(1, _FFT_SAMPLES // L) rows, as pocketfft
+#: rounds a row differently depending on how many rows share a call.
+_FFT_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,7 @@ class ModeFamily:
         object.__setattr__(self, "ns", ns)
         self.samples.setflags(write=False)
 
-    # not a sequence of rows: iterate over `ns` or `samples` instead
-    __iter__ = None
+    __iter__ = None  # not a sequence of rows: iterate over `ns` or `samples`
 
     def __len__(self) -> int:
         return len(self.ns)
@@ -180,17 +182,12 @@ def _mode_indices(ns) -> tuple:
     return ns
 
 
-def _as_samples(seq, grid: TimeGrid, name: str, ndim: int = 1) -> np.ndarray:
+def _real_samples(seq, grid: TimeGrid, name: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(seq)
     if arr.ndim not in (1, ndim) or arr.shape[-1] != grid.steps + 1:
         raise ValueError(f"{name}: expected {grid.steps + 1} samples, got shape {arr.shape}")
-    return arr
-
-
-def _real_samples(seq, grid: TimeGrid, name: str, ndim: int = 1) -> np.ndarray:
-    arr = _as_samples(seq, grid, name, ndim)
     if np.iscomplexobj(arr):
-        raise ValueError(f"{name}: complex samples are not supported, convolve "
+        raise ValueError(f"{name}: complex samples are not supported, pass "
                          "real and imaginary parts separately")
     return arr
 
@@ -249,12 +246,8 @@ def convolve(a, b, grid: TimeGrid) -> np.ndarray:
     av = _real_samples(a, grid, "a")
     bv = _real_samples(b, grid, "b", ndim=2)
     out = _convolution_head(av, bv)
-    corr = np.empty(len(av))  # trapezoid end weights, one row at a time
     for dest, row in zip(out.reshape(-1, len(av)), bv.reshape(-1, len(av))):
-        np.multiply(av, row[0], out=corr)
-        corr += row * av[0]
-        corr *= 0.5
-        dest -= corr
+        dest -= 0.5 * (av * row[0] + row * av[0])  # end weights, row by row
     out *= grid.step
     out[..., 0] = 0.0
     return out
@@ -281,69 +274,101 @@ def convolve_transpose(a, p, grid: TimeGrid) -> np.ndarray:
 
 
 def solve_volterra_second_kind(kernel, source, grid: TimeGrid) -> np.ndarray:
-    """Solve x(t) = source(t) + int_0^t kernel(t-s) x(s) ds.
+    """Solve x(t) = source(t) + int_0^t kernel(t-s) x(s) ds for real samples.
 
-    Product-trapezoidal discretisation; the implicit weight on the newest
-    node is absorbed into a constant denominator.
+    Product-trapezoidal discretisation: x(t_1)..x(t_K) solve the Toeplitz
+    system with first column [1 - h*kernel_0/2, -h*kernel_1, -h*kernel_2, ...].
     """
-    kv = _as_samples(kernel, grid, "kernel")
-    sv = _as_samples(source, grid, "source")
+    kv = _real_samples(kernel, grid, "kernel")
+    sv = _real_samples(source, grid, "source")
     h = grid.step
-    steps = grid.steps
     denom = 1.0 - 0.5 * h * kv[0]
     if abs(denom) < 1e-12:
         raise ArithmeticError("second-kind equation is singular at this step size")
-    x = np.zeros(steps + 1, dtype=np.result_type(kv, sv))
-    x[0] = sv[0]
-    rev = np.ascontiguousarray(kv[::-1])  # rev[j] = kernel[steps - j]
-    buf = np.empty(steps, dtype=x.dtype)
-    for k in range(1, steps + 1):
-        m = k - 1
-        hist = 0.5 * kv[k] * x[0]
-        if m:
-            np.multiply(rev[steps - k + 1 : steps], x[1:k], out=buf[:m])
-            hist += buf[:m].sum()
-        x[k] = (sv[k] + h * hist) / denom
+    memory = np.concatenate([[0.0], -h * kv[1:-1]])
+    x = np.concatenate([sv[:1], sv[1:] + 0.5 * h * kv[1:] * sv[0]])
+    _solve_toeplitz((denom, 0.0), memory, np.ones(1), x[None, 1:])
     return x
+
+
+def _solve_toeplitz(d0, d1, weights, x) -> None:
+    """Solve (D0 + weights[r]*D1) x_r = b_r in place, b_r the rows of `x`.
+
+    D0 and D1 are lower-triangular Toeplitz with first columns `d0` (two
+    entries) and `d1`.  A leaf of `_LEAF` unknowns is one triangular product
+    per row (`np.einsum`) with the leading series coefficients of
+    1/(d0 + w*d1).  The solved left half of a node, of length L, passes its
+    history to the next L unknowns: d0 by its one entry across the boundary,
+    D1 by a real FFT product of length 2L, whose wrap-around reaches only
+    the solved half.
+    """
+    rows, size = x.shape
+    series = np.zeros(max(_LEAF, 2 * size))
+    series[: len(d1)] = d1
+    w = np.asarray(weights, dtype=float)[:, None]
+    head = w * series[:_LEAF]
+    head[:, :2] += d0
+    inverse = np.empty((rows, _LEAF))
+    inverse[:, 0] = 1.0 / head[:, 0]
+    for m in range(1, _LEAF):  # sum_{j=0..m} head_j inverse_{m-j} = 0
+        inverse[:, m] = -np.einsum("ij,ij->i", head[:, m:0:-1], inverse[:, :m]) / head[:, 0]
+    leaf = np.tril(inverse[:, np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))])
+    spectra = {}
+    for lo in range(0, size, _LEAF):
+        hi = min(lo + _LEAF, size)
+        x[:, lo:hi] = np.einsum("rij,rj->ri", leaf[:, : hi - lo, : hi - lo], x[:, lo:hi])
+        if hi == size:
+            return
+        half = hi & -hi  # [hi - half, hi) is the left half of a node of length 2*half
+        end = min(hi + half, size)
+        if half not in spectra:
+            spectra[half] = np.fft.rfft(series[: 2 * half])
+        x[:, hi] -= d0[1] * x[:, hi - 1]
+        block = max(1, _FFT_SAMPLES // (2 * half))
+        for first in range(0, rows, block):
+            part = slice(first, first + block)
+            product = np.fft.rfft(x[part, hi - half : hi], 2 * half) * spectra[half]
+            history = np.fft.irfft(product, 2 * half)[:, half : half + end - hi]
+            x[part, hi:end] -= w[part] * history
 
 
 def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
            forcing, dtype) -> np.ndarray:
     """March y_i' = local*y_i - weights[i]*(kernel * y_i) + g_i, y_i(0) = 1.
 
-    Advances every row i at once and returns the (N, K+1) batch.  The
-    kernel and coefficients are real, so a complex batch is marched as 2N
-    real rows, its real parts over its imaginary parts (which start at
-    zero).  `forcing` is None or a real array with one row of g_i per
-    marched row.
+    Solves every row i at once and returns the (N, K+1) batch.  A complex
+    batch is solved as 2N real rows, its real parts over its imaginary
+    parts (which start at zero), as the kernel and coefficients are real.
+    `forcing` is None or a real array with one row of g_i per real row.
+    The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the Toeplitz system
+    (D0 + weights[i]*D1) y = p_i: D0 = [1 - h*local/2, -(1 + h*local/2)],
+    D1_m = (h^2/2)(L_m + L_{m-1}) with L_0 = kernel_0/2 and L_m = kernel_m,
+    and p_i holds the start value, its half-weight memory term and g_i.
     """
     h = grid.step
-    steps = grid.steps
-    kern = np.ascontiguousarray(kernel, dtype=float)
     weights = np.asarray(weights, dtype=float)
     count = len(weights)
     start = np.ones(count)
     if dtype is complex:
         weights = np.concatenate([weights, weights])
         start = np.concatenate([start, np.zeros(count)])
-    y = np.zeros((len(weights), steps + 1))
+    memory = np.concatenate([[0.0], kernel[:-1]])  # L_{m-1} for m = 0..K
+    memory[1] *= 0.5
+    d1 = (memory[1:] + memory[:-1]) * (0.5 * h * h)
+    start_memory = 0.5 * h * kernel[1:]  # the start value's half weight in each sum
+    start_memory[1:] += 0.5 * h * kernel[1:-1]
+    y = np.empty((len(weights), grid.steps + 1))
     y[:, 0] = start
-    g = forcing[:, 0] if forcing is not None else 0.0
-    rhs = local * start + g
-    denom = 1.0 - 0.5 * h * local + 0.25 * h * h * weights * kern[0]
-    rev = np.ascontiguousarray(kern[::-1])  # rev[j] = kern[steps - j]
-    for k in range(1, steps + 1):
-        hist = 0.5 * kern[k] * start + y[:, 1:k] @ rev[steps - k + 1 : steps]
-        hist *= h
-        g = forcing[:, k] if forcing is not None else 0.0
-        ynew = (y[:, k - 1] + 0.5 * h * (rhs + g - weights * hist)) / denom
-        y[:, k] = ynew
-        rhs = local * ynew - weights * (hist + 0.5 * h * kern[0] * ynew) + g
+    np.multiply.outer(-0.5 * h * weights * start, start_memory, out=y[:, 1:])
+    y[:, 1] += (1.0 + 0.5 * h * local) * start
+    for row, g in zip(y, forcing if forcing is not None else ()):
+        row[1:] += 0.5 * h * (g[1:] + g[:-1])
+    d0 = (1.0 - 0.5 * h * local, -(1.0 + 0.5 * h * local))
+    _solve_toeplitz(d0, d1, weights, y[:, 1:])
     if dtype is not complex:
         return y
-    out = np.empty((count, steps + 1), dtype=complex)
-    out.real = y[:count]
-    out.imag = y[count:]
+    out = np.empty((count, grid.steps + 1), dtype=complex)
+    out.real, out.imag = y[:count], y[count:]
     return out
 
 
@@ -451,8 +476,8 @@ def oracle_exponential_mode(n: int, kernel: "MemoryKernel", grid: TimeGrid,
 
     The system is advanced with classical fourth-order Runge-Kutta at
     step h/substeps.  For a linear autonomous system the four stages
-    compose into a constant one-step matrix, which is precomputed and
-    applied `substeps` times per grid node.
+    compose into a constant one-step matrix P, so the state at node k is
+    P^(substeps*k) applied to the start; the nodes are covered by doubling.
 
     Returns a one-row family.  Raises ValueError for kernels whose scaled
     relaxation is not an exponential sum.
@@ -472,12 +497,9 @@ def oracle_exponential_mode(n: int, kernel: "MemoryKernel", grid: TimeGrid,
     p3 = p2 @ ha
     p4 = p3 @ ha
     one_step = np.eye(dim) + ha + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
-    per_node = np.linalg.matrix_power(one_step, substeps)
-    samples = np.empty(grid.steps + 1)
-    state = np.zeros(dim)
-    state[0] = 1.0
-    samples[0] = 1.0
-    for k in range(1, grid.steps + 1):
-        state = per_node @ state
-        samples[k] = state[0]
-    return ModeFamily((n,), TrajectoryKind.MODE, samples[None], grid)
+    power = np.linalg.matrix_power(one_step, substeps)  # one grid node
+    states = np.eye(dim)[:, :1]  # the states at nodes 0..m-1, as columns
+    while states.shape[1] <= grid.steps:
+        states = np.hstack([states, power @ states])
+        power = power @ power
+    return ModeFamily((n,), TrajectoryKind.MODE, states[:1, : grid.steps + 1], grid)

@@ -38,20 +38,21 @@ TASKS = ("simulate", "steer", "pair", "diagnose", "verify")
 DECIMATED = {"control.csv", "trajectories.csv"}
 DECIMATION = 64
 
-# Bounds on float drift relative to the column's largest magnitude.  A
-# blocked Toeplitz march moved the general columns by up to 7.6e-13
-# against the step-by-step march.
+# Bounds on float drift relative to the column's largest magnitude, with
+# the drift the Toeplitz march caused against the step-by-step march.
+# General columns: up to 7.6e-13; the pair task's lambda_min, condition and
+# control norm, which carry that problem's conditioning, 4.7e-11.
 GENERAL = 1e-10
 # Differences of nearly equal quantities: the resolvent identity residuals
-# and the round-trip errors of verify and steer (moved 3.1e-11 and 8.3e-10).
+# (moved 3.5e-11) and the round-trip errors of verify and steer (4.5e-10).
 DIFFERENCES = 1e-8
 DIFFERENCE_COLUMNS = {"resolvent_residuals", "max_residual", "relative_error",
                       "roundtrip_relative_error"}
 # The pair task's control and achieved coefficients, whose Gram has
-# lambda_min = 1.6e-15 (moved 1.05e-9).
+# lambda_min = 1.6e-15 (moved 6.6e-10).
 ILL_CONDITIONED = 1e-6
 PAIR_COLUMNS = {"physical", "reweighted", "deformation_achieved", "stress_achieved"}
-# Round-off-scale values (up to 4.6x their reference under the Toeplitz march).
+# Round-off-scale values (up to 1.04x their largest reference value).
 ROUNDOFF_CEILING = 10.0
 ROUNDOFF_COLUMNS = {"residuals", "max_relative_residual", "imag_fraction"}
 

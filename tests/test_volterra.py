@@ -28,6 +28,9 @@ from viscostring.volterra import _fft_length
 
 from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
 
+# grid sizes around the Toeplitz solver's leaf and power-of-two boundaries
+AWKWARD_STEPS = [1, 2, 31, 32, 33, 64, 65, 97, 1000, 1025]
+
 
 class TestTimeGrid:
     def test_validation(self):
@@ -210,6 +213,31 @@ class TestFFTConvolution:
         for steps in range(1, 5001):
             target = 2 * steps + 1
             assert _fft_length(steps) == smooth[bisect.bisect_left(smooth, target)]
+
+
+def _reference_second_kind(kernel, source, grid):
+    """The second-kind solver as a step-by-step loop, as it was before the Toeplitz solve."""
+    h = grid.step
+    steps = grid.steps
+    denom = 1.0 - 0.5 * h * kernel[0]
+    x = np.zeros(steps + 1)
+    x[0] = source[0]
+    rev = np.ascontiguousarray(kernel[::-1])  # rev[j] = kernel[steps - j]
+    for k in range(1, steps + 1):
+        hist = 0.5 * kernel[k] * x[0] + np.dot(rev[steps - k + 1 : steps], x[1:k])
+        x[k] = (source[k] + h * hist) / denom
+    return x
+
+
+@pytest.mark.parametrize("steps", AWKWARD_STEPS)
+def test_second_kind_solver_matches_the_step_by_step_loop(steps):
+    grid = TimeGrid(TWO_PI, steps)
+    kernel = -derive_kernels(DESK_KERNEL, grid).relaxation_scaled
+    source = np.cos(grid.times())
+    x = solve_volterra_second_kind(kernel, source, grid)
+    ref = _reference_second_kind(kernel, source, grid)
+    assert x[0] == source[0]
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_second_kind_solver_against_exponential():
@@ -408,6 +436,16 @@ def test_batched_engine_matches_per_mode_reference(kernel):
         solve_modes([1, 17], dk)  # step * 17 > RESOLUTION_LIMIT
     with pytest.raises(ValueError):
         solve_moment_kernels([-17], dk)
+
+
+@pytest.mark.parametrize("steps", AWKWARD_STEPS)
+def test_batched_engine_matches_per_mode_reference_at_awkward_sizes(steps):
+    ns = [3, -1, 2, 1, -3]
+    grid = TimeGrid(min(TWO_PI, volterra.RESOLUTION_LIMIT * steps / 3), steps)
+    dk = derive_kernels(DESK_KERNEL, grid)
+    _assert_batch_matches_reference(dk, grid, ns)
+    assert np.all(solve_modes(ns, dk).samples[:, 0] == 1.0)
+    assert np.all(solve_moment_kernels(ns, dk).samples[:, 0] == 1.0 + 0.0j)
 
 
 exponential_terms = st.lists(
