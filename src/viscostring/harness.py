@@ -18,6 +18,7 @@ recurrence (see `splitmix64_stream`).
 from __future__ import annotations
 
 import configparser
+import itertools
 import json
 import math
 import sys
@@ -143,10 +144,9 @@ def random_unit_target(seed: int, n_max: int, index: int = 0) -> MomentTarget:
     the uniform stream; each draw u maps to 2u - 1 and the first n_max
     values are velocity targets, the next n_max stress targets.
     """
-    stream = uniform_stream(seed)
-    for _ in range(2 * n_max * index):
-        next(stream)
-    values = np.array([2.0 * next(stream) - 1.0 for _ in range(2 * n_max)])
+    first = 2 * n_max * index
+    draws = itertools.islice(uniform_stream(seed), first, first + 2 * n_max)
+    values = np.array([2.0 * u - 1.0 for u in draws])
     xi, eta = values[:n_max], values[n_max:]
     norm = math.sqrt(float(np.sum(xi ** 2) + np.sum(eta ** 2)))
     if norm > 0.0:
@@ -280,19 +280,15 @@ def load_config(path) -> ExperimentConfig:
         if not 0 <= cfg.seed <= _MASK64:
             raise ValueError(f"seed must be a nonnegative 64-bit integer, got {cfg.seed}")
         cfg.out_dir = run_sec.get("out", cfg.out_dir)
-        if "threads" in run_sec:
-            cfg.threads = run_sec.getint("threads")
+        cfg.threads = run_sec.getint("threads", cfg.threads)
 
     if "targets" in parser:
         tgt = parser["targets"]
         if tgt.get("random", "").strip().lower() == "unit":
             cfg.random_targets = True
-        if "velocity" in tgt:
-            cfg.velocity_targets = np.array(_parse_floats(tgt["velocity"]))
-        if "stress" in tgt:
-            cfg.stress_targets = np.array(_parse_floats(tgt["stress"]))
-        if "deformation" in tgt:
-            cfg.deformation_targets = np.array(_parse_floats(tgt["deformation"]))
+        for key in ("velocity", "stress", "deformation"):
+            if key in tgt:
+                setattr(cfg, f"{key}_targets", np.array(_parse_floats(tgt[key])))
 
     if "control" in parser:
         ctl = parser["control"]
@@ -301,10 +297,8 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"unknown control kind {cfg.control_kind!r}")
         cfg.control_amplitude = ctl.getfloat("amplitude", 1.0)
         cfg.control_frequency = ctl.getfloat("frequency", 1.0)
-        if "center" in ctl:
-            cfg.control_center = ctl.getfloat("center")
-        if "width" in ctl:
-            cfg.control_width = ctl.getfloat("width")
+        cfg.control_center = ctl.getfloat("center", cfg.control_center)
+        cfg.control_width = ctl.getfloat("width", cfg.control_width)
 
     cfg.raw = raw
     return cfg
@@ -331,32 +325,50 @@ def make_control(cfg: ExperimentConfig, grid: TimeGrid) -> ControlSignal:
 
 # per dtype kind; '%.17g' spells floats (nan, inf, -0) like format(x, '.17g')
 _CSV_FORMATS = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g"}
+_CSV_CHUNK = 1024  # rows formatted by one '%'
 
 
 def write_csv(path, header, blocks) -> None:
     """CSV with a header row, streamed one block of rows at a time.
 
-    Each block holds one equal-length column per header field.  The first
-    block's dtypes fix the row template: %d for integers, 17 significant
-    digits for floats, true/false for booleans; lines end in \r\n.
+    Each block holds one equal-length column per header field: %d for
+    integers, 17 significant digits for floats, true/false for booleans;
+    lines end in \r\n.  A block whose formats differ from the first
+    block's raises ValueError before any of its rows is written.  Rows go
+    out `_CSV_CHUNK` at a time, one '%' over the repeated row template; a
+    column whose bytes repeat the block before's reuses that block's text.
     """
     path = Path(path)
-    template = None
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
+        formats, previous, shared = None, [], {}
         for block in blocks:
             cols = [np.asarray(col) for col in block]
             if len(cols) != len(header) or len({len(col) for col in cols}) > 1:
                 raise ValueError(f"{path.name}: a block needs {len(header)} "
                                  "equal-length columns")
-            if template is None:
-                kinds = [col.dtype.kind for col in cols]
-                if not set(kinds) <= _CSV_FORMATS.keys():
-                    raise ValueError(f"{path.name}: unsupported column dtype")
-                template = ",".join(_CSV_FORMATS[k] for k in kinds) + "\r\n"
-            values = [np.where(col, "true", "false").tolist()
-                      if col.dtype.kind == "b" else col.tolist() for col in cols]
-            fh.writelines(template % row for row in zip(*values))
+            kinds = [_CSV_FORMATS.get(col.dtype.kind) for col in cols]
+            formats = formats or kinds
+            if None in kinds or kinds != formats:
+                raise ValueError(f"{path.name}: column formats {kinds} are unsupported "
+                                 f"or differ from the first block's {formats}")
+            cols = [np.where(col, "true", "false") if col.dtype.kind == "b" else col
+                    for col in cols]
+            current = [(col.dtype.str, col.tobytes()) for col in cols]
+            shared = {j: shared.get(j) or [kinds[j] % v for v in col.tolist()]
+                      for j, col in enumerate(cols)
+                      if previous and current[j] == previous[j]}
+            previous = current
+            row = ",".join("%s" if j in shared else fmt
+                           for j, fmt in enumerate(kinds)) + "\r\n"
+            size = len(cols[0]) if cols else 0
+            for lo in range(0, size, _CSV_CHUNK):
+                part, count = slice(lo, lo + _CSV_CHUNK), min(_CSV_CHUNK, size - lo)
+                flat = [None] * (len(cols) * count)
+                for j, col in enumerate(cols):
+                    flat[j::len(cols)] = (shared[j][part] if j in shared
+                                          else col[part].tolist())
+                fh.write(row * count % tuple(flat))
 
 
 def write_manifest(path, manifest: dict) -> None:

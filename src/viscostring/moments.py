@@ -124,10 +124,9 @@ class MomentTarget:
             raise ValueError("xi and eta must be equal-length nonempty vectors")
         if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
             raise ValueError("targets must be finite")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
-        xi.setflags(write=False)
-        eta.setflags(write=False)
+        for name, arr in (("xi", xi), ("eta", eta)):
+            object.__setattr__(self, name, arr)
+            arr.setflags(write=False)
 
     @property
     def n_max(self) -> int:
@@ -140,11 +139,8 @@ class MomentTarget:
 
     def gamma_for(self, indices: Sequence[int]) -> np.ndarray:
         """Targets for a signed index list, conjugated for negative n."""
-        g = self.gamma
-        out = np.empty(len(indices), dtype=complex)
-        for i, n in enumerate(indices):
-            out[i] = g[n - 1] if n > 0 else np.conj(g[-n - 1])
-        return out
+        g = self.gamma[np.abs(indices) - 1]
+        return np.where(np.less(indices, 0), g.conj(), g)
 
     @classmethod
     def zero(cls, n_max: int) -> "MomentTarget":
@@ -182,9 +178,7 @@ class GramSystem:
 
     @property
     def condition(self) -> float:
-        if self.lambda_min <= 0.0:
-            return math.inf
-        return self.lambda_max / self.lambda_min
+        return self.lambda_max / self.lambda_min if self.lambda_min > 0.0 else math.inf
 
     @property
     def near_singular(self) -> bool:
@@ -434,13 +428,8 @@ class FrameBoundsReport:
     lambda_min_by_size: tuple
     lambda_max_by_size: tuple
 
-    @property
-    def lambda_min(self) -> float:
-        return self.lambda_min_by_size[-1]
-
-    @property
-    def lambda_max(self) -> float:
-        return self.lambda_max_by_size[-1]
+    lambda_min = property(lambda self: self.lambda_min_by_size[-1])
+    lambda_max = property(lambda self: self.lambda_max_by_size[-1])
 
 
 _FRAME_SIZES = (4, 8, 16, 32)

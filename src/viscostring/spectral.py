@@ -190,14 +190,11 @@ def reconstruct_field(state: SpectralState, which: str, x_grid) -> np.ndarray:
     ns = np.arange(1, state.n_max + 1)
     nx = np.outer(ns, x)
     if which == "deformation":
-        basis = np.sin(nx)
-        coeff = state.deformation
+        basis, coeff = np.sin(nx), state.deformation
     elif which == "velocity":
-        basis = ns[:, None] * np.sin(nx)
-        coeff = state.velocity
+        basis, coeff = ns[:, None] * np.sin(nx), state.velocity
     else:
-        basis = ns[:, None] * np.cos(nx)
-        coeff = state.stress
+        basis, coeff = ns[:, None] * np.cos(nx), state.stress
     return state.physical_scale * np.sum(coeff[:, None] * basis, axis=0)
 
 

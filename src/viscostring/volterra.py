@@ -339,7 +339,8 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
     Solves every row i at once and returns the (N, K+1) batch.  A complex
     batch is solved as 2N real rows, its real parts over its imaginary
     parts (which start at zero), as the kernel and coefficients are real.
-    `forcing` is None or a real array with one row of g_i per real row.
+    `forcing` is None or, for a complex batch, real rows (re, im) and
+    scales s with g_i = re + 1j*s[i]*im, applied one row at a time.
     The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the Toeplitz system
     (D0 + weights[i]*D1) y = p_i: D0 = [1 - h*local/2, -(1 + h*local/2)],
     D1_m = (h^2/2)(L_m + L_{m-1}) with L_0 = kernel_0/2 and L_m = kernel_m,
@@ -357,17 +358,21 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
     d1 = (memory[1:] + memory[:-1]) * (0.5 * h * h)
     start_memory = 0.5 * h * kernel[1:]  # the start value's half weight in each sum
     start_memory[1:] += 0.5 * h * kernel[1:-1]
+    # the complex result before the work array: freeing y then leaves no hole below it
+    out = np.empty((count, grid.steps + 1), dtype=complex) if dtype is complex else None
     y = np.empty((len(weights), grid.steps + 1))
     y[:, 0] = start
     np.multiply.outer(-0.5 * h * weights * start, start_memory, out=y[:, 1:])
     y[:, 1] += (1.0 + 0.5 * h * local) * start
-    for row, g in zip(y, forcing if forcing is not None else ()):
-        row[1:] += 0.5 * h * (g[1:] + g[:-1])
+    if forcing is not None:
+        re, im, scales = forcing
+        y[:count, 1:] += 0.5 * h * (re[1:] + re[:-1])
+        for row, g in zip(y[count:], (scale * im for scale in scales)):
+            row[1:] += 0.5 * h * (g[1:] + g[:-1])
     d0 = (1.0 - 0.5 * h * local, -(1.0 + 0.5 * h * local))
     _solve_toeplitz(d0, d1, weights, y[:, 1:])
     if dtype is not complex:
         return y
-    out = np.empty((count, grid.steps + 1), dtype=complex)
     out.real, out.imag = y[:count], y[count:]
     return out
 
@@ -387,13 +392,9 @@ def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
     sizes = sorted({abs(n) for n in ns})
     grid.require_resolution(sizes[-1])
     size = np.array(sizes, dtype=float)
-    if kind is TrajectoryKind.MODE:
-        forcing, dtype = None, float
-    else:  # Hv + i*n*Ks: real parts over imaginary parts
-        forcing = np.empty((2 * len(sizes), grid.steps + 1))
-        forcing[: len(sizes)] = kernels.velocity_kernel
-        np.multiply(size[:, None], kernels.stress_kernel, out=forcing[len(sizes):])
-        dtype = complex
+    forcing, dtype = None, float
+    if kind is TrajectoryKind.MOMENT_KERNEL:  # Hv + i*n*Ks
+        forcing, dtype = (kernels.velocity_kernel, kernels.stress_kernel, size), complex
     batch = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
                    size * size, forcing, dtype)
     if list(ns) != sizes:  # conjugating a real mode row changes nothing

@@ -573,6 +573,62 @@ class TestExports:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "c.csv", ["z"], [(np.array([1j]),)])
 
+    def test_later_block_of_other_kinds_is_refused_before_its_rows(self, tmp_path):
+        # ints then floats would truncate 2.5 and spell 1e300 as an integer
+        path = tmp_path / "ints.csv"
+        with pytest.raises(ValueError, match="ints.csv"):
+            write_csv(path, ["x"], [([1, 2],), ([2.5, 1e300],)])
+        assert path.read_bytes() == b"x\r\n1\r\n2\r\n"
+        # floats then bools would fail inside the row template
+        path = tmp_path / "flags.csv"
+        with pytest.raises(ValueError, match="flags.csv"):
+            write_csv(path, ["x", "y"], [([0.5], [1.5]), ([True], [2.5])])
+        assert path.read_bytes() == b"x,y\r\n0.5,1.5\r\n"
+
+    def test_repeated_columns_keep_their_bytes(self, tmp_path):
+        # a column repeats only byte for byte: 0 and -0 are equal as numbers
+        zeros = np.array([0.0, -0.0, 0.0])
+        negative = np.array([-0.0, -0.0, -0.0])
+        times = np.array([0.0, 0.5, 1.0 / 3.0])
+        blocks = [(np.array([1, 1, 1]), times, zeros),
+                  (np.array([2, 2, 2]), times.copy(), negative),
+                  (np.array([2, 2, 3]), times, negative),
+                  (np.array([4, 4, 4]), times[::-1], np.full(3, math.nan)),
+                  (np.array([5]), times[:1], np.array([math.inf]))]
+        rows = [row for block in blocks for row in zip(*(col.tolist() for col in block))]
+        _reference_write_csv(tmp_path / "rows.csv", ["n", "t", "x"], rows)
+        write_csv(tmp_path / "columns.csv", ["n", "t", "x"], blocks)
+        assert (tmp_path / "columns.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    @pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["1", "chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    def test_trajectory_file_matches_row_writer_byte_for_byte(self, tmp_path,
+                                                              dtype, offset):
+        from types import SimpleNamespace
+        from viscostring.harness import _CSV_CHUNK, _trajectory_blocks
+        rows = offset[0] * _CSV_CHUNK + offset[1]
+        rng = np.random.default_rng(rows)
+        samples = rng.standard_normal((3, rows)).astype(dtype)
+        if dtype is complex:
+            samples.imag = rng.standard_normal((3, rows))
+            samples.imag.reshape(-1)[-len(_SPECIAL_FLOATS):] = _SPECIAL_FLOATS[:3 * rows]
+        samples.real.reshape(-1)[: len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS[:3 * rows]
+        times = np.linspace(0.0, 2.0 * math.pi, rows)
+        # a grid has two nodes or more; the stand-in also covers one-row blocks
+        family = SimpleNamespace(ns=(1, 2, 3), samples=samples,
+                                 grid=SimpleNamespace(times=lambda: times))
+        header = ["n", "t", "re", "im"]
+        write_csv(tmp_path / "columns.csv", header, _trajectory_blocks(family))
+        _reference_write_csv(tmp_path / "rows.csv", header,
+                             [(n, t, v.real, v.imag) for n, row in zip(family.ns, samples)
+                              for t, v in zip(times.tolist(), row.tolist())])
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert expected.count(b"\r\n") == 3 * rows + 1
+        assert b"nan" in expected
+        assert (tmp_path / "columns.csv").read_bytes() == expected
+
 
 class TestControls:
     def test_bump_is_compactly_supported(self, desk_grid):
