@@ -616,6 +616,8 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
     try:
         out = Path(out_dir if out_dir is not None else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        if cfg.task != "pair":  # pair resolves n_pair modes, not n_max
+            cfg.grid.require_resolution(cfg.n_max)
         # solvers never touch the oscillation frequencies, so exceptional
         # kernels only block the tasks that evaluate per-mode parameters
         if cfg.task in ("verify", "diagnose"):

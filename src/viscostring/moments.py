@@ -15,7 +15,7 @@ of the conjugate kernels,
 
 which turns the problem into the Hermitian system G a = gamma with
 G[m, n] = int_0^T Z_m conj(Z_n) = A A^H for the trapezoid-weighted sample
-matrix A = rows * sqrt(w).  G is never solved with: A = L Q is factored
+matrix A = rows * sqrt(w).  A solve never uses G: A = L Q is factored
 once (Q with orthonormal rows), the eigenvalues of G are the squared
 singular values of L and the control is u = Q^H L^{-1} gamma / sqrt(w),
 so the solve sees the condition number of A, not its square (least
@@ -24,7 +24,8 @@ squares rather than normal equations; Golub & Van Loan).
 The extreme eigenvalues of the normalised Gram are the computable shadow
 of the family's Riesz property: bounded away from zero they certify
 solvability at this truncation, collapsing they flag a horizon that is too
-short.  Synthesis refuses to run when lambda_min <= 1e3 * eps * lambda_max.
+short.  `frame_bounds` forms G by quadrature and builds no factor.
+Synthesis refuses to run when lambda_min <= 1e3 * eps * lambda_max.
 
 Solved families are arguments, each one `ModeFamily` array:
 `build_family(kernels, modes)` checks the moment kernels n = 1..len(modes)
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -152,7 +152,8 @@ class GramSystem:
     """Gram system of a family of moment functions on L^2(0, T), factored.
 
     The weighted sample matrix A = rows * sqrt(w) (trapezoid weights w) is
-    held as A = lower @ orthonormal, so G = A A^H = lower @ lower^H.
+    held as A = lower @ orthonormal, so G = A A^H = lower @ lower^H has the
+    squared singular values of `lower` as eigenvalues; G is never formed.
     """
 
     indices: tuple              # mode index of each row, signed for steering
@@ -161,20 +162,12 @@ class GramSystem:
     grid: TimeGrid
     lower: np.ndarray           # L, lower triangular, (rows, rows)
     orthonormal: np.ndarray     # Q, orthonormal rows, (rows, K+1)
-    matrix: np.ndarray          # G[a, b] = int rows[a] * conj(rows[b])
+    lambda_min: float           # extreme eigenvalues of G
+    lambda_max: float
 
     def __post_init__(self):
-        for arr in (self.functions, self.lower, self.orthonormal, self.matrix):
+        for arr in (self.functions, self.lower, self.orthonormal):
             arr.setflags(write=False)
-
-    @cached_property
-    def _extremes(self) -> tuple:
-        # on first use: frame bounds need only `matrix` (see there)
-        sigma = np.linalg.svd(self.lower, compute_uv=False)
-        return float(sigma[-1] ** 2), float(sigma[0] ** 2)
-
-    lambda_min = property(lambda self: self._extremes[0])
-    lambda_max = property(lambda self: self._extremes[1])
 
     @property
     def condition(self) -> float:
@@ -256,10 +249,11 @@ def _factorise(indices: tuple, functions: np.ndarray, grid: TimeGrid,
         lower[i, i] = norm
         if norm > 0.0:
             row /= norm
+    sigma = np.linalg.svd(lower, compute_uv=False)
     return GramSystem(indices=indices, functions=functions,
                       conjugated=conjugated, grid=grid, lower=lower,
-                      orthonormal=factor,
-                      matrix=np.einsum("ij,kj->ik", lower, lower.conj()))
+                      orthonormal=factor, lambda_min=float(sigma[-1] ** 2),
+                      lambda_max=float(sigma[0] ** 2))
 
 
 def gram(family: ModeFamily) -> GramSystem:
@@ -439,15 +433,18 @@ def frame_bounds(family: ModeFamily) -> FrameBoundsReport:
     """Eigenvalue extremes of the normalised Gram at growing truncations.
 
     `family` holds the moment kernels n = 1..n_max in order, as
-    `build_family` returns them.  The Gram is formed once at n_max, and
+    `build_family` returns them.  The Gram of rows Z_n, then conj Z_n, is
+    formed once at n_max by trapezoidal quadrature, with no factor, and
     the smaller truncations in {4, 8, 16, 32} are read off its principal
     submatrices.
     """
     family.require(TrajectoryKind.MOMENT_KERNEL, ordered=True)
     n_max = len(family)
-    # only the small Gram is kept: LAPACK's eigensolver is paged in below,
-    # and next to the factor that would raise a run's peak RSS
-    matrix = gram(family).matrix
+    rows, weights = family.samples, family.grid.trapezoid_weights()
+    # einsum calls no BLAS, so G has the same bits at any BLAS thread count
+    direct = np.einsum("ik,jk,k->ij", rows, rows.conj(), weights)
+    cross = np.einsum("ik,jk,k->ij", rows, rows, weights)
+    matrix = np.block([[direct, cross], [cross.conj(), direct.conj()]])
     norms = np.sqrt(np.diag(matrix).real)
     normalised = matrix / np.outer(norms, norms)
 

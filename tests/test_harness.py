@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import viscostring
-from viscostring import volterra
+from viscostring import harness, volterra
 from viscostring.cli import main as cli_main
 from viscostring.harness import (
     EXIT_CONFIG,
@@ -335,6 +335,29 @@ kind = verify
     def test_resolution_violation_is_config_error(self, tmp_path):
         path = steer_config(tmp_path, steps=64, n_max=16)
         assert run(load_config(path), out_dir=tmp_path / "o") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("task", ["simulate", "steer", "verify", "diagnose"])
+    def test_oversized_n_max_is_rejected_before_any_per_mode_work(
+            self, tmp_path, monkeypatch, capsys, task):
+        # the grid check comes first, so a mistyped n_max costs no loop,
+        # list or tuple of n_max entries before it exits 2
+        calls = Counter()
+        for name in ("exceptional_index_check", "mode_params"):
+            def counting(*args, _name=name, _fn=getattr(harness, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, counting)
+        path = task_config(tmp_path, task, steps=512, n_max=10 ** 6)
+        out = tmp_path / "o"
+        assert run(load_config(path), out_dir=out) == EXIT_CONFIG
+        assert "mode 1000000" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not calls
+
+    def test_pair_ignores_an_oversized_n_max(self, tmp_path):
+        # pair resolves n_pair modes only
+        path = task_config(tmp_path, "pair", steps=512, n_max=10 ** 6)
+        assert run(load_config(path), out_dir=tmp_path / "o") == EXIT_OK
 
     def test_manifest_reconstructs_run(self, tmp_path):
         path = steer_config(tmp_path, seed=3)

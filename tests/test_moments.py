@@ -70,27 +70,41 @@ class TestFamily:
         assert len(family) == 16
 
 
+def _quadrature_gram(family):
+    """G[a, b] = int rows[a] conj(rows[b]) by the trapezoid rule, formed
+    directly over the rows Z_n, then conj Z_n (no factor)."""
+    rows = np.vstack([family.samples, np.conj(family.samples)])
+    return (rows * family.grid.trapezoid_weights()) @ rows.conj().T
+
+
 class TestGram:
     def test_elastic_full_period_is_diagonal(self, elastic_kernels):
         family = moment_family(elastic_kernels, 3)
         system = gram(family)
-        assert np.max(np.abs(system.matrix - TWO_PI * np.eye(6))) < 1e-3
+        matrix = _quadrature_gram(family)
+        assert np.max(np.abs(matrix - TWO_PI * np.eye(6))) < 1e-3
         assert system.lambda_min == pytest.approx(TWO_PI, abs=1e-3)
 
     def test_elastic_half_period_pair(self):
         grid = TimeGrid(math.pi, 2048)
         kernels = derive_kernels(ELASTIC_KERNEL, grid)
-        system = gram(moment_family(kernels, 1))
+        family = moment_family(kernels, 1)
+        matrix = _quadrature_gram(family)
         # indices (1, -1): diagonal pi, off-diagonal integral of e^{2it}
-        assert system.matrix[0, 0].real == pytest.approx(math.pi, abs=1e-3)
-        assert abs(system.matrix[0, 1]) < 1e-3
+        assert matrix[0, 0].real == pytest.approx(math.pi, abs=1e-3)
+        assert abs(matrix[0, 1]) < 1e-3
+        assert gram(family).lambda_min == pytest.approx(math.pi, abs=1e-3)
 
-    def test_hermitian_by_construction(self, desk_gram_8):
-        dev = np.max(np.abs(desk_gram_8.matrix - desk_gram_8.matrix.conj().T))
+    def test_hermitian_by_construction(self, desk_family_8, desk_gram_8):
+        # L L^H of the factor matches the quadrature Gram's conjugate
+        # transpose, so it is that Gram and Hermitian
+        lower = desk_gram_8.lower
+        product = lower @ lower.conj().T
+        dev = np.max(np.abs(product - _quadrature_gram(desk_family_8).conj().T))
         assert dev <= 1e-12
 
-    def test_eigen_extremes_match_lapack(self, desk_gram_8):
-        ref = np.linalg.eigvalsh(desk_gram_8.matrix)
+    def test_eigen_extremes_match_lapack(self, desk_family_8, desk_gram_8):
+        ref = np.linalg.eigvalsh(_quadrature_gram(desk_family_8))
         assert desk_gram_8.lambda_min == pytest.approx(ref[0], rel=1e-8)
         assert desk_gram_8.lambda_max == pytest.approx(ref[-1], rel=1e-8)
 
@@ -136,15 +150,15 @@ class TestSynthesize:
         assert report.max_relative_residual <= 1e-6
         assert report.imag_fraction <= 1e-10
 
-    def test_minimal_norm_identity(self, desk_gram_8):
+    def test_minimal_norm_identity(self, desk_family_8, desk_gram_8):
         target = MomentTarget(np.ones(8) / 4.0, np.zeros(8))
         report = synthesize_control(desk_gram_8, target, alpha=-0.2)
         gamma = target.gamma_for(desk_gram_8.indices)
+        matrix = _quadrature_gram(desk_family_8)
         quad = np.real(np.vdot(report.coefficients,
-                               desk_gram_8.matrix @ report.coefficients))
+                               matrix @ report.coefficients))
         assert report.control_norm ** 2 == pytest.approx(quad, rel=1e-8)
-        direct = np.real(np.vdot(gamma, np.linalg.solve(desk_gram_8.matrix,
-                                                        gamma)))
+        direct = np.real(np.vdot(gamma, np.linalg.solve(matrix, gamma)))
         assert report.control_norm ** 2 == pytest.approx(direct, rel=1e-8)
 
     def test_target_size_must_match_family(self, desk_gram_8):
@@ -287,6 +301,28 @@ class TestFrameBounds:
         assert frame_bounds(family) == frame_bounds(moment_family(desk_kernels, 4))
         with pytest.raises(ValueError):
             frame_bounds(family[1:])
+
+    @pytest.mark.parametrize("horizon, n_max", [(TWO_PI, 16), (7.5, 32),
+                                                (4.6, 16)])
+    def test_quadrature_gram_matches_the_factor_route(self, horizon, n_max):
+        # the bounds read off L L^H of the control solve's factor, per
+        # truncation; at T = 4.6 the size-16 lambda_min is of order 1e-9
+        kernels = derive_kernels(DESK_KERNEL, TimeGrid(horizon, 4096))
+        family = moment_family(kernels, n_max)
+        report = frame_bounds(family)
+        lower = gram(family).lower
+        matrix = lower @ lower.conj().T
+        norms = np.sqrt(np.diag(matrix).real)
+        normalised = matrix / np.outer(norms, norms)
+        assert report.sizes[-1] == n_max
+        for size, lo, hi in zip(report.sizes, report.lambda_min_by_size,
+                                report.lambda_max_by_size):
+            keep = [i for i in range(2 * n_max) if i % n_max < size]
+            eigs = np.linalg.eigvalsh(normalised[np.ix_(keep, keep)])
+            assert abs(lo - eigs[0]) <= 1e-13
+            assert abs(hi - eigs[-1]) <= 1e-13
+        if horizon < TWO_PI:
+            assert report.lambda_min < 1e-6
 
     def test_short_horizon_collapse(self):
         kernels = derive_kernels(ELASTIC_KERNEL, TimeGrid(math.pi / 2.0, 1024))
