@@ -239,7 +239,7 @@ def load_config(path) -> ExperimentConfig:
 
     Sections and keys outside `CONFIG_KEYS` raise ValueError naming them,
     so a misspelt key cannot fall back to its default silently; so do
-    malformed INI text and a seed outside [0, 2^64).
+    malformed INI text, a seed outside [0, 2^64) and a mode count below 1.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:  # reading every value once raises any interpolation error here
@@ -273,6 +273,10 @@ def load_config(path) -> ExperimentConfig:
         modes = parser["modes"]
         cfg.n_max = modes.getint("n_max", cfg.n_max)
         cfg.n_pair = modes.getint("n_pair", cfg.n_pair)
+        for key in ("n_max", "n_pair"):
+            if getattr(cfg, key) < 1:
+                raise ValueError(f"[modes] {key} must be at least 1, "
+                                 f"got {getattr(cfg, key)}")
 
     if "run" in parser:
         run_sec = parser["run"]
@@ -372,11 +376,16 @@ def write_csv(path, header, blocks) -> None:
 
 
 def write_manifest(path, manifest: dict) -> None:
-    """Deterministic JSON document (sorted keys, fixed layout)."""
+    """Deterministic JSON document (sorted keys, fixed layout).
+
+    A NaN or infinity raises ViscostringError before the file is opened.
+    """
     path = Path(path)
-    with path.open("w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ViscostringError(f"{path.name}: non-finite result ({exc})") from exc
+    path.write_text(text + "\n")
 
 
 def _complex_list(values) -> list:
@@ -492,7 +501,6 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
     _synthesis_outputs(out, manifest, trip.synthesis, trip.relative_error,
                        targets_velocity=[float(v) for v in target.xi],
                        targets_stress=[float(v) for v in target.eta],
-                       imag_fraction=trip.synthesis.imag_fraction,
                        achieved=_complex_list(trip.achieved))
 
 

@@ -8,18 +8,20 @@ a moment problem: find a control u in L^2(0, T) with
 where Z_n is the complex moment kernel of mode n, Z_{-n} = conj(Z_n), and
 gamma_n = xi_n + i*eta_n packs the velocity and stress targets with
 gamma_{-n} = conj(gamma_n).  Here u(s) = fw(T - s) is the reweighted
-control read backwards.  The minimal-norm solution is sought in the span
-of the conjugate kernels,
+control read backwards.  With Z_n = X_n + i*Y_n the signed rows are
+[Z; conj Z] = T [X; Y] with T T^H = 2I, so the problem is the real one
 
-    u(s) = sum_m a_m conj(Z_m(s)),
+    int_0^T X_n u = xi_n,    int_0^T Y_n u = eta_n,
 
-which turns the problem into the Hermitian system G a = gamma with
-G[m, n] = int_0^T Z_m conj(Z_n) = A A^H for the trapezoid-weighted sample
-matrix A = rows * sqrt(w).  A solve never uses G: A = L Q is factored
-once (Q with orthonormal rows), the eigenvalues of G are the squared
-singular values of L and the control is u = Q^H L^{-1} gamma / sqrt(w),
-so the solve sees the condition number of A, not its square (least
-squares rather than normal equations; Golub & Van Loan).
+whose minimal-norm solution is real and lies in the span of the rows.
+Its Gram G[m, n] = int_0^T R_m R_n over the 2N real rows R = [X; Y] is
+A A^T for the trapezoid-weighted sample matrix A = R * sqrt(w), and the
+Hermitian Gram of the signed complex rows, T G T^H, has exactly twice its
+eigenvalues.  A solve never uses G: A = L Q is factored once (Q with
+orthonormal rows), the eigenvalues of G are the squared singular values of
+L and the control is u = Q^T L^{-1} targets / sqrt(w), so the solve sees
+the condition number of A, not its square (least squares rather than
+normal equations; Golub & Van Loan).
 
 The extreme eigenvalues of the normalised Gram are the computable shadow
 of the family's Riesz property: bounded away from zero they certify
@@ -109,9 +111,8 @@ def below_critical_horizon(horizon: float) -> bool:
 class MomentTarget:
     """Velocity/stress coefficient targets for modes 1..n_max.
 
-    The complex packing is gamma_n = xi_n + i*eta_n; the conjugate
-    extension to negative indices is applied automatically wherever the
-    full index set is needed.
+    The complex packing is gamma_n = xi_n + i*eta_n, with
+    gamma_{-n} = conj(gamma_n) for the negative indices.
     """
 
     xi: np.ndarray
@@ -137,11 +138,6 @@ class MomentTarget:
         """Targets for positive indices."""
         return self.xi + 1j * self.eta
 
-    def gamma_for(self, indices: Sequence[int]) -> np.ndarray:
-        """Targets for a signed index list, conjugated for negative n."""
-        g = self.gamma[np.abs(indices) - 1]
-        return np.where(np.less(indices, 0), g.conj(), g)
-
     @classmethod
     def zero(cls, n_max: int) -> "MomentTarget":
         return cls(np.zeros(n_max), np.zeros(n_max))
@@ -149,21 +145,20 @@ class MomentTarget:
 
 @dataclass(frozen=True, eq=False)
 class GramSystem:
-    """Gram system of a family of moment functions on L^2(0, T), factored.
+    """Gram system of a family of real moment functions on L^2(0, T), factored.
 
     The weighted sample matrix A = rows * sqrt(w) (trapezoid weights w) is
-    held as A = lower @ orthonormal, so G = A A^H = lower @ lower^H has the
+    held as A = lower @ orthonormal, so G = A A^T = lower @ lower^T has the
     squared singular values of `lower` as eigenvalues; G is never formed.
     """
 
-    indices: tuple              # mode index of each row, signed for steering
-    functions: np.ndarray       # samples of the leading rows, (lead, K+1)
-    conjugated: bool            # rows are `functions`, then their conjugates
+    indices: tuple              # mode index of each row
+    functions: np.ndarray       # samples of the rows, (rows, K+1)
     grid: TimeGrid
     lower: np.ndarray           # L, lower triangular, (rows, rows)
     orthonormal: np.ndarray     # Q, orthonormal rows, (rows, K+1)
-    lambda_min: float           # extreme eigenvalues of G
-    lambda_max: float
+    lambda_min: float           # extreme eigenvalues of G (times 2 for
+    lambda_max: float           # steering, see `gram`)
 
     def __post_init__(self):
         for arr in (self.functions, self.lower, self.orthonormal):
@@ -185,11 +180,9 @@ class SynthesisReport:
 
     control: ControlSignal            # physical boundary input
     control_reweighted: np.ndarray    # exp(2*alpha*t) * control, as synthesised
-    coefficients: np.ndarray          # expansion coefficients in the kernel span
     residuals: np.ndarray             # per-target moment residuals (complex)
     max_relative_residual: float
     control_norm: float               # L^2 norm of the reweighted control
-    imag_fraction: float              # discarded imaginary content, relative
     lambda_min: float
     lambda_max: float
     condition: float
@@ -197,7 +190,6 @@ class SynthesisReport:
 
     def __post_init__(self):
         self.control_reweighted.setflags(write=False)
-        self.coefficients.setflags(write=False)
         self.residuals.setflags(write=False)
 
 
@@ -224,88 +216,77 @@ def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
     return family
 
 
-def _factorise(indices: tuple, functions: np.ndarray, grid: TimeGrid,
-               conjugated: bool) -> GramSystem:
-    """LQ factor of A = rows * sqrt(w), in place, by Gram-Schmidt twice.
+def _factorise(indices: tuple, functions: np.ndarray,
+               grid: TimeGrid) -> GramSystem:
+    """LQ factor of A = rows * sqrt(w) for real rows, by Gram-Schmidt twice.
 
     The second pass keeps Q orthonormal to working precision.  Every
     length-K reduction is an `np.einsum`, which does not call BLAS, so the
     factor has the same bits at any BLAS thread count.
     """
-    sqrt_w = np.sqrt(grid.trapezoid_weights())
-    count, lead = len(indices), len(functions)
-    factor = np.empty((count, len(sqrt_w)), dtype=functions.dtype)
-    np.multiply(functions, sqrt_w, out=factor[:lead])
-    if conjugated:
-        np.conjugate(factor[:lead], out=factor[lead:])
-    lower = np.zeros((count, count), dtype=factor.dtype)
+    factor = functions * np.sqrt(grid.trapezoid_weights())
+    lower = np.zeros((len(factor), len(factor)))
     for i, row in enumerate(factor):
         done = factor[:i]
         for _ in range(2):
-            proj = np.einsum("jk,k->j", done, row.conj()).conj()
+            proj = np.einsum("jk,k->j", done, row)
             row -= np.einsum("j,jk->k", proj, done)
             lower[i, :i] += proj
-        norm = math.sqrt(np.einsum("k,k->", row, row.conj()).real)
+        norm = math.sqrt(np.einsum("k,k->", row, row))
         lower[i, i] = norm
         if norm > 0.0:
             row /= norm
     sigma = np.linalg.svd(lower, compute_uv=False)
-    return GramSystem(indices=indices, functions=functions,
-                      conjugated=conjugated, grid=grid, lower=lower,
-                      orthonormal=factor, lambda_min=float(sigma[-1] ** 2),
+    return GramSystem(indices=indices, functions=functions, grid=grid,
+                      lower=lower, orthonormal=factor,
+                      lambda_min=float(sigma[-1] ** 2),
                       lambda_max=float(sigma[0] ** 2))
 
 
 def gram(family: ModeFamily) -> GramSystem:
-    """Hermitian Gram system of the family extended to signed indices.
+    """Gram system of the real rows X_n, then Y_n, of Z_n = X_n + i*Y_n.
 
-    Rows for -n are the conjugate kernels; inner products are trapezoidal
-    on the family's grid.
+    The extremes reported are twice those of the real Gram: exactly those
+    of the Hermitian Gram of the signed rows Z_n, then conj Z_n.  Inner
+    products are trapezoidal on the family's grid.
     """
     family.require(TrajectoryKind.MOMENT_KERNEL)
-    indices = family.ns + tuple(-n for n in family.ns)
-    return _factorise(indices, family.samples, family.grid, conjugated=True)
+    rows = np.concatenate([family.samples.real, family.samples.imag])
+    system = _factorise(family.ns + family.ns, rows, family.grid)
+    return replace(system, lambda_min=2.0 * system.lambda_min,
+                   lambda_max=2.0 * system.lambda_max)
 
 
 def _minimal_norm_report(system: GramSystem, targets: np.ndarray,
                          alpha: float) -> SynthesisReport:
-    """Minimal-norm control meeting `targets`, re-verified by quadrature.
+    """Minimal-norm control meeting real `targets`, re-verified by quadrature.
 
-    u is formed from Q, not as sum a_m conj(rows[m]) with a = G^{-1}
-    targets, which would square the condition number again.
+    u is formed from Q, not as sum a_m rows[m] with a = G^{-1} targets,
+    which would square the condition number again.
     """
     grid = system.grid
     weights = grid.trapezoid_weights()
     try:
         half = np.linalg.solve(system.lower, targets)
-        coefficients = np.linalg.solve(system.lower.conj().T, half)
     except np.linalg.LinAlgError as exc:
         raise NearSingularGramError(system.lambda_min, system.lambda_max) from exc
-    u = np.einsum("m,mk->k", half.conj(), system.orthonormal).conj()
+    u = np.einsum("m,mk->k", half, system.orthonormal)
     u /= np.sqrt(weights)
     weighted = weights * u
     achieved = [np.einsum("k,k->", f, weighted) for f in system.functions]
-    if system.conjugated:
-        weighted = weighted.conj()
-        achieved += [np.einsum("k,k->", f, weighted).conjugate()
-                     for f in system.functions]
     residuals = np.array(achieved) - targets
     worst = float(np.max(np.abs(residuals)))
     target_scale = float(np.max(np.abs(targets)))
     max_rel = worst / target_scale if target_scale > 0.0 else worst
-    norm = math.sqrt(float(np.sum(weights * np.abs(u) ** 2)))
-    imag_norm = math.sqrt(float(np.sum(weights * u.imag ** 2)))
-    imag_fraction = imag_norm / norm if norm > 0.0 else 0.0
-    reweighted = u.real[::-1].copy()              # fw(t) = u(T - t)
+    norm = math.sqrt(float(np.sum(weights * u ** 2)))
+    reweighted = u[::-1].copy()                   # fw(t) = u(T - t)
     physical = np.exp(-2.0 * alpha * grid.times()) * reweighted
     return SynthesisReport(
         control=ControlSignal(physical, grid),
         control_reweighted=reweighted,
-        coefficients=coefficients.astype(complex),
         residuals=residuals,
         max_relative_residual=max_rel,
         control_norm=norm,
-        imag_fraction=imag_fraction,
         lambda_min=system.lambda_min,
         lambda_max=system.lambda_max,
         condition=system.condition,
@@ -316,11 +297,12 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
                        alpha: float = 0.0) -> SynthesisReport:
     """Minimal-norm control meeting the velocity/stress moment targets.
 
-    Solves the moment equations through the LQ factor of the family,
-    re-verifies every moment by direct quadrature against the kernel
-    samples and reports the residuals.  `alpha` is the damping rate of the
-    kernel set the family was built from; it converts the synthesised
-    reweighted control back to the physical one.
+    Solves the real moment equations for xi, then eta, through the LQ
+    factor of the family, re-verifies every moment by direct quadrature
+    and reports the residuals r_n = r_xi,n + i*r_eta,n, then their
+    conjugates for -n.  `alpha` is the damping rate of the kernel set the
+    family was built from; it converts the synthesised reweighted control
+    back to the physical one.
 
     Raises NearSingularGramError when the Gram spectrum indicates loss of
     the Riesz property at this truncation; warns when the horizon is below
@@ -334,12 +316,15 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
         )
     if system.near_singular:
         raise NearSingularGramError(system.lambda_min, system.lambda_max)
-    n_max = max(abs(n) for n in system.indices)
+    n_max = len(system.indices) // 2
     if target.n_max != n_max:
         raise ValueError(
             f"target covers {target.n_max} modes but the family covers {n_max}"
         )
-    return _minimal_norm_report(system, target.gamma_for(system.indices), alpha)
+    report = _minimal_norm_report(system, np.concatenate([target.xi, target.eta]),
+                                  alpha)
+    r = report.residuals[:n_max] + 1j * report.residuals[n_max:]
+    return replace(report, residuals=np.concatenate([r, r.conj()]))
 
 
 def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
@@ -392,7 +377,7 @@ def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
         ns += ns
         targets = np.concatenate([c, d - c])
 
-    system = _factorise(ns, functions, grid, conjugated=False)
+    system = _factorise(ns, functions, grid)
     if system.lambda_min <= PAIR_NEAR_SINGULAR_RATIO * system.lambda_max:
         raise NearSingularGramError(system.lambda_min, system.lambda_max)
     report = _minimal_norm_report(system, targets, kernels.alpha)
@@ -433,28 +418,29 @@ def frame_bounds(family: ModeFamily) -> FrameBoundsReport:
     """Eigenvalue extremes of the normalised Gram at growing truncations.
 
     `family` holds the moment kernels n = 1..n_max in order, as
-    `build_family` returns them.  The Gram of rows Z_n, then conj Z_n, is
-    formed once at n_max by trapezoidal quadrature, with no factor, and
-    the smaller truncations in {4, 8, 16, 32} are read off its principal
-    submatrices.
+    `build_family` returns them.  The real Gram of the rows X_n, then Y_n
+    of Z_n = X_n + i*Y_n is formed once at n_max by quadrature, with no
+    factor, and normalised by ||Z_n||^2; twice its eigenvalues are those of
+    the normalised Hermitian Gram of Z_n, then conj Z_n.  The truncations
+    in {4, 8, 16, 32} are read off its principal submatrices.
     """
     family.require(TrajectoryKind.MOMENT_KERNEL, ordered=True)
     n_max = len(family)
-    rows, weights = family.samples, family.grid.trapezoid_weights()
+    re, im = family.samples.real, family.samples.imag
+    weights = family.grid.trapezoid_weights()
     # einsum calls no BLAS, so G has the same bits at any BLAS thread count
-    direct = np.einsum("ik,jk,k->ij", rows, rows.conj(), weights)
-    cross = np.einsum("ik,jk,k->ij", rows, rows, weights)
-    matrix = np.block([[direct, cross], [cross.conj(), direct.conj()]])
-    norms = np.sqrt(np.diag(matrix).real)
+    xx, xy, yy = (np.einsum("ik,jk,k->ij", a, b, weights)
+                  for a, b in ((re, re), (re, im), (im, im)))
+    matrix = np.block([[xx, xy], [xy.T, yy]])
+    norms = np.sqrt(np.tile(np.diag(xx) + np.diag(yy), 2))
     normalised = matrix / np.outer(norms, norms)
 
     sizes = tuple(sorted({s for s in _FRAME_SIZES if s <= n_max} | {n_max}))
     mins, maxs = [], []
     for size in sizes:
-        # rows are n = 1..n_max, then -1..-n_max
+        # rows are X_1..X_n_max, then Y_1..Y_n_max
         keep = [i for i in range(2 * n_max) if i % n_max < size]
-        sub = normalised[np.ix_(keep, keep)]
-        eigs = np.linalg.eigvalsh(sub)
+        eigs = 2.0 * np.linalg.eigvalsh(normalised[np.ix_(keep, keep)])
         mins.append(float(eigs[0]))
         maxs.append(float(eigs[-1]))
     return FrameBoundsReport(horizon=family.grid.horizon, sizes=sizes,

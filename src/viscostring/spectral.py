@@ -148,8 +148,9 @@ def simulate_coefficients(control: ControlSignal, modes: ModeFamily,
     series brackets are product-trapezoidal convolutions paired with the
     reweighted, time-reversed control by trapezoidal quadrature, so each
     collapses to a dot product of y_n with a representer built once per
-    call (`convolve_transpose`).  One (N, K+1) @ (K+1, 4) product then
-    evaluates w, v, sigma and the time-integrated stress for every mode.
+    call (`convolve_transpose`).  One product of the (N, K+1) responses
+    with the four representers then evaluates w, v, sigma and the
+    time-integrated stress for every mode.
     """
     grid = control.grid
     if kernels.grid != grid:
@@ -166,8 +167,10 @@ def simulate_coefficients(control: ControlSignal, modes: ModeFamily,
         pairing + convolve_transpose(kernels.velocity_kernel, pairing, grid),
         convolve_transpose(kernels.stress_kernel, pairing, grid),
         convolve_transpose(kernels.stress_kernel, accumulated, grid),
-    ], axis=1)
-    values = modes.samples @ representers
+    ])
+    # einsum calls no BLAS, so the values have the same bits at any BLAS
+    # thread count
+    values = np.einsum("nk,jk->nj", modes.samples, representers)
     ns = np.arange(1, len(modes) + 1, dtype=float)
     values[:, [0, 2, 3]] *= ns[:, None]
     w, v, sigma, q = (np.ascontiguousarray(col) for col in values.T)

@@ -269,7 +269,7 @@ def convolve_transpose(a, p, grid: TimeGrid) -> np.ndarray:
     h = grid.step
     corr = _convolution_head(pv[::-1], av)[::-1]
     u = h * (corr - 0.5 * av[0] * pv)
-    u[0] -= 0.5 * h * np.dot(pv, av)
+    u[0] -= 0.5 * h * np.einsum("k,k->", pv, av)
     return u
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -17,8 +18,10 @@ from viscostring.harness import (
     EXIT_CONFIG,
     EXIT_ELASTIC_DEGENERACY,
     EXIT_EXCEPTIONAL_INDEX,
+    EXIT_FAILURE,
     EXIT_NEAR_SINGULAR,
     EXIT_OK,
+    TASKS,
     load_config,
     make_control,
     random_unit_target,
@@ -174,6 +177,19 @@ kind = transmogrify
         assert cli_main(["steer", "--config", str(too_big)]) == EXIT_CONFIG
         assert str(2 ** 64) in capsys.readouterr().err
         assert load_config(steer_config(tmp_path, seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("key,value", [("n_max", "0"), ("n_max", "-2"),
+                                           ("n_pair", "0")])
+    @pytest.mark.parametrize("task", TASKS)
+    def test_mode_count_below_one_is_a_config_error(self, tmp_path, capsys,
+                                                    task, key, value):
+        path = task_config(tmp_path, task)
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}",
+                               path.read_text(), flags=re.M))
+        out = tmp_path / "o"
+        assert cli_main([task, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"[modes] {key} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_example_configs_parse(self):
         configs = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
@@ -359,6 +375,16 @@ kind = verify
         path = task_config(tmp_path, "pair", steps=512, n_max=10 ** 6)
         assert run(load_config(path), out_dir=tmp_path / "o") == EXIT_OK
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_fails_without_a_manifest(self, tmp_path, capsys):
+        # alpha = 25 overflows the march: NaN coefficients are a failed run,
+        # not a manifest with bare NaN values that strict JSON rejects
+        path = task_config(tmp_path, "simulate", coefficients="-50 1.0")
+        out = tmp_path / "o"
+        assert run(load_config(path), out_dir=out) == EXIT_FAILURE
+        assert "manifest.json: non-finite result" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_manifest_reconstructs_run(self, tmp_path):
         path = steer_config(tmp_path, seed=3)
         out = tmp_path / "out"
@@ -497,12 +523,16 @@ def _cli_outputs(tmp_path, task, path, blas_threads):
 
 class TestBlasThreads:
     @pytest.mark.parametrize("task,n_max", [("steer", 8), ("simulate", 16),
-                                            ("pair", 8), ("diagnose", 16)])
+                                            ("pair", 8), ("diagnose", 16),
+                                            ("simulate", 64), ("steer", 64)])
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path, task,
                                                        n_max):
-        # the history sums are BLAS products large enough to be threaded,
-        # and the moment solves factor a 2N x (K+1) matrix
-        path = task_config(tmp_path, task, steps=2048, n_max=n_max)
+        # the moment solves factor a 2N x (K+1) matrix; at n_max = 64 and
+        # 4096 steps a BLAS product over the time axis, or a complex LAPACK
+        # call at Gram size (128 x 128), would be threaded and would move
+        # the last digits
+        steps = 4096 if n_max == 64 else 2048
+        path = task_config(tmp_path, task, steps=steps, n_max=n_max)
         single = _cli_outputs(tmp_path, task, path, 1)
         double = _cli_outputs(tmp_path, task, path, 2)
         assert "manifest.json" in single

@@ -45,13 +45,6 @@ class TestTarget:
         with pytest.raises(ValueError):
             MomentTarget(np.array([]), np.array([]))
 
-    def test_conjugate_extension(self):
-        target = MomentTarget(np.array([1.0, 0.0]), np.array([0.5, -2.0]))
-        values = target.gamma_for([1, 2, -1, -2])
-        assert values[0] == 1.0 + 0.5j
-        assert values[2] == np.conj(values[0])
-        assert values[3] == np.conj(values[1])
-
 
 class TestFamily:
     def test_elastic_family_matches_exponentials(self, elastic_kernels,
@@ -72,9 +65,28 @@ class TestFamily:
 
 def _quadrature_gram(family):
     """G[a, b] = int rows[a] conj(rows[b]) by the trapezoid rule, formed
-    directly over the rows Z_n, then conj Z_n (no factor)."""
+    directly over the rows Z_n, then conj Z_n (no factor): the Hermitian
+    Gram of the complex moment problem, the oracle for the real route."""
     rows = np.vstack([family.samples, np.conj(family.samples)])
     return (rows * family.grid.trapezoid_weights()) @ rows.conj().T
+
+
+def _real_rows(family):
+    """The rows X_n, then Y_n, of Z_n = X_n + i*Y_n, as `gram` factors them."""
+    return np.vstack([family.samples.real, family.samples.imag])
+
+
+def _frame_extremes(matrix, size):
+    """Extremes of 2 D^-1/2 G D^-1/2 over the rows n <= size of both halves
+    of G, where D sums the two halves' diagonals: the normalised bounds of
+    the Gram of [Z; conj Z] and of the real Gram of [X; Y] alike."""
+    half = len(matrix) // 2
+    diag = np.diag(matrix).real
+    norms = np.sqrt(np.tile(diag[:half] + diag[half:], 2))
+    keep = [i for i in range(2 * half) if i % half < size]
+    normalised = (matrix / np.outer(norms, norms))[np.ix_(keep, keep)]
+    eigs = 2.0 * np.linalg.eigvalsh(normalised)
+    return eigs[0], eigs[-1]
 
 
 class TestGram:
@@ -95,12 +107,19 @@ class TestGram:
         assert abs(matrix[0, 1]) < 1e-3
         assert gram(family).lambda_min == pytest.approx(math.pi, abs=1e-3)
 
-    def test_hermitian_by_construction(self, desk_family_8, desk_gram_8):
-        # L L^H of the factor matches the quadrature Gram's conjugate
-        # transpose, so it is that Gram and Hermitian
+    def test_hermitian_by_construction(self, desk_family_8, desk_gram_8,
+                                       desk_grid):
+        # L L^T of the factor is the real Gram of [X; Y], and T (L L^T) T^H
+        # with T = [[I, iI], [I, -iI]] is the Hermitian Gram of [Z; conj Z]
         lower = desk_gram_8.lower
-        product = lower @ lower.conj().T
-        dev = np.max(np.abs(product - _quadrature_gram(desk_family_8).conj().T))
+        product = lower @ lower.T
+        rows = _real_rows(desk_family_8)
+        real = (rows * desk_grid.trapezoid_weights()) @ rows.T
+        assert np.max(np.abs(product - real)) <= 1e-12
+        eye = np.eye(8)
+        t = np.block([[eye, 1j * eye], [eye, -1j * eye]])
+        dev = np.max(np.abs(t @ product @ t.conj().T
+                            - _quadrature_gram(desk_family_8)))
         assert dev <= 1e-12
 
     def test_eigen_extremes_match_lapack(self, desk_family_8, desk_gram_8):
@@ -116,9 +135,8 @@ class TestGram:
     def test_factor_reproduces_weighted_samples(self, desk_family_8,
                                                 desk_gram_8, desk_grid):
         q = desk_gram_8.orthonormal
-        assert np.max(np.abs(q @ q.conj().T - np.eye(16))) <= 1e-13
-        rows = np.vstack([desk_family_8.samples, np.conj(desk_family_8.samples)])
-        weighted = rows * np.sqrt(desk_grid.trapezoid_weights())
+        assert np.max(np.abs(q @ q.T - np.eye(16))) <= 1e-13
+        weighted = _real_rows(desk_family_8) * np.sqrt(desk_grid.trapezoid_weights())
         assert np.allclose(desk_gram_8.lower @ q, weighted, rtol=0,
                            atol=1e-13)
         assert np.all(np.triu(desk_gram_8.lower, 1) == 0)
@@ -148,16 +166,16 @@ class TestSynthesize:
         target = MomentTarget(vec[:8], vec[8:])
         report = synthesize_control(desk_gram_8, target, alpha=-0.2)
         assert report.max_relative_residual <= 1e-6
-        assert report.imag_fraction <= 1e-10
+        # a real control, and r_-n = conj(r_n) as for the targets
+        assert report.control.samples.dtype == np.float64
+        assert np.array_equal(report.residuals[8:], report.residuals[:8].conj())
 
     def test_minimal_norm_identity(self, desk_family_8, desk_gram_8):
+        # ||u||^2 = gamma^H G^-1 gamma for the Hermitian Gram of [Z; conj Z]
         target = MomentTarget(np.ones(8) / 4.0, np.zeros(8))
         report = synthesize_control(desk_gram_8, target, alpha=-0.2)
-        gamma = target.gamma_for(desk_gram_8.indices)
+        gamma = np.concatenate([target.gamma, target.gamma.conj()])
         matrix = _quadrature_gram(desk_family_8)
-        quad = np.real(np.vdot(report.coefficients,
-                               matrix @ report.coefficients))
-        assert report.control_norm ** 2 == pytest.approx(quad, rel=1e-8)
         direct = np.real(np.vdot(gamma, np.linalg.solve(matrix, gamma)))
         assert report.control_norm ** 2 == pytest.approx(direct, rel=1e-8)
 
@@ -186,10 +204,10 @@ class TestSynthesize:
             self, desk_family_8, desk_grid):
         # np.linalg.LinAlgError is a ValueError, which the CLI reports as a
         # config error (exit 2); a singular factor must surface as exit 4
-        samples = desk_family_8.samples[0]
+        samples = desk_family_8.samples[0].real
         system = moments._factorise((1, 2),
                                     np.array([samples, np.zeros_like(samples)]),
-                                    desk_grid, conjugated=False)
+                                    desk_grid)
         assert system.lower[1, 1] == 0.0
         with pytest.raises(NearSingularGramError):
             moments._minimal_norm_report(system, np.ones(2), alpha=0.0)
@@ -305,22 +323,20 @@ class TestFrameBounds:
     @pytest.mark.parametrize("horizon, n_max", [(TWO_PI, 16), (7.5, 32),
                                                 (4.6, 16)])
     def test_quadrature_gram_matches_the_factor_route(self, horizon, n_max):
-        # the bounds read off L L^H of the control solve's factor, per
-        # truncation; at T = 4.6 the size-16 lambda_min is of order 1e-9
+        # per truncation, the bounds are those of the normalised Hermitian
+        # Gram of [Z; conj Z] and of L L^T of the control solve's real
+        # factor; at T = 4.6 the size-16 lambda_min is of order 1e-9
         kernels = derive_kernels(DESK_KERNEL, TimeGrid(horizon, 4096))
         family = moment_family(kernels, n_max)
         report = frame_bounds(family)
         lower = gram(family).lower
-        matrix = lower @ lower.conj().T
-        norms = np.sqrt(np.diag(matrix).real)
-        normalised = matrix / np.outer(norms, norms)
         assert report.sizes[-1] == n_max
-        for size, lo, hi in zip(report.sizes, report.lambda_min_by_size,
-                                report.lambda_max_by_size):
-            keep = [i for i in range(2 * n_max) if i % n_max < size]
-            eigs = np.linalg.eigvalsh(normalised[np.ix_(keep, keep)])
-            assert abs(lo - eigs[0]) <= 1e-13
-            assert abs(hi - eigs[-1]) <= 1e-13
+        for matrix in (_quadrature_gram(family), lower @ lower.T):
+            for size, lo, hi in zip(report.sizes, report.lambda_min_by_size,
+                                    report.lambda_max_by_size):
+                low, high = _frame_extremes(matrix, size)
+                assert abs(lo - low) <= 1e-13
+                assert abs(hi - high) <= 1e-13
         if horizon < TWO_PI:
             assert report.lambda_min < 1e-6
 
@@ -412,7 +428,6 @@ class TestSteeringProperties:
         report = synthesize_control(desk_gram_8, target,
                                     alpha=desk_kernels.alpha)
         assert report.max_relative_residual <= 1e-6
-        assert report.imag_fraction <= 1e-10
         state = simulate_coefficients(report.control, desk_modes_32[:8],
                                       desk_kernels)
         achieved = state.velocity + 1j * state.stress

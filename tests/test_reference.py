@@ -54,7 +54,7 @@ ILL_CONDITIONED = 1e-6
 PAIR_COLUMNS = {"physical", "reweighted", "deformation_achieved", "stress_achieved"}
 # Round-off-scale values (up to 1.04x their largest reference value).
 ROUNDOFF_CEILING = 10.0
-ROUNDOFF_COLUMNS = {"residuals", "max_relative_residual", "imag_fraction"}
+ROUNDOFF_COLUMNS = {"residuals", "max_relative_residual"}
 
 
 def _float_bound(task, column):
