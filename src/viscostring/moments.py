@@ -29,10 +29,12 @@ solvability at this truncation, collapsing they flag a horizon that is too
 short.  `frame_bounds` forms G by quadrature and builds no factor.
 Synthesis refuses to run when lambda_min <= 1e3 * eps * lambda_max.
 
-Solved families are arguments, each one `ModeFamily` array:
+Solved families are arguments, each one `ModeFamily` array; a family of
+moment kernels holds the real rows X_n, then Y_n (`volterra`).
 `build_family(kernels, modes)` checks the moment kernels n = 1..len(modes)
-against the caller's mode responses, and `gram`, `frame_bounds` and
-`quadratic_closeness` read the family it returns.  `finite_pair_control`
+against the caller's mode responses, `_CHECK_ROWS` rows at a time, and
+`gram`, `frame_bounds` and `quadratic_closeness` read the family it
+returns.  `finite_pair_control`
 alone solves its modes, as their only reader.  Every consumer checks its
 family with `ModeFamily.require` and works on all its rows at once.
 
@@ -89,6 +91,10 @@ __all__ = [
 #: Dual-construction tolerance: the two moment-kernel routes must agree
 #: within this multiple of step^2, uniformly in time.
 CROSS_CHECK_FACTOR = 100.0
+
+#: Rows per block of the cross-check: the assembled kernels are held for
+#: one block at a time, not for the whole family.
+_CHECK_ROWS = 8
 
 #: Gram matrices with lambda_min <= NEAR_SINGULAR_FACTOR * eps * lambda_max
 #: are treated as singular (loss of the Riesz property at this truncation).
@@ -199,20 +205,23 @@ def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
     `modes` holds the mode responses n = 1, 2, ... in order on the kernel
     grid.  All kernels are time stepped from their own equation in one
     batch, and all are independently assembled by quadrature from the mode
-    responses; a uniform deviation beyond CROSS_CHECK_FACTOR * step^2 on
-    any mode aborts the build.
+    responses, in blocks of `_CHECK_ROWS` rows; a uniform deviation
+    hypot(X - X', Y - Y') beyond CROSS_CHECK_FACTOR * step^2 on any mode
+    aborts the build.
     """
     modes.require(TrajectoryKind.MODE, kernels.grid, ordered=True)
     tolerance = CROSS_CHECK_FACTOR * kernels.grid.step ** 2
     family = solve_moment_kernels(range(1, len(modes) + 1), kernels)
-    assembled = assemble_moment_kernel(modes, kernels)
-    for n, stepped, check in zip(modes.ns, family.samples, assembled.samples):
-        deviation = float(np.max(np.abs(stepped - check)))
-        if deviation > tolerance:
-            raise CrossCheckError(
-                f"moment kernel n={n}: route deviation {deviation:.3e} "
-                f"exceeds {tolerance:.3e}"
-            )
+    for first in range(0, len(modes), _CHECK_ROWS):
+        block = slice(first, first + _CHECK_ROWS)
+        check = assemble_moment_kernel(modes[block], kernels).samples
+        deviations = np.max(np.hypot(*(family.samples[:, block] - check)), axis=1)
+        for n, deviation in zip(modes.ns[block], deviations.tolist()):
+            if deviation > tolerance:
+                raise CrossCheckError(
+                    f"moment kernel n={n}: route deviation {deviation:.3e} "
+                    f"exceeds {tolerance:.3e}"
+                )
     return family
 
 
@@ -251,7 +260,7 @@ def gram(family: ModeFamily) -> GramSystem:
     products are trapezoidal on the family's grid.
     """
     family.require(TrajectoryKind.MOMENT_KERNEL)
-    rows = np.concatenate([family.samples.real, family.samples.imag])
+    rows = family.samples.reshape(2 * len(family), -1)
     system = _factorise(family.ns + family.ns, rows, family.grid)
     return replace(system, lambda_min=2.0 * system.lambda_min,
                    lambda_max=2.0 * system.lambda_max)
@@ -426,7 +435,7 @@ def frame_bounds(family: ModeFamily) -> FrameBoundsReport:
     """
     family.require(TrajectoryKind.MOMENT_KERNEL, ordered=True)
     n_max = len(family)
-    re, im = family.samples.real, family.samples.imag
+    re, im = family.samples
     weights = family.grid.trapezoid_weights()
     # einsum calls no BLAS, so G has the same bits at any BLAS thread count
     xx, xy, yy = (np.einsum("ik,jk,k->ij", a, b, weights)
@@ -477,13 +486,13 @@ def quadratic_closeness(family: ModeFamily,
     weights = family.grid.trapezoid_weights()
     times = family.grid.times()
     dists = []
-    for n, samples, par in zip(family.ns, family.samples, params):
+    for n, re, im, par in zip(family.ns, *family.samples, params):
         if n != par.n:
             raise ValueError("family and params must align index by index")
         # negative indices carry conjugate kernels, hence signed frequencies
         freq = par.beta if par.n > 0 else -par.beta
         reference = np.exp((par.alpha + 1j * freq) * times)
-        dists.append(float(np.sum(weights * np.abs(samples - reference) ** 2)))
+        dists.append(float(np.sum(weights * np.abs(re + 1j * im - reference) ** 2)))
     ns_arr = np.asarray(family.ns)
     d_arr = np.asarray(dists)
     return ClosenessReport(ns=ns_arr, distances=d_arr,

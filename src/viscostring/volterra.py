@@ -21,9 +21,11 @@ rows against one fixed factor, which it transforms once per call.  They
 take real samples only.  Their round-off is absolute, about
 eps*step*|a|*|b| in the 2-norms of the factors.
 
-One march solves a batch of mode indices on the grid of the kernel set
+One march solves a batch of real rows on the grid of the kernel set
 (`DerivedKernelSet.grid`).  A solved family is one `ModeFamily`: indices,
-kind and the read-only (N, K+1) array of its rows.  Callers solve each
+kind and the read-only array of its rows, (N, K+1) for mode responses and
+(2, N, K+1) for moment kernels, the real parts X_n over the imaginary
+parts Y_n of Z_n = X_n + i*Y_n.  Callers solve each
 family once per run (`solve_modes`, `solve_moment_kernels`; `solve_mode`
 and `solve_moment_kernel` are one-index batches) and share it; consumers
 check it with `ModeFamily.require`.  The solvers call pocketfft and
@@ -41,6 +43,7 @@ product-integration route and serves as its oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -119,16 +122,17 @@ class TimeGrid:
 
 class TrajectoryKind(Enum):
     MODE = "mode"                        # real response of one sine mode
-    MOMENT_KERNEL = "moment_kernel"      # complex kernel of the moment functionals
+    MOMENT_KERNEL = "moment_kernel"      # kernel of the moment functionals, as (X, Y)
 
 
 @dataclass(frozen=True, eq=False)
 class ModeFamily:
     """Samples of one mode quantity for the indices `ns`, one row per index.
 
-    `samples` is read-only, of shape (len(ns), K+1) on `grid`.  Mode
-    responses are real; moment kernels are complex, with the row for
-    index -n the complex conjugate of the row for n.
+    `samples` is real and read-only.  Mode responses are of shape
+    (len(ns), K+1) on `grid`.  Moment kernels Z_n = X_n + i*Y_n are of
+    shape (2, len(ns), K+1), the rows X_n, then the rows Y_n; the row for
+    index -n is (X_n, -Y_n).  A position indexes the row axis of either.
     """
 
     ns: tuple
@@ -138,9 +142,12 @@ class ModeFamily:
 
     def __post_init__(self):
         ns = _mode_indices(self.ns)
-        if self.samples.shape != (len(ns), self.grid.steps + 1):
+        shape = (len(ns), self.grid.steps + 1)
+        if self.kind is TrajectoryKind.MOMENT_KERNEL:
+            shape = (2,) + shape
+        if self.samples.shape != shape:
             raise ValueError(f"samples of shape {self.samples.shape} do not hold "
-                             f"{len(ns)} rows of {self.grid.steps + 1} grid samples")
+                             f"{shape[:-1]} rows of {shape[-1]} grid samples")
         object.__setattr__(self, "ns", ns)
         self.samples.setflags(write=False)
 
@@ -153,7 +160,7 @@ class ModeFamily:
         """The rows at a position, a slice or a list of positions."""
         rows = index if isinstance(index, slice) else np.atleast_1d(index)
         return ModeFamily(tuple(np.array(self.ns)[rows].tolist()), self.kind,
-                          self.samples[rows], self.grid)
+                          self.samples[..., rows, :], self.grid)
 
     def require(self, kind: TrajectoryKind, grid: TimeGrid | None = None,
                 ordered: bool = False) -> None:
@@ -333,48 +340,34 @@ def _solve_toeplitz(d0, d1, weights, x) -> None:
 
 
 def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
-           forcing, dtype) -> np.ndarray:
-    """March y_i' = local*y_i - weights[i]*(kernel * y_i) + g_i, y_i(0) = 1.
+           start, forcing) -> np.ndarray:
+    """March y_i' = local*y_i - weights[i]*(kernel * y_i) + g_i, y_i(0) = start[i].
 
-    Solves every row i at once and returns the (N, K+1) batch.  A complex
-    batch is solved as 2N real rows, its real parts over its imaginary
-    parts (which start at zero), as the kernel and coefficients are real.
-    `forcing` is None or, for a complex batch, real rows (re, im) and
-    scales s with g_i = re + 1j*s[i]*im, applied one row at a time.
-    The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the Toeplitz system
-    (D0 + weights[i]*D1) y = p_i: D0 = [1 - h*local/2, -(1 + h*local/2)],
-    D1_m = (h^2/2)(L_m + L_{m-1}) with L_0 = kernel_0/2 and L_m = kernel_m,
-    and p_i holds the start value, its half-weight memory term and g_i.
+    Solves every real row i at once and returns the (rows, K+1) batch.
+    `forcing` is None or yields the rows g_i in order, each applied to its
+    row alone.  The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the
+    Toeplitz system (D0 + weights[i]*D1) y = p_i:
+    D0 = [1 - h*local/2, -(1 + h*local/2)], D1_m = (h^2/2)(L_m + L_{m-1})
+    with L_0 = kernel_0/2 and L_m = kernel_m, and p_i holds the start value,
+    its half-weight memory term and g_i.
     """
     h = grid.step
     weights = np.asarray(weights, dtype=float)
-    count = len(weights)
-    start = np.ones(count)
-    if dtype is complex:
-        weights = np.concatenate([weights, weights])
-        start = np.concatenate([start, np.zeros(count)])
+    start = np.asarray(start, dtype=float)
     memory = np.concatenate([[0.0], kernel[:-1]])  # L_{m-1} for m = 0..K
     memory[1] *= 0.5
     d1 = (memory[1:] + memory[:-1]) * (0.5 * h * h)
     start_memory = 0.5 * h * kernel[1:]  # the start value's half weight in each sum
     start_memory[1:] += 0.5 * h * kernel[1:-1]
-    # the complex result before the work array: freeing y then leaves no hole below it
-    out = np.empty((count, grid.steps + 1), dtype=complex) if dtype is complex else None
     y = np.empty((len(weights), grid.steps + 1))
     y[:, 0] = start
     np.multiply.outer(-0.5 * h * weights * start, start_memory, out=y[:, 1:])
     y[:, 1] += (1.0 + 0.5 * h * local) * start
-    if forcing is not None:
-        re, im, scales = forcing
-        y[:count, 1:] += 0.5 * h * (re[1:] + re[:-1])
-        for row, g in zip(y[count:], (scale * im for scale in scales)):
-            row[1:] += 0.5 * h * (g[1:] + g[:-1])
+    for row, g in zip(y, forcing if forcing is not None else ()):
+        row[1:] += 0.5 * h * (g[1:] + g[:-1])
     d0 = (1.0 - 0.5 * h * local, -(1.0 + 0.5 * h * local))
     _solve_toeplitz(d0, d1, weights, y[:, 1:])
-    if dtype is not complex:
-        return y
-    out.real, out.imag = y[:count], y[count:]
-    return out
+    return y
 
 
 def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
@@ -383,23 +376,32 @@ def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
 
     Mode responses are even in n and moment kernels satisfy
     Z_{-n} = conj(Z_n), so both signs share one row and the symmetry is
-    exact.  When `ns` lists distinct positive indices in increasing order
-    the family holds the marched batch itself; otherwise its rows are a
-    reordered copy, conjugated for negative moment-kernel indices.
+    exact.  A moment kernel is marched as two real rows, X_n with forcing
+    Hv and X_n(0) = 1, and Y_n with forcing n*Ks and Y_n(0) = 0, as the
+    kernel and coefficients are real.  When `ns` lists distinct positive
+    indices in increasing order the family holds the marched batch itself;
+    otherwise its rows are a reordered copy, with Y negated for negative
+    moment-kernel indices.
     """
     ns = _mode_indices(ns)
     grid = kernels.grid
     sizes = sorted({abs(n) for n in ns})
     grid.require_resolution(sizes[-1])
     size = np.array(sizes, dtype=float)
-    forcing, dtype = None, float
-    if kind is TrajectoryKind.MOMENT_KERNEL:  # Hv + i*n*Ks
-        forcing, dtype = (kernels.velocity_kernel, kernels.stress_kernel, size), complex
+    weights, start, forcing = size * size, np.ones(len(size)), None
+    moments = kind is TrajectoryKind.MOMENT_KERNEL
+    if moments:
+        weights, start = np.tile(weights, 2), np.concatenate([start, np.zeros(len(size))])
+        forcing = itertools.chain(itertools.repeat(kernels.velocity_kernel, len(size)),
+                                  (n * kernels.stress_kernel for n in size))
     batch = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
-                   size * size, forcing, dtype)
-    if list(ns) != sizes:  # conjugating a real mode row changes nothing
-        batch = batch[np.searchsorted(sizes, np.abs(ns))]
-        np.conjugate(batch, out=batch, where=np.less(ns, 0)[:, None])
+                   weights, start, forcing)
+    if moments:
+        batch = batch.reshape(2, len(size), grid.steps + 1)
+    if list(ns) != sizes:
+        batch = batch[..., np.searchsorted(sizes, np.abs(ns)), :]
+        if moments:
+            np.negative(batch[1], out=batch[1], where=np.less(ns, 0)[:, None])
     return ModeFamily(ns, kind, batch, grid)
 
 
@@ -434,11 +436,12 @@ def mode_derivative(modes: ModeFamily, kernels: "DerivedKernelSet") -> np.ndarra
 
 def solve_moment_kernels(ns: Iterable[int],
                          kernels: "DerivedKernelSet") -> ModeFamily:
-    """Solve the complex moment kernels of every mode in `ns` in one batch.
+    """Solve the moment kernels of every mode in `ns` in one batch.
 
     The kernel Z_n satisfies Z' = 2*alpha*Z - n^2 (Na * Z) + Hv + i*n*Ks
     with Z(0) = 1, where Hv and Ks are the velocity and stress series
-    kernels.  Same scheme as `solve_modes`; Z_{-n} = conj(Z_n) exactly.
+    kernels.  Same scheme as `solve_modes`; the family holds the real rows
+    X_n, then Y_n, of Z_n = X_n + i*Y_n, and Z_{-n} = conj(Z_n) exactly.
     """
     return _solve_batch(ns, kernels, TrajectoryKind.MOMENT_KERNEL)
 
@@ -452,15 +455,16 @@ def assemble_moment_kernel(modes: ModeFamily,
                            kernels: "DerivedKernelSet") -> ModeFamily:
     """Assemble the moment kernels of a family from its mode responses.
 
-    Z_n = y_n + Hv * y_n + i*n*(Ks * y_n), by direct quadrature.
+    X_n = y_n + Hv * y_n and Y_n = n*(Ks * y_n), by direct quadrature.
     Independent of the time-stepping route in `solve_moment_kernels`,
     which it cross-checks.
     """
     modes.require(TrajectoryKind.MODE, kernels.grid)
     grid, y = modes.grid, modes.samples
-    ns = np.array(modes.ns, dtype=float)[:, None]
-    samples = (y + convolve(kernels.velocity_kernel, y, grid)
-               + 1j * ns * convolve(kernels.stress_kernel, y, grid))
+    samples = np.empty((2,) + y.shape)
+    np.add(y, convolve(kernels.velocity_kernel, y, grid), out=samples[0])
+    np.multiply(np.array(modes.ns, dtype=float)[:, None],
+                convolve(kernels.stress_kernel, y, grid), out=samples[1])
     return ModeFamily(modes.ns, TrajectoryKind.MOMENT_KERNEL, samples, grid)
 
 

@@ -20,6 +20,13 @@ DESK_KERNEL = MemoryKernel.exponential_sum([(0.4, 1.0)])
 ELASTIC_KERNEL = MemoryKernel.zero()
 
 
+def complex_rows(family):
+    """The rows Z_n = X_n + i*Y_n of a moment-kernel family, as one complex
+    (N, K+1) array: the complex view the oracles compare against."""
+    x, y = family.samples
+    return x + 1j * y
+
+
 def moment_family(kernels, n_max):
     """Moment kernels n = 1..n_max, cross-checked against one solved batch."""
     return build_family(kernels, solve_modes(range(1, n_max + 1), kernels))

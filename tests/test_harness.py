@@ -466,19 +466,19 @@ class TestSolveOnce:
     """Each run marches its mode responses and moment kernels once."""
 
     @pytest.mark.parametrize("task,batches", [
-        ("simulate", {"float": 1}),
-        ("pair", {"float": 1}),
-        ("steer", {"float": 1, "complex": 1}),
-        ("diagnose", {"float": 1, "complex": 1}),
-        ("verify", {"float": 1, "complex": 1}),
+        ("simulate", {"mode": 1}),
+        ("pair", {"mode": 1}),
+        ("steer", {"mode": 1, "moment": 1}),
+        ("diagnose", {"mode": 1, "moment": 1}),
+        ("verify", {"mode": 1, "moment": 1}),
     ])
     def test_one_batch_per_family(self, tmp_path, monkeypatch, task, batches):
         calls = Counter()
         march = volterra._march
 
-        def counting(grid, kernel, local, weights, forcing, dtype):
-            calls[dtype.__name__] += 1
-            return march(grid, kernel, local, weights, forcing, dtype)
+        def counting(grid, kernel, local, weights, start, forcing):
+            calls["mode" if forcing is None else "moment"] += 1
+            return march(grid, kernel, local, weights, start, forcing)
 
         monkeypatch.setattr(volterra, "_march", counting)
         path = task_config(tmp_path, task)
@@ -578,13 +578,13 @@ class TestExports:
         from viscostring.harness import _trajectory_blocks
         from viscostring import ModeFamily, TimeGrid, TrajectoryKind
         grid = TimeGrid(1.0, 2)
-        family = ModeFamily((1,), TrajectoryKind.MOMENT_KERNEL,
-                            np.array([[1 + 0j, 0.5 + 0.1j, 0.2 - 0.3j]]), grid)
+        family = ModeFamily((1,), TrajectoryKind.MODE,
+                            np.array([[1.0, 0.5, 0.1]]), grid)
         path = tmp_path / "traj.csv"
         write_csv(path, ["n", "t", "re", "im"], _trajectory_blocks(family))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 4
-        assert lines[2].split(",")[2:] == ["0.5", "0.10000000000000001"]
+        assert lines[3].split(",")[2:] == ["0.10000000000000001", "0"]
 
     def test_floats_carry_17_significant_digits(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from viscostring import (
     quadratic_closeness,
     simulate_coefficients,
     solve_modes,
+    solve_moment_kernels,
     synthesize_control,
 )
 from viscostring import moments
 from viscostring.errors import ElasticDegeneracyError, NearSingularGramError
 
-from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI, moment_family
+from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI, complex_rows, moment_family
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +53,12 @@ class TestFamily:
                                                  desk_grid):
         family = moment_family(elastic_kernels, 4)
         t = desk_grid.times()
-        for n, samples in zip(family.ns, family.samples):
-            assert np.max(np.abs(samples - np.exp(1j * n * t))) < 5e-4
+        for n, z in zip(family.ns, complex_rows(family)):
+            assert np.max(np.abs(z - np.exp(1j * n * t))) < 5e-4
 
     def test_family_starts_at_one(self, desk_family_8):
-        assert np.all(desk_family_8.samples[:, 0] == 1.0 + 0.0j)
+        x, y = desk_family_8.samples
+        assert np.all(x[:, 0] == 1.0) and np.all(y[:, 0] == 0.0)
 
     def test_cross_check_accepts_desk_kernel_at_16(self, desk_kernels,
                                                    desk_modes_32):
@@ -67,13 +70,13 @@ def _quadrature_gram(family):
     """G[a, b] = int rows[a] conj(rows[b]) by the trapezoid rule, formed
     directly over the rows Z_n, then conj Z_n (no factor): the Hermitian
     Gram of the complex moment problem, the oracle for the real route."""
-    rows = np.vstack([family.samples, np.conj(family.samples)])
+    rows = np.vstack([complex_rows(family), np.conj(complex_rows(family))])
     return (rows * family.grid.trapezoid_weights()) @ rows.conj().T
 
 
 def _real_rows(family):
     """The rows X_n, then Y_n, of Z_n = X_n + i*Y_n, as `gram` factors them."""
-    return np.vstack([family.samples.real, family.samples.imag])
+    return np.vstack(family.samples)
 
 
 def _frame_extremes(matrix, size):
@@ -87,6 +90,24 @@ def _frame_extremes(matrix, size):
     normalised = (matrix / np.outer(norms, norms))[np.ix_(keep, keep)]
     eigs = 2.0 * np.linalg.eigvalsh(normalised)
     return eigs[0], eigs[-1]
+
+
+class TestMemory:
+    @pytest.mark.parametrize("solver", ["build_family", "solve_moment_kernels"])
+    def test_peak_is_at_most_twice_the_family(self, desk_kernels, desk_modes_32,
+                                              solver):
+        # the march returns its own real batch, and the cross-check holds
+        # the assembled kernels of one block of rows at a time
+        solve = {"build_family": lambda: build_family(desk_kernels, desk_modes_32),
+                 "solve_moment_kernels": lambda: solve_moment_kernels(
+                     range(1, 33), desk_kernels)}[solver]
+        tracemalloc.start()
+        try:
+            family = solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * family.samples.nbytes
 
 
 class TestGram:
@@ -129,7 +150,8 @@ class TestGram:
 
     def test_extremes_are_squared_singular_values(self, desk_family_8,
                                                   desk_gram_8, desk_grid):
-        rows = np.vstack([desk_family_8.samples, np.conj(desk_family_8.samples)])
+        z = complex_rows(desk_family_8)
+        rows = np.vstack([z, np.conj(z)])
         _assert_squared_singular_values(desk_gram_8, rows, desk_grid)
 
     def test_factor_reproduces_weighted_samples(self, desk_family_8,
@@ -204,7 +226,7 @@ class TestSynthesize:
             self, desk_family_8, desk_grid):
         # np.linalg.LinAlgError is a ValueError, which the CLI reports as a
         # config error (exit 2); a singular factor must surface as exit 4
-        samples = desk_family_8.samples[0].real
+        samples = desk_family_8.samples[0, 0]
         system = moments._factorise((1, 2),
                                     np.array([samples, np.zeros_like(samples)]),
                                     desk_grid)
@@ -391,8 +413,8 @@ class TestCloseness:
     def test_conjugate_pair_has_equal_distance(self, desk_kernels,
                                                desk_modes_32):
         family = build_family(desk_kernels, desk_modes_32[:2])
-        mirrored = ModeFamily((-1, -2), family.kind, np.conj(family.samples),
-                              family.grid)
+        x, y = family.samples
+        mirrored = ModeFamily((-1, -2), family.kind, np.stack([x, -y]), family.grid)
         params = [mode_params(n, desk_kernels.alpha) for n in (1, 2)]
         mirrored_params = [mode_params(-n, desk_kernels.alpha) for n in (1, 2)]
         direct = quadratic_closeness(family, params)

@@ -16,7 +16,7 @@ from viscostring import (
 from viscostring.errors import ExceptionalIndexError
 from viscostring.volterra import convolve
 
-from conftest import TWO_PI
+from conftest import TWO_PI, complex_rows
 
 
 def make_state(w=None, v=None, sigma=None, n_max=8, alpha=0.0, horizon=TWO_PI):
@@ -91,7 +91,7 @@ class TestSimulate:
             * control.reweighted(desk_kernels.alpha)[::-1]
         for n in (1, 4, 16):
             big = solve_moment_kernel(n, desk_kernels)
-            moment = np.sum(pairing * big.samples)
+            moment = np.sum(pairing * complex_rows(big))
             assembled = state.velocity[n - 1] + 1j * state.stress[n - 1]
             assert abs(moment - assembled) <= 5.0 * desk_grid.step ** 2
 

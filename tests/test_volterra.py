@@ -26,7 +26,7 @@ from viscostring import (
 from viscostring import volterra
 from viscostring.volterra import _fft_length
 
-from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI
+from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI, complex_rows
 
 # grid sizes around the Toeplitz solver's leaf and power-of-two boundaries
 AWKWARD_STEPS = [1, 2, 31, 32, 33, 64, 65, 97, 1000, 1025]
@@ -321,31 +321,32 @@ class TestMomentKernel:
     def test_elastic_limit_is_complex_exponential(self, elastic_kernels, desk_grid):
         big = solve_moment_kernel(1, elastic_kernels)
         half = desk_grid.steps // 2  # t = pi
-        assert abs(big.samples[0, half] - (-1.0 + 0.0j)) < 5e-4
+        assert abs(complex_rows(big)[0, half] - (-1.0 + 0.0j)) < 5e-4
 
     def test_conjugate_symmetry_is_exact(self, desk_kernels):
         plus = solve_moment_kernel(1, desk_kernels)
         minus = solve_moment_kernel(-1, desk_kernels)
-        assert np.array_equal(np.conj(plus.samples), minus.samples)
+        assert np.array_equal(minus.samples[0], plus.samples[0])
+        assert np.array_equal(minus.samples[1], -plus.samples[1])
 
     def test_assembly_starts_at_one(self, desk_kernels):
         z = solve_mode(2, desk_kernels)
         big = assemble_moment_kernel(z, desk_kernels)
-        assert big.samples[0, 0] == 1.0 + 0.0j
+        assert big.samples[:, 0, 0].tolist() == [1.0, 0.0]
 
     def test_elastic_assembly_is_complex_exponential(self, elastic_kernels,
                                                      desk_grid):
         z = solve_mode(1, elastic_kernels)
         big = assemble_moment_kernel(z, elastic_kernels)
         t = desk_grid.times()
-        assert np.max(np.abs(big.samples - np.exp(1j * t))) < 5e-4
+        assert np.max(np.abs(complex_rows(big) - np.exp(1j * t))) < 5e-4
 
     @pytest.mark.parametrize("n,factor", [(3, 5.0), (8, 5.0)])
     def test_routes_agree(self, desk_kernels, desk_grid, n, factor):
         stepped = solve_moment_kernel(n, desk_kernels)
         assembled = assemble_moment_kernel(
             solve_mode(n, desk_kernels), desk_kernels)
-        dev = np.max(np.abs(stepped.samples - assembled.samples))
+        dev = np.max(np.abs(complex_rows(stepped) - complex_rows(assembled)))
         assert dev <= factor * desk_grid.step ** 2
 
     def test_assembly_rejects_wrong_kind(self, desk_kernels):
@@ -405,7 +406,7 @@ def _assert_batch_matches_reference(dk, grid, ns):
     modes = solve_modes(ns, dk)
     kernels_z = solve_moment_kernels(ns, dk)
     assert modes.ns == kernels_z.ns == tuple(ns)
-    for n, y, z in zip(ns, modes.samples, kernels_z.samples):
+    for n, y, z in zip(ns, modes.samples, complex_rows(kernels_z)):
         weight = float(n) * float(n)
         ref_y = _reference_march(grid, dk.relaxation_scaled, 2.0 * dk.alpha,
                                  weight, None, float)
@@ -415,7 +416,7 @@ def _assert_batch_matches_reference(dk, grid, ns):
         assert np.max(np.abs(y - ref_y)) <= 1e-13 * np.max(np.abs(ref_y))
         assert np.max(np.abs(z - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
     by_n = {}
-    for n, z in zip(kernels_z.ns, kernels_z.samples):
+    for n, z in zip(kernels_z.ns, complex_rows(kernels_z)):
         by_n.setdefault(n, z)
     for n in by_n:
         if -n in by_n:
@@ -445,7 +446,8 @@ def test_batched_engine_matches_per_mode_reference_at_awkward_sizes(steps):
     dk = derive_kernels(DESK_KERNEL, grid)
     _assert_batch_matches_reference(dk, grid, ns)
     assert np.all(solve_modes(ns, dk).samples[:, 0] == 1.0)
-    assert np.all(solve_moment_kernels(ns, dk).samples[:, 0] == 1.0 + 0.0j)
+    x, y = solve_moment_kernels(ns, dk).samples
+    assert np.all(x[:, 0] == 1.0) and np.all(y[:, 0] == 0.0)
 
 
 exponential_terms = st.lists(
@@ -493,3 +495,24 @@ def test_batch_rows_are_read_only_views(desk_kernels, monkeypatch):
     reordered = solve_modes([2, 1], desk_kernels)
     assert np.array_equal(reordered.samples, modes.samples[::-1])
     assert not reordered.samples.flags.writeable
+
+
+def test_moment_kernels_are_the_real_rows_of_the_march(desk_kernels, monkeypatch):
+    marched = []
+    march = volterra._march
+    monkeypatch.setattr(volterra, "_march",
+                        lambda *args: marched.append(march(*args)) or marched[-1])
+    family = solve_moment_kernels([1, 2, 3], desk_kernels)
+    assert family.samples.shape == (2, 3, desk_kernels.grid.steps + 1)
+    assert family.samples.dtype == np.float64
+    assert family.samples.base is marched[0]  # the (2N, K+1) batch, no copy
+    x, y = family.samples
+    assert np.all(x[:, 0] == 1.0) and np.all(y[:, 0] == 0.0)
+    assert np.array_equal(family[[2, 0]].samples, family.samples[:, [2, 0]])
+    signed = solve_moment_kernels([-2, 2, 1, -1], desk_kernels)
+    assert np.array_equal(signed.samples[0], x[[1, 1, 0, 0]])
+    assert np.array_equal(signed.samples[1, 1:3], y[[1, 0]])
+    assert np.array_equal(signed.samples[1, 0], -y[1])
+    assert np.array_equal(signed.samples[1, 3], -y[0])
+    with pytest.raises(ValueError, match="grid samples"):
+        volterra.ModeFamily((1, 2, 3), family.kind, x, family.grid)
