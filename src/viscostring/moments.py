@@ -449,9 +449,12 @@ def frame_bounds(family: ModeFamily) -> FrameBoundsReport:
     for size in sizes:
         # rows are X_1..X_n_max, then Y_1..Y_n_max
         keep = [i for i in range(2 * n_max) if i % n_max < size]
-        eigs = 2.0 * np.linalg.eigvalsh(normalised[np.ix_(keep, keep)])
-        mins.append(float(eigs[0]))
-        maxs.append(float(eigs[-1]))
+        # the singular values of a positive semi-definite matrix are its
+        # eigenvalues; LAPACK's svd gives the same bits at any BLAS thread
+        # count where eigvalsh does not (from 256 x 256 up)
+        sigma = 2.0 * np.linalg.svd(normalised[np.ix_(keep, keep)], compute_uv=False)
+        mins.append(float(sigma[-1]))
+        maxs.append(float(sigma[0]))
     return FrameBoundsReport(horizon=family.grid.horizon, sizes=sizes,
                              lambda_min_by_size=tuple(mins),
                              lambda_max_by_size=tuple(maxs))

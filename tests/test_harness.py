@@ -524,14 +524,16 @@ def _cli_outputs(tmp_path, task, path, blas_threads):
 class TestBlasThreads:
     @pytest.mark.parametrize("task,n_max", [("steer", 8), ("simulate", 16),
                                             ("pair", 8), ("diagnose", 16),
-                                            ("simulate", 64), ("steer", 64)])
+                                            ("simulate", 64), ("steer", 64),
+                                            ("diagnose", 128)])
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path, task,
                                                        n_max):
         # the moment solves factor a 2N x (K+1) matrix; at n_max = 64 and
         # 4096 steps a BLAS product over the time axis, or a complex LAPACK
         # call at Gram size (128 x 128), would be threaded and would move
-        # the last digits
-        steps = 4096 if n_max == 64 else 2048
+        # the last digits; so would LAPACK eigvalsh on the 256 x 256 frame
+        # Gram of diagnose at n_max = 128
+        steps = {64: 4096, 128: 8192}.get(n_max, 2048)
         path = task_config(tmp_path, task, steps=steps, n_max=n_max)
         single = _cli_outputs(tmp_path, task, path, 1)
         double = _cli_outputs(tmp_path, task, path, 2)
