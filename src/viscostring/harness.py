@@ -239,7 +239,8 @@ def load_config(path) -> ExperimentConfig:
 
     Sections and keys outside `CONFIG_KEYS` raise ValueError naming them,
     so a misspelt key cannot fall back to its default silently; so do
-    malformed INI text, a seed outside [0, 2^64) and a mode count below 1.
+    malformed INI text, a seed outside [0, 2^64), a mode count below 1 and
+    a damping factor exp(2|alpha| T) beyond the float64 range.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:  # reading every value once raises any interpolation error here
@@ -263,6 +264,11 @@ def load_config(path) -> ExperimentConfig:
     kernel = _build_kernel(parser["kernel"])
     grid_sec = parser["grid"]
     grid = TimeGrid(float(grid_sec["horizon"]), int(grid_sec["steps"]))
+    # the kernels and coefficients carry exp(+-2*alpha*t) on [0, T]
+    if 2.0 * abs(kernel.alpha) * grid.horizon > math.log(sys.float_info.max):
+        raise ValueError(f"[kernel] coefficients give alpha = {kernel.alpha:.6g}, "
+                         "so exp(2|alpha| T) overflows float64 at [grid] horizon "
+                         f"= {grid.horizon:.6g}")
     task = parser["task"].get("kind", "").strip().lower()
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")

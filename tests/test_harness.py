@@ -385,6 +385,29 @@ kind = verify
         assert "manifest.json: non-finite result" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("coefficients,horizon", [("1e308 1e-308", TWO_PI),
+                                                      ("200 1.0", TWO_PI),
+                                                      ("0.4 1.0", 1e308)])
+    def test_overflowing_damping_is_a_config_error(self, tmp_path, capsys,
+                                                   coefficients, horizon):
+        # 2|alpha| T beyond log(float max) overflows exp(-2 alpha T); before,
+        # (1e308, 1e-308) failed in alpha ** 2 and (200, 1) in the physical
+        # scale, after coefficients.csv was written
+        path = task_config(tmp_path, "simulate", coefficients=coefficients,
+                           horizon=horizon)
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--config", str(path),
+                         "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[kernel] coefficients" in err and "[grid] horizon" in err
+        assert not out.exists()
+
+    def test_large_damping_within_float64_still_loads(self, tmp_path):
+        # alpha = 25 at T = 2 pi: 2|alpha| T = 314 < 709.78; the run fails
+        # later on its non-finite results (see above), not on the config
+        path = task_config(tmp_path, "simulate", coefficients="-50 1.0")
+        assert load_config(path).kernel.alpha == 25.0
+
     def test_manifest_reconstructs_run(self, tmp_path):
         path = steer_config(tmp_path, seed=3)
         out = tmp_path / "out"
