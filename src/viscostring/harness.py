@@ -264,11 +264,9 @@ def load_config(path) -> ExperimentConfig:
     kernel = _build_kernel(parser["kernel"])
     grid_sec = parser["grid"]
     grid = TimeGrid(float(grid_sec["horizon"]), int(grid_sec["steps"]))
-    # the kernels and coefficients carry exp(+-2*alpha*t) on [0, T]
     if 2.0 * abs(kernel.alpha) * grid.horizon > math.log(sys.float_info.max):
-        raise ValueError(f"[kernel] coefficients give alpha = {kernel.alpha:.6g}, "
-                         "so exp(2|alpha| T) overflows float64 at [grid] horizon "
-                         f"= {grid.horizon:.6g}")
+        raise ValueError(f"[kernel] coefficients (alpha = {kernel.alpha:.6g}) and [grid] "
+                         f"horizon = {grid.horizon:.6g}: exp(2|alpha| T) overflows float64")
     task = parser["task"].get("kind", "").strip().lower()
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")

@@ -29,14 +29,12 @@ solvability at this truncation, collapsing they flag a horizon that is too
 short.  `frame_bounds` forms G by quadrature and builds no factor.
 Synthesis refuses to run when lambda_min <= 1e3 * eps * lambda_max.
 
-Solved families are arguments, each one `ModeFamily` array; a family of
-moment kernels holds the real rows X_n, then Y_n (`volterra`).
-`build_family(kernels, modes)` checks the moment kernels n = 1..len(modes)
-against the caller's mode responses, `_CHECK_ROWS` rows at a time, and
-`gram`, `frame_bounds` and `quadratic_closeness` read the family it
-returns.  `finite_pair_control`
-alone solves its modes, as their only reader.  Every consumer checks its
-family with `ModeFamily.require` and works on all its rows at once.
+Solved families are arguments, each one `ModeFamily` array (moment
+kernels as the real rows X_n, then Y_n): `build_family(kernels, modes)`
+checks the moment kernels n = 1..len(modes) against the caller's mode
+responses, and `gram`, `frame_bounds` and `quadratic_closeness` read the
+family it returns.  `finite_pair_control` alone solves its modes, as their
+only reader.  Every consumer checks its family with `ModeFamily.require`.
 
 A second, finite moment problem assigns deformation and stress pairs for
 the first few modes using the real kernel pair (n*(Na * y_n), n*(Fg * y_n));
@@ -92,8 +90,7 @@ __all__ = [
 #: within this multiple of step^2, uniformly in time.
 CROSS_CHECK_FACTOR = 100.0
 
-#: Rows per block of the cross-check: the assembled kernels are held for
-#: one block at a time, not for the whole family.
+#: Rows per block of the cross-check, which holds one block of assembled kernels.
 _CHECK_ROWS = 8
 
 #: Gram matrices with lambda_min <= NEAR_SINGULAR_FACTOR * eps * lambda_max
@@ -205,9 +202,8 @@ def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
     `modes` holds the mode responses n = 1, 2, ... in order on the kernel
     grid.  All kernels are time stepped from their own equation in one
     batch, and all are independently assembled by quadrature from the mode
-    responses, in blocks of `_CHECK_ROWS` rows; a uniform deviation
-    hypot(X - X', Y - Y') beyond CROSS_CHECK_FACTOR * step^2 on any mode
-    aborts the build.
+    responses, `_CHECK_ROWS` rows at a time; a uniform deviation hypot(dX, dY)
+    beyond CROSS_CHECK_FACTOR * step^2 on any mode aborts the build.
     """
     modes.require(TrajectoryKind.MODE, kernels.grid, ordered=True)
     tolerance = CROSS_CHECK_FACTOR * kernels.grid.step ** 2
@@ -218,10 +214,8 @@ def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
         deviations = np.max(np.hypot(*(family.samples[:, block] - check)), axis=1)
         for n, deviation in zip(modes.ns[block], deviations.tolist()):
             if deviation > tolerance:
-                raise CrossCheckError(
-                    f"moment kernel n={n}: route deviation {deviation:.3e} "
-                    f"exceeds {tolerance:.3e}"
-                )
+                raise CrossCheckError(f"moment kernel n={n}: route deviation "
+                                      f"{deviation:.3e} exceeds {tolerance:.3e}")
     return family
 
 
@@ -449,9 +443,7 @@ def frame_bounds(family: ModeFamily) -> FrameBoundsReport:
     for size in sizes:
         # rows are X_1..X_n_max, then Y_1..Y_n_max
         keep = [i for i in range(2 * n_max) if i % n_max < size]
-        # the singular values of a positive semi-definite matrix are its
-        # eigenvalues; LAPACK's svd gives the same bits at any BLAS thread
-        # count where eigvalsh does not (from 256 x 256 up)
+        # PSD: singular values are eigenvalues, and svd is stable in the thread count
         sigma = 2.0 * np.linalg.svd(normalised[np.ix_(keep, keep)], compute_uv=False)
         mins.append(float(sigma[-1]))
         maxs.append(float(sigma[0]))

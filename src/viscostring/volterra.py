@@ -23,9 +23,7 @@ eps*step*|a|*|b| in the 2-norms of the factors.
 
 One march solves a batch of real rows on the grid of the kernel set
 (`DerivedKernelSet.grid`).  A solved family is one `ModeFamily`: indices,
-kind and the read-only array of its rows, (N, K+1) for mode responses and
-(2, N, K+1) for moment kernels, the real parts X_n over the imaginary
-parts Y_n of Z_n = X_n + i*Y_n.  Callers solve each
+kind and the read-only real array of its rows.  Callers solve each
 family once per run (`solve_modes`, `solve_moment_kernels`; `solve_mode`
 and `solve_moment_kernel` are one-index batches) and share it; consumers
 check it with `ModeFamily.require`.  The solvers call pocketfft and
@@ -129,10 +127,9 @@ class TrajectoryKind(Enum):
 class ModeFamily:
     """Samples of one mode quantity for the indices `ns`, one row per index.
 
-    `samples` is real and read-only.  Mode responses are of shape
-    (len(ns), K+1) on `grid`.  Moment kernels Z_n = X_n + i*Y_n are of
-    shape (2, len(ns), K+1), the rows X_n, then the rows Y_n; the row for
-    index -n is (X_n, -Y_n).  A position indexes the row axis of either.
+    `samples` is real and read-only: (len(ns), K+1) mode responses on
+    `grid`, or for moment kernels Z_n = X_n + i*Y_n the (2, len(ns), K+1)
+    rows X_n, then Y_n, with the row for -n (X_n, -Y_n).
     """
 
     ns: tuple
@@ -142,12 +139,10 @@ class ModeFamily:
 
     def __post_init__(self):
         ns = _mode_indices(self.ns)
-        shape = (len(ns), self.grid.steps + 1)
-        if self.kind is TrajectoryKind.MOMENT_KERNEL:
-            shape = (2,) + shape
-        if self.samples.shape != shape:
+        rows = (2, len(ns)) if self.kind is TrajectoryKind.MOMENT_KERNEL else (len(ns),)
+        if self.samples.shape != (*rows, self.grid.steps + 1):
             raise ValueError(f"samples of shape {self.samples.shape} do not hold "
-                             f"{shape[:-1]} rows of {shape[-1]} grid samples")
+                             f"{rows} rows of {self.grid.steps + 1} grid samples")
         object.__setattr__(self, "ns", ns)
         self.samples.setflags(write=False)
 
@@ -157,7 +152,7 @@ class ModeFamily:
         return len(self.ns)
 
     def __getitem__(self, index) -> "ModeFamily":
-        """The rows at a position, a slice or a list of positions."""
+        """The rows at a position, a slice or a list of positions (row axis)."""
         rows = index if isinstance(index, slice) else np.atleast_1d(index)
         return ModeFamily(tuple(np.array(self.ns)[rows].tolist()), self.kind,
                           self.samples[..., rows, :], self.grid)
@@ -344,16 +339,13 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
     """March y_i' = local*y_i - weights[i]*(kernel * y_i) + g_i, y_i(0) = start[i].
 
     Solves every real row i at once and returns the (rows, K+1) batch.
-    `forcing` is None or yields the rows g_i in order, each applied to its
-    row alone.  The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the
-    Toeplitz system (D0 + weights[i]*D1) y = p_i:
-    D0 = [1 - h*local/2, -(1 + h*local/2)], D1_m = (h^2/2)(L_m + L_{m-1})
-    with L_0 = kernel_0/2 and L_m = kernel_m, and p_i holds the start value,
-    its half-weight memory term and g_i.
+    `forcing` yields the g_i in row order (none: an empty iterable), each
+    added to its row alone.  The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the Toeplitz
+    system (D0 + weights[i]*D1) y = p_i: D0 = [1 - h*local/2, -(1 + h*local/2)],
+    D1_m = (h^2/2)(L_m + L_{m-1}) with L_0 = kernel_0/2 and L_m = kernel_m,
+    and p_i holds the start value, its half-weight memory term and g_i.
     """
     h = grid.step
-    weights = np.asarray(weights, dtype=float)
-    start = np.asarray(start, dtype=float)
     memory = np.concatenate([[0.0], kernel[:-1]])  # L_{m-1} for m = 0..K
     memory[1] *= 0.5
     d1 = (memory[1:] + memory[:-1]) * (0.5 * h * h)
@@ -363,7 +355,7 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
     y[:, 0] = start
     np.multiply.outer(-0.5 * h * weights * start, start_memory, out=y[:, 1:])
     y[:, 1] += (1.0 + 0.5 * h * local) * start
-    for row, g in zip(y, forcing if forcing is not None else ()):
+    for row, g in zip(y, forcing):
         row[1:] += 0.5 * h * (g[1:] + g[:-1])
     d0 = (1.0 - 0.5 * h * local, -(1.0 + 0.5 * h * local))
     _solve_toeplitz(d0, d1, weights, y[:, 1:])
@@ -376,28 +368,25 @@ def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
 
     Mode responses are even in n and moment kernels satisfy
     Z_{-n} = conj(Z_n), so both signs share one row and the symmetry is
-    exact.  A moment kernel is marched as two real rows, X_n with forcing
-    Hv and X_n(0) = 1, and Y_n with forcing n*Ks and Y_n(0) = 0, as the
-    kernel and coefficients are real.  When `ns` lists distinct positive
+    exact.  Moment kernels are marched as real rows X_n (forcing Hv, start
+    1), then Y_n (forcing n*Ks, start 0).  When `ns` lists distinct positive
     indices in increasing order the family holds the marched batch itself;
-    otherwise its rows are a reordered copy, with Y negated for negative
-    moment-kernel indices.
+    otherwise its rows are a reordered copy, Y negated for negative indices.
     """
     ns = _mode_indices(ns)
     grid = kernels.grid
     sizes = sorted({abs(n) for n in ns})
     grid.require_resolution(sizes[-1])
     size = np.array(sizes, dtype=float)
-    weights, start, forcing = size * size, np.ones(len(size)), None
+    weights, start, forcing = size * size, np.ones(len(size)), ()
     moments = kind is TrajectoryKind.MOMENT_KERNEL
     if moments:
-        weights, start = np.tile(weights, 2), np.concatenate([start, np.zeros(len(size))])
+        weights, start = np.tile(weights, 2), np.repeat([1.0, 0.0], len(size))
         forcing = itertools.chain(itertools.repeat(kernels.velocity_kernel, len(size)),
                                   (n * kernels.stress_kernel for n in size))
     batch = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
                    weights, start, forcing)
-    if moments:
-        batch = batch.reshape(2, len(size), grid.steps + 1)
+    batch = batch.reshape(2, len(size), grid.steps + 1) if moments else batch
     if list(ns) != sizes:
         batch = batch[..., np.searchsorted(sizes, np.abs(ns)), :]
         if moments:
@@ -440,8 +429,8 @@ def solve_moment_kernels(ns: Iterable[int],
 
     The kernel Z_n satisfies Z' = 2*alpha*Z - n^2 (Na * Z) + Hv + i*n*Ks
     with Z(0) = 1, where Hv and Ks are the velocity and stress series
-    kernels.  Same scheme as `solve_modes`; the family holds the real rows
-    X_n, then Y_n, of Z_n = X_n + i*Y_n, and Z_{-n} = conj(Z_n) exactly.
+    kernels.  Same scheme as `solve_modes`, as real rows X_n, then Y_n, of
+    Z_n = X_n + i*Y_n (`ModeFamily`); Z_{-n} = conj(Z_n) exactly.
     """
     return _solve_batch(ns, kernels, TrajectoryKind.MOMENT_KERNEL)
 
@@ -461,10 +450,9 @@ def assemble_moment_kernel(modes: ModeFamily,
     """
     modes.require(TrajectoryKind.MODE, kernels.grid)
     grid, y = modes.grid, modes.samples
-    samples = np.empty((2,) + y.shape)
-    np.add(y, convolve(kernels.velocity_kernel, y, grid), out=samples[0])
-    np.multiply(np.array(modes.ns, dtype=float)[:, None],
-                convolve(kernels.stress_kernel, y, grid), out=samples[1])
+    ns = np.array(modes.ns, dtype=float)[:, None]
+    samples = np.stack([y + convolve(kernels.velocity_kernel, y, grid),
+                        ns * convolve(kernels.stress_kernel, y, grid)])
     return ModeFamily(modes.ns, TrajectoryKind.MOMENT_KERNEL, samples, grid)
 
 

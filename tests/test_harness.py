@@ -500,7 +500,7 @@ class TestSolveOnce:
         march = volterra._march
 
         def counting(grid, kernel, local, weights, start, forcing):
-            calls["mode" if forcing is None else "moment"] += 1
+            calls["moment" if forcing else "mode"] += 1
             return march(grid, kernel, local, weights, start, forcing)
 
         monkeypatch.setattr(volterra, "_march", counting)
