@@ -237,10 +237,10 @@ def _build_kernel(section) -> MemoryKernel:
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file (flat INI sections).
 
-    Sections and keys outside `CONFIG_KEYS` raise ValueError naming them,
-    so a misspelt key cannot fall back to its default silently; so do
-    malformed INI text, a seed outside [0, 2^64), a mode count below 1 and
-    a damping factor exp(2|alpha| T) beyond the float64 range.
+    Sections and keys outside `CONFIG_KEYS` raise ValueError naming them, so
+    a misspelt key cannot fall back to its default silently; so do malformed
+    INI text, a seed outside [0, 2^64), a mode count below 1 and a float64
+    overflow of exp(2|alpha| T).
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:  # reading every value once raises any interpolation error here

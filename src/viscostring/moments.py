@@ -208,8 +208,7 @@ def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
     modes.require(TrajectoryKind.MODE, kernels.grid, ordered=True)
     tolerance = CROSS_CHECK_FACTOR * kernels.grid.step ** 2
     family = solve_moment_kernels(range(1, len(modes) + 1), kernels)
-    for first in range(0, len(modes), _CHECK_ROWS):
-        block = slice(first, first + _CHECK_ROWS)
+    for block in (slice(i, i + _CHECK_ROWS) for i in range(0, len(modes), _CHECK_ROWS)):
         check = assemble_moment_kernel(modes[block], kernels).samples
         deviations = np.max(np.hypot(*(family.samples[:, block] - check)), axis=1)
         for n, deviation in zip(modes.ns[block], deviations.tolist()):

@@ -338,12 +338,12 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
            start, forcing) -> np.ndarray:
     """March y_i' = local*y_i - weights[i]*(kernel * y_i) + g_i, y_i(0) = start[i].
 
-    Solves every real row i at once and returns the (rows, K+1) batch.
-    `forcing` yields the g_i in row order (none: an empty iterable), each
-    added to its row alone.  The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the Toeplitz
-    system (D0 + weights[i]*D1) y = p_i: D0 = [1 - h*local/2, -(1 + h*local/2)],
-    D1_m = (h^2/2)(L_m + L_{m-1}) with L_0 = kernel_0/2 and L_m = kernel_m,
-    and p_i holds the start value, its half-weight memory term and g_i.
+    Solves every real row i at once and returns the (rows, K+1) batch;
+    `forcing` yields the g_i in row order (or nothing), each added to its
+    row alone.  The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the
+    Toeplitz system (D0 + weights[i]*D1) y = p_i, D0 = [1 - h*local/2,
+    -(1 + h*local/2)], D1_m = (h^2/2)(L_m + L_{m-1}), L_0 = kernel_0/2 and
+    L_m = kernel_m; p_i holds y_i(0), its half-weight memory term and g_i.
     """
     h = grid.step
     memory = np.concatenate([[0.0], kernel[:-1]])  # L_{m-1} for m = 0..K
@@ -451,8 +451,9 @@ def assemble_moment_kernel(modes: ModeFamily,
     modes.require(TrajectoryKind.MODE, kernels.grid)
     grid, y = modes.grid, modes.samples
     ns = np.array(modes.ns, dtype=float)[:, None]
-    samples = np.stack([y + convolve(kernels.velocity_kernel, y, grid),
-                        ns * convolve(kernels.stress_kernel, y, grid)])
+    samples = np.empty((2,) + y.shape)  # filled in place: no stacked copy
+    np.add(y, convolve(kernels.velocity_kernel, y, grid), out=samples[0])
+    np.multiply(ns, convolve(kernels.stress_kernel, y, grid), out=samples[1])
     return ModeFamily(modes.ns, TrajectoryKind.MOMENT_KERNEL, samples, grid)
 
 
