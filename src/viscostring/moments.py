@@ -209,8 +209,8 @@ def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
     tolerance = CROSS_CHECK_FACTOR * kernels.grid.step ** 2
     family = solve_moment_kernels(range(1, len(modes) + 1), kernels)
     for block in (slice(i, i + _CHECK_ROWS) for i in range(0, len(modes), _CHECK_ROWS)):
-        check = assemble_moment_kernel(modes[block], kernels).samples
-        deviations = np.max(np.hypot(*(family.samples[:, block] - check)), axis=1)
+        delta = family.samples[:, block] - assemble_moment_kernel(modes[block], kernels).samples
+        deviations = np.sqrt(np.max(np.einsum("ijk,ijk->jk", delta, delta), axis=1))
         for n, deviation in zip(modes.ns[block], deviations.tolist()):
             if deviation > tolerance:
                 raise CrossCheckError(f"moment kernel n={n}: route deviation "

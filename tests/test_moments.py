@@ -11,6 +11,7 @@ from viscostring import (
     ModeFamily,
     MomentTarget,
     TimeGrid,
+    TrajectoryKind,
     build_family,
     convolve,
     derive_kernels,
@@ -25,7 +26,11 @@ from viscostring import (
     synthesize_control,
 )
 from viscostring import moments
-from viscostring.errors import ElasticDegeneracyError, NearSingularGramError
+from viscostring.errors import (
+    CrossCheckError,
+    ElasticDegeneracyError,
+    NearSingularGramError,
+)
 
 from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI, complex_rows, moment_family
 
@@ -64,6 +69,17 @@ class TestFamily:
                                                    desk_modes_32):
         family = build_family(desk_kernels, desk_modes_32[:16])
         assert len(family) == 16
+
+    def test_cross_check_names_the_first_deviating_mode(self, desk_kernels,
+                                                        desk_modes_32):
+        # n = 11 and 12 sit in the second block of rows the check compares;
+        # 1e-2 is far beyond the tolerance 100 h^2 = 2.4e-4
+        samples = desk_modes_32[:12].samples.copy()
+        samples[10:] += 1e-2 * np.sin(desk_kernels.grid.times())
+        modes = ModeFamily(range(1, 13), TrajectoryKind.MODE, samples,
+                           desk_kernels.grid)
+        with pytest.raises(CrossCheckError, match="n=11: route deviation"):
+            build_family(desk_kernels, modes)
 
 
 def _quadrature_gram(family):
