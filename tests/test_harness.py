@@ -390,9 +390,8 @@ kind = verify
                                                       ("0.4 1.0", 1e308)])
     def test_overflowing_damping_is_a_config_error(self, tmp_path, capsys,
                                                    coefficients, horizon):
-        # 2|alpha| T beyond log(float max) overflows exp(-2 alpha T); before,
-        # (1e308, 1e-308) failed in alpha ** 2 and (200, 1) in the physical
-        # scale, after coefficients.csv was written
+        # 2|alpha| T beyond log(float max) overflows exp(-2 alpha T), which
+        # every kernel and coefficient carries: refused before any output
         path = task_config(tmp_path, "simulate", coefficients=coefficients,
                            horizon=horizon)
         out = tmp_path / "o"

@@ -86,7 +86,8 @@ def _quadrature_gram(family):
     """G[a, b] = int rows[a] conj(rows[b]) by the trapezoid rule, formed
     directly over the rows Z_n, then conj Z_n (no factor): the Hermitian
     Gram of the complex moment problem, the oracle for the real route."""
-    rows = np.vstack([complex_rows(family), np.conj(complex_rows(family))])
+    z = complex_rows(family)
+    rows = np.vstack([z, np.conj(z)])
     return (rows * family.grid.trapezoid_weights()) @ rows.conj().T
 
 
