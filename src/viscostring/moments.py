@@ -155,7 +155,6 @@ class GramSystem:
     squared singular values of `lower` as eigenvalues; G is never formed.
     """
 
-    indices: tuple              # mode index of each row
     functions: np.ndarray       # samples of the rows, (rows, K+1)
     grid: TimeGrid
     lower: np.ndarray           # L, lower triangular, (rows, rows)
@@ -218,8 +217,7 @@ def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
     return family
 
 
-def _factorise(indices: tuple, functions: np.ndarray,
-               grid: TimeGrid) -> GramSystem:
+def _factorise(functions: np.ndarray, grid: TimeGrid) -> GramSystem:
     """LQ factor of A = rows * sqrt(w) for real rows, by Gram-Schmidt twice.
 
     The second pass keeps Q orthonormal to working precision.  Every
@@ -239,8 +237,7 @@ def _factorise(indices: tuple, functions: np.ndarray,
         if norm > 0.0:
             row /= norm
     sigma = np.linalg.svd(lower, compute_uv=False)
-    return GramSystem(indices=indices, functions=functions, grid=grid,
-                      lower=lower, orthonormal=factor,
+    return GramSystem(functions=functions, grid=grid, lower=lower, orthonormal=factor,
                       lambda_min=float(sigma[-1] ** 2),
                       lambda_max=float(sigma[0] ** 2))
 
@@ -254,7 +251,7 @@ def gram(family: ModeFamily) -> GramSystem:
     """
     family.require(TrajectoryKind.MOMENT_KERNEL)
     rows = family.samples.reshape(2 * len(family), -1)
-    system = _factorise(family.ns + family.ns, rows, family.grid)
+    system = _factorise(rows, family.grid)
     return replace(system, lambda_min=2.0 * system.lambda_min,
                    lambda_max=2.0 * system.lambda_max)
 
@@ -318,7 +315,7 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
         )
     if system.near_singular:
         raise NearSingularGramError(system.lambda_min, system.lambda_max)
-    n_max = len(system.indices) // 2
+    n_max = len(system.functions) // 2
     if target.n_max != n_max:
         raise ValueError(
             f"target covers {target.n_max} modes but the family covers {n_max}"
@@ -362,8 +359,7 @@ def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
 
     grid = kernels.grid
     modes = solve_modes(range(1, n_pair + 1), kernels)
-    ns = modes.ns
-    weights = np.array(ns, dtype=float)[:, None]
+    weights = np.array(modes.ns, dtype=float)[:, None]
     functions = weights * convolve(kernels.relaxation_scaled, modes.samples, grid)
     elastic = kernels.is_elastic
     if elastic:
@@ -376,10 +372,9 @@ def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
     else:
         gap = weights * convolve(kernels.stress_gap, modes.samples, grid)
         functions = np.concatenate([functions, gap])
-        ns += ns
         targets = np.concatenate([c, d - c])
 
-    system = _factorise(ns, functions, grid)
+    system = _factorise(functions, grid)
     if system.lambda_min <= PAIR_NEAR_SINGULAR_RATIO * system.lambda_max:
         raise NearSingularGramError(system.lambda_min, system.lambda_max)
     report = _minimal_norm_report(system, targets, kernels.alpha)
@@ -404,7 +399,6 @@ def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
 class FrameBoundsReport:
     """Empirical frame bounds of the normalised family per truncation size."""
 
-    horizon: float
     sizes: tuple
     lambda_min_by_size: tuple
     lambda_max_by_size: tuple
@@ -446,8 +440,7 @@ def frame_bounds(family: ModeFamily) -> FrameBoundsReport:
         sigma = 2.0 * np.linalg.svd(normalised[np.ix_(keep, keep)], compute_uv=False)
         mins.append(float(sigma[-1]))
         maxs.append(float(sigma[0]))
-    return FrameBoundsReport(horizon=family.grid.horizon, sizes=sizes,
-                             lambda_min_by_size=tuple(mins),
+    return FrameBoundsReport(sizes=sizes, lambda_min_by_size=tuple(mins),
                              lambda_max_by_size=tuple(maxs))
 
 

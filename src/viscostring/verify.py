@@ -60,23 +60,19 @@ class TrendVerdict(Enum):
 class AsymptoticReport:
     """Per-mode deviations with a growth-trend verdict."""
 
-    label: str
     ns: np.ndarray
     deviations: np.ndarray
     scaled: np.ndarray           # |n| * deviation
     verdict: TrendVerdict
     lower_max: float
     upper_max: float
-    step: float
-    horizon: float
 
     def __post_init__(self):
         for arr in (self.ns, self.deviations, self.scaled):
             arr.setflags(write=False)
 
 
-def _trend_report(label: str, ns: Sequence[int], deviations: Sequence[float],
-                  step: float, horizon: float) -> AsymptoticReport:
+def _trend_report(ns: Sequence[int], deviations: Sequence[float]) -> AsymptoticReport:
     ns_arr = np.asarray(list(ns))
     dev_arr = np.asarray(list(deviations), dtype=float)
     if len(ns_arr) < 2:
@@ -86,14 +82,12 @@ def _trend_report(label: str, ns: Sequence[int], deviations: Sequence[float],
     lower = float(np.max(scaled[:half]))
     upper = float(np.max(scaled[half:]))
     verdict = TrendVerdict.BOUNDED if upper <= 2.0 * lower else TrendVerdict.GROWING
-    return AsymptoticReport(label=label, ns=ns_arr, deviations=dev_arr,
-                            scaled=scaled, verdict=verdict,
-                            lower_max=lower, upper_max=upper,
-                            step=step, horizon=horizon)
+    return AsymptoticReport(ns=ns_arr, deviations=dev_arr, scaled=scaled,
+                            verdict=verdict, lower_max=lower, upper_max=upper)
 
 
-def _mode_trend(label: str, kernels: DerivedKernelSet, modes: ModeFamily,
-                rows: np.ndarray, deviation) -> AsymptoticReport:
+def _mode_trend(kernels: DerivedKernelSet, modes: ModeFamily, rows: np.ndarray,
+                deviation) -> AsymptoticReport:
     """Trend report of max |deviation(params_n, row_n)| over the family `modes`.
 
     `rows` holds one row per mode of `modes`, already checked by the caller.
@@ -101,8 +95,7 @@ def _mode_trend(label: str, kernels: DerivedKernelSet, modes: ModeFamily,
     params = [mode_params(n, kernels.alpha) for n in modes.ns]
     devs = [float(np.max(np.abs(deviation(par, row))))
             for par, row in zip(params, rows)]
-    return _trend_report(label, modes.ns, devs, kernels.grid.step,
-                         kernels.grid.horizon)
+    return _trend_report(modes.ns, devs)
 
 
 def check_mode_asymptotics(kernels: DerivedKernelSet,
@@ -110,7 +103,7 @@ def check_mode_asymptotics(kernels: DerivedKernelSet,
     """Deviation of each mode response in `modes` from its damped cosine."""
     modes.require(TrajectoryKind.MODE, kernels.grid)
     times = kernels.grid.times()
-    return _mode_trend("mode vs damped cosine", kernels, modes, modes.samples,
+    return _mode_trend(kernels, modes, modes.samples,
                        lambda par, y: y - par.damped_cos(times))
 
 
@@ -118,8 +111,7 @@ def check_mode_derivative_asymptotics(kernels: DerivedKernelSet,
                                       modes: ModeFamily) -> AsymptoticReport:
     """Deviation of each scaled mode derivative from its damped sine."""
     times = kernels.grid.times()
-    return _mode_trend("mode derivative vs damped sine", kernels, modes,
-                       mode_derivative(modes, kernels),
+    return _mode_trend(kernels, modes, mode_derivative(modes, kernels),
                        lambda par, dy: dy / par.beta + par.damped_sin(times))
 
 
@@ -135,8 +127,7 @@ def check_convolution_asymptotics(kernels: DerivedKernelSet, smooth_factor,
     times = grid.times()
     samples = np.asarray(smooth_factor, dtype=float)
     return _mode_trend(
-        "smooth convolution vs damped sine", kernels, modes,
-        convolve(samples, modes.samples, grid),
+        kernels, modes, convolve(samples, modes.samples, grid),
         lambda par, conv: float(par.n) * conv - samples[0] * par.damped_sin(times))
 
 
@@ -194,16 +185,14 @@ def check_stress_deformation_gap(state: SpectralState) -> AsymptoticReport:
     """Trend of the gap between raw stress and deformation coefficients."""
     ns = np.arange(1, state.n_max + 1)
     devs = np.abs(state.stress - state.deformation)
-    return _trend_report("stress vs deformation coefficients", ns, devs,
-                         float("nan"), state.horizon)
+    return _trend_report(ns, devs)
 
 
 @dataclass(frozen=True, eq=False)
 class RoundtripReport:
     """Synthesis followed by re-simulation, compared in coefficient space."""
 
-    target: MomentTarget
-    achieved: np.ndarray          # v_n + i * sigma_n, n = 1..target.n_max
+    achieved: np.ndarray          # v_n + i * sigma_n, n = 1..n_max of the target
     relative_error: float
     synthesis: SynthesisReport
     state: SpectralState          # every mode of the re-simulated family
@@ -235,6 +224,5 @@ def closed_loop_roundtrip(kernels: DerivedKernelSet, target: MomentTarget,
     target_norm = float(np.sqrt(np.sum(np.abs(target.gamma) ** 2)))
     err = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
     relative = err / target_norm if target_norm > 0.0 else err
-    return RoundtripReport(target=target, achieved=achieved,
-                           relative_error=relative, synthesis=synthesis,
-                           state=state)
+    return RoundtripReport(achieved=achieved, relative_error=relative,
+                           synthesis=synthesis, state=state)

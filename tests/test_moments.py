@@ -244,8 +244,7 @@ class TestSynthesize:
         # np.linalg.LinAlgError is a ValueError, which the CLI reports as a
         # config error (exit 2); a singular factor must surface as exit 4
         samples = desk_family_8.samples[0, 0]
-        system = moments._factorise((1, 2),
-                                    np.array([samples, np.zeros_like(samples)]),
+        system = moments._factorise(np.array([samples, np.zeros_like(samples)]),
                                     desk_grid)
         assert system.lower[1, 1] == 0.0
         with pytest.raises(NearSingularGramError):
