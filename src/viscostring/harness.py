@@ -6,7 +6,8 @@ manifest plus plot-ready CSVs into the output directory.  Identical
 config and seed give byte-identical outputs; wall time therefore lives in
 a separate timing.json sidecar rather than in the manifest.  Each task
 below solves its mode responses once, in one batch, and passes the
-family, one `ModeFamily` array, to every consumer.  The thread count
+family, one `ModeFamily` array, to every consumer; pair alone leaves its
+modes to `finite_pair_control`, their only reader.  The thread count
 (`--threads`, `[run] threads`) is still accepted and validated, but has
 no effect.
 
@@ -154,12 +155,12 @@ def random_unit_target(seed: int, n_max: int, index: int = 0) -> MomentTarget:
     return MomentTarget(xi, eta)
 
 
-def random_control(seed: int, grid: TimeGrid, terms: int = 8) -> ControlSignal:
-    """Seeded smooth control: a short sine series with decaying weights."""
+def random_control(seed: int, grid: TimeGrid) -> ControlSignal:
+    """Seeded smooth control: eight sine terms with decaying weights."""
     stream = uniform_stream(seed)
     times = grid.times()
     samples = np.zeros(grid.steps + 1)
-    for j in range(1, terms + 1):
+    for j in range(1, 9):
         coeff = (2.0 * next(stream) - 1.0) / j
         samples += coeff * np.sin(j * math.pi * times / grid.horizon)
     return ControlSignal(samples, grid)
@@ -292,7 +293,9 @@ def load_config(path) -> ExperimentConfig:
 
     if "targets" in parser:
         tgt = parser["targets"]
-        if tgt.get("random", "").strip().lower() == "unit":
+        if "random" in tgt:
+            if tgt["random"].strip().lower() != "unit":
+                raise ValueError(f"[targets] random must be 'unit', got {tgt['random']!r}")
             cfg.random_targets = True
         for key in ("velocity", "stress", "deformation"):
             if key in tgt:
@@ -626,8 +629,6 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
     """
     started = time.time()
     try:
-        out = Path(out_dir if out_dir is not None else cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         if cfg.task != "pair":  # pair resolves n_pair modes, not n_max
             cfg.grid.require_resolution(cfg.n_max)
         # solvers never touch the oscillation frequencies, so exceptional
@@ -639,6 +640,9 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
         # alpha^2 > 1: the lowest modes have non-real oscillation frequencies
         manifest["derived"]["nonreal_frequency_warning"] = \
             bool(cfg.kernel.alpha ** 2 > 1.0)
+        # made after the checks above, so a refused run leaves no directory
+        out = Path(out_dir if out_dir is not None else cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         _TASK_RUNNERS[cfg.task](cfg, kernels, out, manifest)
         write_manifest(out / "manifest.json", manifest)
         write_manifest(out / "timing.json",

@@ -401,6 +401,30 @@ kind = verify
         assert "[kernel] coefficients" in err and "[grid] horizon" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change,code", [({"n_max": 100000}, EXIT_CONFIG),
+                                             ({"coefficients": "-2 1"},
+                                              EXIT_EXCEPTIONAL_INDEX)])
+    def test_refused_run_makes_no_output_directory(self, tmp_path, change, code):
+        # n_max beyond the grid's resolution, or alpha = 1 with mode 1
+        # exceptional: both are refused before the directory is made
+        path = task_config(tmp_path, "diagnose", **change)
+        out = tmp_path / "o"
+        assert cli_main(["diagnose", "--config", str(path),
+                         "--out", str(out)]) == code
+        assert not out.exists()
+
+    def test_random_targets_other_than_unit_are_a_config_error(self, tmp_path,
+                                                               capsys):
+        # a misspelt value must not fall back to the target rows silently
+        path = steer_config(tmp_path, targets="random = true\n"
+                                              "velocity = 1 0\nstress = 0 1")
+        out = tmp_path / "o"
+        assert cli_main(["steer", "--config", str(path),
+                         "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[targets] random" in err and "'true'" in err
+        assert not out.exists()
+
     def test_large_damping_within_float64_still_loads(self, tmp_path):
         # alpha = 25 at T = 2 pi: 2|alpha| T = 314 < 709.78; the run fails
         # later on its non-finite results (see above), not on the config
