@@ -334,52 +334,121 @@ def make_control(cfg: ExperimentConfig, grid: TimeGrid) -> ControlSignal:
     raise ValueError(f"unknown control kind {cfg.control_kind!r}")
 
 
-# per dtype kind; '%.17g' spells floats (nan, inf, -0) like format(x, '.17g')
-_CSV_FORMATS = {"b": "%s", "i": "%d", "u": "%d", "f": "%.17g"}
-_CSV_CHUNK = 1024  # rows formatted by one '%'
+_POW10, _POW5 = 10.0 ** np.arange(26), 5 ** np.arange(26, dtype=np.uint64)
+_CSV_ROWS = 1366  # rows formatted at once: 4097 rows go in 3 parts, 8193 in 6
+
+
+def _digit_tables():
+    """4-byte texts, and per (class X = -9..15, trailing zeros) a text layout: the
+    source of each byte among a value's "e-0X" or "0.", sign, ".", NUL, 17 digits."""
+    xs = np.arange(-9, 16)
+    suffix = [[101, 45, 48, 48 - x] if x < -4 else [48, 46, 0, 0] for x in xs]
+    lead = [[sign, 46, 0, 48 + k] for sign in (0, 45) for k in range(10)]
+    quads = np.stack(np.meshgrid(*[np.uint8(range(48, 58))] * 4, indexing="ij"), -1)
+    text = np.concatenate([quads.reshape(-1, 4), np.uint8(suffix + lead)])
+    d = list(range(7, 24))
+    rows = [d[:x + 1] + [5] + d[x + 1:] if x >= 0 else [0, 1] + [0] * (-x - 1) + d
+            if x >= -4 else [7, 5] + d[1:] + [0, 1, 2, 3] for x in xs]
+    base = np.array([[4] + row + [6] * (22 - len(row)) for row in rows])[:, None]
+    last, x = np.arange(16, -1, -1)[:, None], xs[:, None, None]
+    strip = (base - 7 > np.maximum(last, x)) | (base == 5) & (last <= np.maximum(x, 0))
+    return text.view(np.uint32).ravel(), np.where(strip, 6, base).reshape(-1, 23)
+
+
+_DIGIT_TEXT, _LAYOUT = _digit_tables()
+
+
+def _digits17(values):
+    """Which values get integer digits, their exponent classes and source bytes.
+
+    v = M 2^E with 1e-7 <= |v| < 1e15 and X = floor(log10 |v|) give D' =
+    rint(|v| 10^s), s = 16 - X.  As r = -(E + s) <= 54 and |D' - |v| 10^s| <
+    2^8, M 5^s - D' 2^r = 2^r (|v| 10^s - D') is below 2^62, so wrapping
+    uint64 arithmetic gives it exactly: the floor of |v| 10^s and the rest
+    that rounds it half to even.  A floor outside [10^16, 10^17) or a carry
+    to 10^17 (X one off, next to a power of ten) is left to '%.17g'.
+    """
+    mag = np.abs(values)
+    fast = (mag >= 1e-7) & (mag < 1e15)
+    mag = np.where(fast, mag, 1.0)
+    frac, exp = np.frexp(mag)  # M = frac 2^53, E = exp - 53
+    x = np.floor(np.log10(mag)).astype(np.int64)
+    s, r = 16 - x, x + 37 - exp
+    d = np.rint(mag * _POW10[s]).astype(np.uint64)
+    c = (frac * 2.0 ** 53).astype(np.uint64) * _POW5[s] - (d << r.astype(np.uint64))
+    floor, one = d.view(np.int64) + (c.view(np.int64) >> r), np.left_shift(1, r)
+    d = floor + (2 * (c.view(np.int64) & (one - 1)) + (floor & 1) > one)
+    fast &= (floor >= 10 ** 16) & (d < 10 ** 17)
+    high, low = np.divmod(np.where(fast, d, 10 ** 16), 10 ** 8)
+    groups = np.stack([10009 + x, 10025 + 10 * np.signbit(values) + high // 10 ** 8,
+                       high // 10000 % 10000, high % 10000, low // 10000, low % 10000], 1)
+    return fast, x + 9, _DIGIT_TEXT[groups].view(np.uint8)
+
+
+def _spelt_once(keys, spell, dtype):
+    """Text rows of `keys`, each distinct key spelt once by `spell` of its value."""
+    distinct, index = np.unique(keys, return_inverse=True)
+    text = np.array([spell(v) for v in distinct.view(dtype).tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), text.itemsize)[index]
+
+
+def _float_text(values):
+    """NUL-padded '%.17g' text of float64 `values`, one row per value."""
+    fast, cls, source = _digits17(values)
+    index = np.take(_LAYOUT, 17 * cls + np.argmax(source[:, :6:-1] != 48, 1), axis=0)
+    index += np.arange(0, source.size, 24)[:, None]
+    text = np.take(source.ravel(), index)
+    if fast.all():
+        return text
+    slow = _spelt_once(values.view(np.uint64)[~fast], b"%.17g".__mod__, np.float64)
+    out = np.zeros((len(values), max(slow.shape[1], 23 * fast.any())), np.uint8)
+    out[fast, :23], out[~fast, :slow.shape[1]] = text[fast, :out.shape[1]], slow
+    return out
+
+
+def _csv_chunks(col):
+    """NUL-padded text of a column in parts of `_CSV_ROWS` rows, floats part by part."""
+    parts = range(_CSV_ROWS, len(col), _CSV_ROWS)
+    if col.dtype.kind == "f":
+        return (_float_text(part.astype(np.float64)) for part in np.split(col, parts))
+    spell = (b"false", b"true").__getitem__ if col.dtype.kind == "b" else b"%d".__mod__
+    return np.split(_spelt_once(col, spell, col.dtype), parts)
 
 
 def write_csv(path, header, blocks) -> None:
     """CSV with a header row, streamed one block of rows at a time.
 
     Each block holds one equal-length column per header field: %d for
-    integers, 17 significant digits for floats, true/false for booleans;
-    lines end in \r\n.  A block whose formats differ from the first
+    integers, the bytes of '%.17g' for floats, true/false for booleans;
+    lines end in \r\n.  A block whose column kinds differ from the first
     block's raises ValueError before any of its rows is written.  Rows go
-    out `_CSV_CHUNK` at a time, one '%' over the repeated row template; a
-    column whose bytes repeat the block before's reuses that block's text.
+    out `_CSV_ROWS` at a time; a column that repeats the block before's
+    bytes reuses that block's text.
     """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        formats, previous, shared = None, [], {}
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        kinds, previous, shared = None, [], {}
         for block in blocks:
             cols = [np.asarray(col) for col in block]
             if len(cols) != len(header) or len({len(col) for col in cols}) > 1:
                 raise ValueError(f"{path.name}: a block needs {len(header)} "
                                  "equal-length columns")
-            kinds = [_CSV_FORMATS.get(col.dtype.kind) for col in cols]
-            formats = formats or kinds
-            if None in kinds or kinds != formats:
-                raise ValueError(f"{path.name}: column formats {kinds} are unsupported "
-                                 f"or differ from the first block's {formats}")
-            cols = [np.where(col, "true", "false") if col.dtype.kind == "b" else col
-                    for col in cols]
-            current = [(col.dtype.str, col.tobytes()) for col in cols]
-            shared = {j: shared.get(j) or [kinds[j] % v for v in col.tolist()]
-                      for j, col in enumerate(cols)
-                      if previous and current[j] == previous[j]}
-            previous = current
-            row = ",".join("%s" if j in shared else fmt
-                           for j, fmt in enumerate(kinds)) + "\r\n"
-            size = len(cols[0]) if cols else 0
-            for lo in range(0, size, _CSV_CHUNK):
-                part, count = slice(lo, lo + _CSV_CHUNK), min(_CSV_CHUNK, size - lo)
-                flat = [None] * (len(cols) * count)
-                for j, col in enumerate(cols):
-                    flat[j::len(cols)] = (shared[j][part] if j in shared
-                                          else col[part].tolist())
-                fh.write(row * count % tuple(flat))
+            current = [col.dtype.kind for col in cols]
+            kinds = kinds or current
+            if not set(current) <= set("biuf") or current != kinds:
+                raise ValueError(f"{path.name}: column kinds {current} are unsupported "
+                                 f"or differ from the first block's {kinds}")
+            now = [(col.dtype.str, col.tobytes()) for col in cols]
+            shared = {j: shared.get(j) or list(_csv_chunks(col))
+                      for j, col in enumerate(cols) if previous and now[j] == previous[j]}
+            previous = now
+            for texts in zip(*(shared[j] if j in shared else _csv_chunks(col)
+                               for j, col in enumerate(cols))):
+                comma = np.full((len(texts[0]), 1), 44, np.uint8)
+                row = [piece for text in texts for piece in (text, comma)]
+                row[-1] = np.full((len(texts[0]), 2), [13, 10], np.uint8)
+                fh.write(np.concatenate(row, axis=1).tobytes().translate(None, b"\0"))
 
 
 def write_manifest(path, manifest: dict) -> None:
@@ -488,15 +557,9 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
     n_max = cfg.n_max
     if cfg.random_targets:
         target = random_unit_target(cfg.seed, n_max)
-    else:
-        if cfg.velocity_targets is None or cfg.stress_targets is None:
-            raise ValueError("steer task needs velocity and stress target rows "
-                             "or random = unit")
-        xi = np.zeros(n_max)
-        eta = np.zeros(n_max)
-        xi[: len(cfg.velocity_targets)] = cfg.velocity_targets[:n_max]
-        eta[: len(cfg.stress_targets)] = cfg.stress_targets[:n_max]
-        target = MomentTarget(xi, eta)
+    else:  # rows shorter than n_max steer the remaining modes to 0
+        target = MomentTarget(*(np.pad(row, (0, n_max - len(row)))
+                                for row in (cfg.velocity_targets, cfg.stress_targets)))
 
     # steering constrains modes 1..n_max only; the round trip also reports
     # a tail of further coefficients (unconstrained by construction) where
@@ -512,12 +575,7 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
 
 
 def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
-    if cfg.deformation_targets is None or cfg.stress_targets is None:
-        raise ValueError("pair task needs deformation and stress target rows")
-    c = cfg.deformation_targets[: cfg.n_pair]
-    d = cfg.stress_targets[: cfg.n_pair]
-    if len(c) != cfg.n_pair or len(d) != cfg.n_pair:
-        raise ValueError("pair targets must cover n_pair modes")
+    c, d = cfg.deformation_targets, cfg.stress_targets
     report = finite_pair_control(kernels, c, d)
     write_csv(out / "coefficients.csv",
               ["n", "deformation_target", "deformation_achieved",
@@ -609,6 +667,13 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
                     "roundtrip": roundtrip_doc})
 
 
+_EXITS = ((ExceptionalIndexError, "error", EXIT_EXCEPTIONAL_INDEX),
+          (NearSingularGramError, "error", EXIT_NEAR_SINGULAR),
+          (ElasticDegeneracyError, "error", EXIT_ELASTIC_DEGENERACY),
+          ((ValueError, KeyError, FileNotFoundError), "config error", EXIT_CONFIG),
+          (OSError, "i/o error", EXIT_FAILURE),
+          ((ViscostringError, ArithmeticError), "error", EXIT_FAILURE))
+
 _TASK_RUNNERS = {
     "simulate": _task_simulate,
     "steer": _task_steer,
@@ -616,6 +681,19 @@ _TASK_RUNNERS = {
     "diagnose": _task_diagnose,
     "verify": _task_verify,
 }
+
+
+def _check_targets(cfg: ExperimentConfig) -> None:
+    """Both target rows (steer: or random = unit), of n_pair or at most n_max values."""
+    keys = {"steer": ("velocity", "stress"), "pair": ("deformation", "stress")}
+    limit, name = (cfg.n_pair, "n_pair") if cfg.task == "pair" else (cfg.n_max, "n_max")
+    for key in () if cfg.random_targets and cfg.task == "steer" else keys.get(cfg.task, ()):
+        row = getattr(cfg, f"{key}_targets")
+        if row is None:
+            raise ValueError(f"{cfg.task} task needs {' and '.join(keys[cfg.task])} target "
+                             "rows" + " or random = unit" * (cfg.task == "steer"))
+        if len(row) > limit or cfg.task == "pair" and len(row) < limit:
+            raise ValueError(f"[targets] {key} holds {len(row)} values, {name} = {limit}")
 
 
 def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
@@ -635,6 +713,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
         # kernels only block the tasks that evaluate per-mode parameters
         if cfg.task in ("verify", "diagnose"):
             exceptional_index_check(cfg.kernel, max(cfg.n_max, 1))
+        _check_targets(cfg)
         kernels = derive_kernels(cfg.kernel, cfg.grid)
         manifest = _base_manifest(cfg, kernels)
         # alpha^2 > 1: the lowest modes have non-real oscillation frequencies
@@ -648,21 +727,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
         write_manifest(out / "timing.json",
                        {"wall_time_seconds": time.time() - started})
         return EXIT_OK
-    except ExceptionalIndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXCEPTIONAL_INDEX
-    except NearSingularGramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEAR_SINGULAR
-    except ElasticDegeneracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ELASTIC_DEGENERACY
-    except (ValueError, KeyError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (ViscostringError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except (ViscostringError, ArithmeticError, ValueError, KeyError, OSError) as exc:
+        label, code = next(entry for types, *entry in _EXITS if isinstance(exc, types))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code

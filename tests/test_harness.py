@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import viscostring
 from viscostring import harness, volterra
@@ -425,6 +427,41 @@ kind = verify
         assert "[targets] random" in err and "'true'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("task,targets,message", [
+        ("steer", "velocity = 1 0 5 7\nstress = 0 0 9 9",
+         "[targets] velocity holds 4 values, n_max = 2"),
+        ("steer", "velocity = 1 0\nstress = 0 0 9",
+         "[targets] stress holds 3 values, n_max = 2"),
+        ("steer", "", "steer task needs velocity and stress target rows or random = unit"),
+        ("pair", "deformation = 1 0.5 0 0 1 1\nstress = 0 0.5 1 0",
+         "[targets] deformation holds 6 values, n_pair = 4"),
+        ("pair", "deformation = 1 0.5 0 0\nstress = 0 0.5",
+         "[targets] stress holds 2 values, n_pair = 4"),
+        ("pair", "deformation = 1 0.5 0 0",
+         "pair task needs deformation and stress target rows"),
+    ], ids=["steer-long", "steer-long-stress", "steer-none", "pair-long", "pair-short",
+            "pair-missing"])
+    def test_unusable_target_rows_are_refused_before_any_output(self, tmp_path, capsys,
+                                                                task, targets, message):
+        # rows longer than the mode count used to be cut without a word, and
+        # missing or short rows were refused after the directory was made
+        path = write_config(tmp_path, TASK_TEMPLATE.format(
+            task=task, coefficients="0.4 1.0", horizon=TWO_PI, steps=512, n_max=2,
+            targets=targets))
+        out = tmp_path / "o"
+        assert cli_main([task, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_steer_rows_target_zero_for_the_other_modes(self, tmp_path):
+        path = steer_config(tmp_path, steps=512, n_max=3,
+                            targets="velocity = 1 0\nstress = 0 0.5")
+        out = tmp_path / "o"
+        assert run(load_config(path), out_dir=out) == EXIT_OK
+        doc = json.loads((out / "synthesis.json").read_text())
+        assert doc["targets_velocity"] == [1.0, 0.0, 0.0]
+        assert doc["targets_stress"] == [0.0, 0.5, 0.0]
+
     def test_large_damping_within_float64_still_loads(self, tmp_path):
         # alpha = 25 at T = 2 pi: 2|alpha| T = 314 < 709.78; the run fails
         # later on its non-finite results (see above), not on the config
@@ -708,8 +745,8 @@ class TestExports:
     def test_trajectory_file_matches_row_writer_byte_for_byte(self, tmp_path,
                                                               dtype, offset):
         from types import SimpleNamespace
-        from viscostring.harness import _CSV_CHUNK, _trajectory_blocks
-        rows = offset[0] * _CSV_CHUNK + offset[1]
+        from viscostring.harness import _trajectory_blocks
+        rows = offset[0] * 1024 + offset[1]
         rng = np.random.default_rng(rows)
         samples = rng.standard_normal((3, rows)).astype(dtype)
         if dtype is complex:
@@ -728,6 +765,110 @@ class TestExports:
         expected = (tmp_path / "rows.csv").read_bytes()
         assert expected.count(b"\r\n") == 3 * rows + 1
         assert b"nan" in expected
+        assert (tmp_path / "columns.csv").read_bytes() == expected
+
+
+def _spelt(values):
+    """The CSV writer's float text of `values`, one value per line."""
+    values = np.asarray(values, dtype=np.float64)
+    parts = [harness._float_text(values[lo:lo + 65536])
+             for lo in range(0, len(values), 65536)]
+    return b"".join(np.concatenate([part, np.full((len(part), 1), 10, np.uint8)], 1)
+                    .tobytes() for part in parts).translate(None, b"\0")
+
+
+def _percent_g(values):
+    values = np.asarray(values, dtype=np.float64).tolist()
+    return b"%.17g\n" * len(values) % tuple(values)
+
+
+def _first_mismatches(values):
+    got, want = _spelt(values), _percent_g(values)
+    if got == want:
+        return []
+    return [(v, g, w) for v, g, w in zip(np.asarray(values).tolist(), got.split(b"\n"),
+                                          want.split(b"\n")) if g != w][:5] or ["lengths"]
+
+
+class TestFloatText:
+    """The writer spells floats from integer digits with the bytes of '%.17g'."""
+
+    def test_seeded_sweep_matches_percent_format(self):
+        # random bit patterns (most of them outside the integer route's
+        # range), bit patterns with exponents around that range (2^-25 ..
+        # 2^51) and log-uniform magnitudes 1e-12 .. 1e17 of either sign
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2 ** 64, 530_000, dtype=np.uint64)
+        exponents = rng.integers(1023 - 25, 1023 + 52, 470_000).astype(np.uint64)
+        near = bits[60_000:] & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponents << np.uint64(52)
+        magnitudes = np.exp(rng.uniform(math.log(1e-12), math.log(1e17), 470_000))
+        values = np.concatenate([bits[:60_000].view(np.float64), near.view(np.float64),
+                                 magnitudes * rng.choice([-1.0, 1.0], 470_000)])
+        assert len(values) >= 10 ** 6
+        assert _first_mismatches(values) == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=64))
+    def test_any_float_matches_percent_format(self, values):
+        assert _first_mismatches(values) == []
+
+    def test_powers_of_ten_range_edges_and_extremes(self):
+        powers = [10.0 ** k for k in range(-20, 23)]
+        edges = [1e-7, 1e15, 2.0 ** -24, 2.0 ** 50]
+        values = [np.nextafter(v, side) for v in powers + edges
+                  for side in (-math.inf, 0.0, math.inf)]
+        values += [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1.0, 100.0, 12345.0]
+        values += [-v for v in values]
+        assert _first_mismatches(values) == []
+
+    @pytest.mark.parametrize("shift", [-1, 1], ids=["low", "high"])
+    def test_an_exponent_estimate_one_off_is_left_to_percent(self, monkeypatch, shift):
+        # log10 next to a power of ten may land on either side of it: a
+        # value whose estimate misses must be spelt by '%.17g', not misspelt
+        log10 = np.log10
+        monkeypatch.setattr(harness.np, "log10", lambda values: log10(values) + shift)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(1100) * 10.0 ** np.arange(-7, 15).repeat(50)
+        assert _first_mismatches(values) == []
+
+    def test_halfway_values_round_to_even(self):
+        # exact decimals of 18 significant digits ending in 5, halfway
+        # between two 17-digit texts: '%.17g' takes the even neighbour
+        from decimal import Decimal
+        ties = [base + k / 2 ** bits
+                for base, bits, odd in ((123456789012345, 3, range(1, 8, 2)),
+                                        (98765432109876, 4, range(1, 16, 2)),
+                                        (3141592653589, 5, range(1, 32, 2)),
+                                        (0, 18, range(2 ** 17 + 1, 2 ** 17 + 64, 2)))
+                for k in odd]
+        digits = [Decimal(t).as_tuple().digits for t in ties]
+        assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+        assert {d[-2] % 2 for d in digits} == {0, 1}
+        assert _first_mismatches(ties + [-t for t in ties]) == []
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    @pytest.mark.parametrize("offset", [(1, -1), (1, 0), (1, 1), (2, 1)],
+                             ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    def test_every_column_kind_across_chunk_edges(self, tmp_path, dtype, offset):
+        rows = offset[0] * harness._CSV_ROWS + offset[1]
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 16, rows)
+        floats[: len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS
+        values = floats.astype(dtype)
+        if dtype is complex:
+            values.imag = np.flip(floats)
+        times = np.linspace(0.0, 2.0 * math.pi, rows)
+        blocks = [(np.full(rows, n), times, rng.random(rows) < 0.5, values.real,
+                   values.imag, rng.integers(-2 ** 62, 2 ** 62, rows)) for n in (1, 2)]
+        header = ["n", "t", "flag", "re", "im", "big"]
+        write_csv(tmp_path / "columns.csv", header, blocks)
+        _reference_write_csv(tmp_path / "rows.csv", header,
+                             [row for block in blocks
+                              for row in zip(*(col.tolist() for col in block))])
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert expected.count(b"\r\n") == 2 * rows + 1
         assert (tmp_path / "columns.csv").read_bytes() == expected
 
 
