@@ -421,9 +421,10 @@ def write_csv(path, header, blocks) -> None:
     Each block holds one equal-length column per header field: %d for
     integers, the bytes of '%.17g' for floats, true/false for booleans;
     lines end in \r\n.  A block whose column kinds differ from the first
-    block's raises ValueError before any of its rows is written.  Rows go
-    out `_CSV_ROWS` at a time; a column that repeats the block before's
-    bytes reuses that block's text.
+    block's raises ValueError before any of its rows is written; a nan or
+    infinity removes the file and raises ViscostringError.  Rows go out
+    `_CSV_ROWS` at a time; a column that repeats the block before's bytes
+    reuses that block's text.
     """
     path = Path(path)
     with path.open("wb") as fh:
@@ -439,6 +440,8 @@ def write_csv(path, header, blocks) -> None:
             if not set(current) <= set("biuf") or current != kinds:
                 raise ValueError(f"{path.name}: column kinds {current} are unsupported "
                                  f"or differ from the first block's {kinds}")
+            if not all(np.isfinite(col).all() for col in cols if col.dtype.kind == "f"):
+                break
             now = [(col.dtype.str, col.tobytes()) for col in cols]
             shared = {j: shared.get(j) or list(_csv_chunks(col))
                       for j, col in enumerate(cols) if previous and now[j] == previous[j]}
@@ -449,6 +452,10 @@ def write_csv(path, header, blocks) -> None:
                 row = [piece for text in texts for piece in (text, comma)]
                 row[-1] = np.full((len(texts[0]), 2), [13, 10], np.uint8)
                 fh.write(np.concatenate(row, axis=1).tobytes().translate(None, b"\0"))
+        else:
+            return
+    path.unlink()
+    raise ViscostringError(f"{path.name}: non-finite result")
 
 
 def write_manifest(path, manifest: dict) -> None:
@@ -469,10 +476,11 @@ def _complex_list(values) -> list:
 
 
 def _trajectory_blocks(family):
-    """One block of (n, t, re, im) columns per row of a solved family."""
+    """One block of (n, t, re, im) columns per row of a solved (real) family."""
     times = family.grid.times()
+    zero = np.zeros_like(times)
     for n, samples in zip(family.ns, family.samples):
-        yield np.full(len(times), n), times, samples.real, samples.imag
+        yield np.full(len(times), n), times, samples, zero
 
 
 def _base_manifest(cfg: ExperimentConfig, kernels: DerivedKernelSet) -> dict:

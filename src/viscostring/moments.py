@@ -476,9 +476,7 @@ def quadratic_closeness(family: ModeFamily,
     for n, re, im, par in zip(family.ns, *family.samples, params):
         if n != par.n:
             raise ValueError("family and params must align index by index")
-        # negative indices carry conjugate kernels, hence signed frequencies
-        freq = par.beta if par.n > 0 else -par.beta
-        reference = np.exp((par.alpha + 1j * freq) * times)
+        reference = np.exp((par.alpha + 1j * par.beta) * times)
         dists.append(float(np.sum(weights * np.abs(re + 1j * im - reference) ** 2)))
     ns_arr = np.asarray(family.ns)
     d_arr = np.asarray(dists)

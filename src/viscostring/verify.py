@@ -62,7 +62,7 @@ class AsymptoticReport:
 
     ns: np.ndarray
     deviations: np.ndarray
-    scaled: np.ndarray           # |n| * deviation
+    scaled: np.ndarray           # n * deviation
     verdict: TrendVerdict
     lower_max: float
     upper_max: float
@@ -77,7 +77,7 @@ def _trend_report(ns: Sequence[int], deviations: Sequence[float]) -> AsymptoticR
     dev_arr = np.asarray(list(deviations), dtype=float)
     if len(ns_arr) < 2:
         raise ValueError("trend verdict needs at least two modes")
-    scaled = np.abs(ns_arr) * dev_arr
+    scaled = ns_arr * dev_arr
     half = len(ns_arr) // 2
     lower = float(np.max(scaled[:half]))
     upper = float(np.max(scaled[half:]))

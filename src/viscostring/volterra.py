@@ -127,9 +127,10 @@ class TrajectoryKind(Enum):
 class ModeFamily:
     """Samples of one mode quantity for the indices `ns`, one row per index.
 
-    `samples` is real and read-only: (len(ns), K+1) mode responses on
-    `grid`, or for moment kernels Z_n = X_n + i*Y_n the (2, len(ns), K+1)
-    rows X_n, then Y_n, with the row for -n (X_n, -Y_n).
+    Every n is positive.  `samples` is real and read-only: (len(ns), K+1)
+    mode responses on `grid`, or for moment kernels Z_n = X_n + i*Y_n the
+    (2, len(ns), K+1) rows X_n, then Y_n; Z_{-n} = conj(Z_n) enters only
+    through the real form in `moments.gram`.
     """
 
     ns: tuple
@@ -179,8 +180,8 @@ def _mode_indices(ns) -> tuple:
     ns = tuple(ns)
     if not ns:
         raise ValueError("no mode indices given")
-    if 0 in ns:
-        raise ValueError("mode index must be a nonzero integer")
+    if min(ns) < 1:
+        raise ValueError(f"mode indices must be positive, got {ns}")
     return ns
 
 
@@ -364,20 +365,17 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
 
 def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
                  kind: TrajectoryKind) -> ModeFamily:
-    """March every distinct |n| of `ns` on the grid of `kernels`, in one batch.
+    """March the positive, increasing indices `ns` on the grid of `kernels`.
 
-    Mode responses are even in n and moment kernels satisfy
-    Z_{-n} = conj(Z_n), so both signs share one row and the symmetry is
-    exact.  Moment kernels are marched as real rows X_n (forcing Hv, start
-    1), then Y_n (forcing n*Ks, start 0).  When `ns` lists distinct positive
-    indices in increasing order the family holds the marched batch itself;
-    otherwise its rows are a reordered copy, Y negated for negative indices.
+    Moment kernels are the real rows X_n (forcing Hv, start 1), then Y_n
+    (forcing n*Ks, start 0), of the marched batch, which the family holds.
     """
     ns = _mode_indices(ns)
+    if list(ns) != sorted(set(ns)):
+        raise ValueError(f"mode indices must increase, got {ns}")
     grid = kernels.grid
-    sizes = sorted({abs(n) for n in ns})
-    grid.require_resolution(sizes[-1])
-    size = np.array(sizes, dtype=float)
+    grid.require_resolution(ns[-1])
+    size = np.array(ns, dtype=float)
     weights, start, forcing = size * size, np.ones(len(size)), ()
     moments = kind is TrajectoryKind.MOMENT_KERNEL
     if moments:
@@ -386,21 +384,15 @@ def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
                                   (n * kernels.stress_kernel for n in size))
     batch = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
                    weights, start, forcing)
-    batch = batch.reshape(2, len(size), grid.steps + 1) if moments else batch
-    if list(ns) != sizes:
-        batch = batch[..., np.searchsorted(sizes, np.abs(ns)), :]
-        if moments:
-            np.negative(batch[1], out=batch[1], where=np.less(ns, 0)[:, None])
-    return ModeFamily(ns, kind, batch, grid)
+    return ModeFamily(ns, kind, batch.reshape(2, len(ns), -1) if moments else batch, grid)
 
 
 def solve_modes(ns: Iterable[int], kernels: "DerivedKernelSet") -> ModeFamily:
     """Solve the memory oscillators of every mode in `ns` in one batch.
 
     The mode response y_n satisfies y' = 2*alpha*y - n^2 (Na * y) with
-    y(0) = 1, where Na is the scaled relaxation kernel.  The response is
-    real and even in the mode index.  The family lives on `kernels.grid`,
-    its rows in the order of `ns`.
+    y(0) = 1, where Na is the scaled relaxation kernel.  `ns` must be
+    positive and increasing; the family lives on `kernels.grid`.
     """
     return _solve_batch(ns, kernels, TrajectoryKind.MODE)
 
@@ -430,7 +422,7 @@ def solve_moment_kernels(ns: Iterable[int],
     The kernel Z_n satisfies Z' = 2*alpha*Z - n^2 (Na * Z) + Hv + i*n*Ks
     with Z(0) = 1, where Hv and Ks are the velocity and stress series
     kernels.  Same scheme as `solve_modes`, as real rows X_n, then Y_n, of
-    Z_n = X_n + i*Y_n (`ModeFamily`); Z_{-n} = conj(Z_n) exactly.
+    Z_n = X_n + i*Y_n (`ModeFamily`).
     """
     return _solve_batch(ns, kernels, TrajectoryKind.MOMENT_KERNEL)
 

@@ -125,9 +125,9 @@ class TestModeFamily:
         grid = KERNELS.grid
         with pytest.raises(ValueError, match="no mode indices"):
             ModeFamily((), TrajectoryKind.MODE, np.ones((0, grid.steps + 1)), grid)
-        with pytest.raises(ValueError, match="nonzero"):
-            ModeFamily((1, 0), TrajectoryKind.MODE, np.ones((2, grid.steps + 1)),
-                       grid)
+        for ns in ((1, 0), (2, -1)):
+            with pytest.raises(ValueError, match="must be positive"):
+                ModeFamily(ns, TrajectoryKind.MODE, np.ones((2, grid.steps + 1)), grid)
         with pytest.raises(ValueError, match="grid samples"):
             ModeFamily((1,), TrajectoryKind.MODE, np.ones(grid.steps + 1), grid)
         with pytest.raises(ValueError, match="grid samples"):

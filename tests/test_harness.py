@@ -384,8 +384,9 @@ kind = verify
         path = task_config(tmp_path, "simulate", coefficients="-50 1.0")
         out = tmp_path / "o"
         assert run(load_config(path), out_dir=out) == EXIT_FAILURE
-        assert "manifest.json: non-finite result" in capsys.readouterr().err
+        assert "coefficients.csv: non-finite result" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("coefficients,horizon", [("1e308 1e-308", TWO_PI),
                                                       ("200 1.0", TWO_PI),
@@ -642,11 +643,12 @@ def _reference_write_csv(path, header, rows):
             writer.writerow([fmt(v) for v in row])
 
 
-# one value per row and column type; every float column covers nan, +-inf,
-# -0.0, subnormals and values that need all 17 significant digits
-_SPECIAL_FLOATS = [0.1 + 0.2, -1.0 / 3.0, math.nan, math.inf, -math.inf, -0.0,
-                   5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
-                   123456789.01234567, 2.0 ** 53 + 2.0, 1e-7]
+# one value per row and column type; every float column covers the largest
+# floats, the edges of the integer-digit range, -0.0, subnormals and values
+# that need all 17 significant digits (nan and inf are never written)
+_SPECIAL_FLOATS = [0.1 + 0.2, -1.0 / 3.0, -1.7976931348623157e308, 1e15,
+                   -9.999999999999998e-08, -0.0, 5e-324, 2.2250738585072009e-308,
+                   1.7976931348623157e308, 123456789.01234567, 2.0 ** 53 + 2.0, 1e-7]
 _PY_INTS = [0, -1, 7, 2 ** 62, -(2 ** 63), 42, 3, 100, -5, 9, 11, 12]
 _NP_INTS = np.array([5, -9, 0, 2 ** 40, 1, 2, 3, 4, 5, 6, 7, -8], dtype=np.int64)
 _BOOLS = [True, False, True, True, False, False, True, False, True, False,
@@ -694,7 +696,7 @@ class TestExports:
         assert (tmp_path / "columns.csv").read_bytes() == expected
         assert expected.count(b"\r\n") == len(rows) + 1
         assert expected.count(b"\n") == len(rows) + 1
-        for text in (b"nan", b"inf", b"-inf", b",-0,", b"e-324", b"true", b"false"):
+        for text in (b"e+308", b",-0,", b"e-324", b"e-08", b"true", b"false"):
             assert text in expected
 
     def test_header_only_matches_row_writer(self, tmp_path):
@@ -731,13 +733,26 @@ class TestExports:
         blocks = [(np.array([1, 1, 1]), times, zeros),
                   (np.array([2, 2, 2]), times.copy(), negative),
                   (np.array([2, 2, 3]), times, negative),
-                  (np.array([4, 4, 4]), times[::-1], np.full(3, math.nan)),
-                  (np.array([5]), times[:1], np.array([math.inf]))]
+                  (np.array([4, 4, 4]), times[::-1], np.full(3, 1e300)),
+                  (np.array([5]), times[:1], np.array([-5e-324]))]
         rows = [row for block in blocks for row in zip(*(col.tolist() for col in block))]
         _reference_write_csv(tmp_path / "rows.csv", ["n", "t", "x"], rows)
         write_csv(tmp_path / "columns.csv", ["n", "t", "x"], blocks)
         assert (tmp_path / "columns.csv").read_bytes() \
             == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("blocks", [[([1.0],), ([2.0, math.nan],)],
+                                        [([math.nan, 1.0],)],
+                                        [([1, 2], [0.5, 1.0]), ([3], [-math.inf])]],
+                             ids=["nan-second-block", "nan-first-block", "inf"])
+    def test_non_finite_float_removes_the_file(self, tmp_path, blocks):
+        # the rows of a block before it were written: the whole file goes
+        header = ["x", "y"][: len(blocks[0])]
+        path = tmp_path / "bad.csv"
+        with pytest.raises(viscostring.ViscostringError,
+                           match="bad.csv: non-finite result"):
+            write_csv(path, header, blocks)
+        assert not path.exists()
 
     @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
     @pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
@@ -749,22 +764,21 @@ class TestExports:
         rows = offset[0] * 1024 + offset[1]
         rng = np.random.default_rng(rows)
         samples = rng.standard_normal((3, rows)).astype(dtype)
-        if dtype is complex:
-            samples.imag = rng.standard_normal((3, rows))
-            samples.imag.reshape(-1)[-len(_SPECIAL_FLOATS):] = _SPECIAL_FLOATS[:3 * rows]
         samples.real.reshape(-1)[: len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS[:3 * rows]
         times = np.linspace(0.0, 2.0 * math.pi, rows)
-        # a grid has two nodes or more; the stand-in also covers one-row blocks
-        family = SimpleNamespace(ns=(1, 2, 3), samples=samples,
+        # a solved family is real: the complex case hands it strided rows,
+        # the real parts of complex samples; a grid has two nodes or more,
+        # and the stand-in also covers one-row blocks
+        family = SimpleNamespace(ns=(1, 2, 3), samples=samples.real,
                                  grid=SimpleNamespace(times=lambda: times))
         header = ["n", "t", "re", "im"]
         write_csv(tmp_path / "columns.csv", header, _trajectory_blocks(family))
         _reference_write_csv(tmp_path / "rows.csv", header,
-                             [(n, t, v.real, v.imag) for n, row in zip(family.ns, samples)
+                             [(n, t, v, 0.0) for n, row in zip(family.ns, family.samples)
                               for t, v in zip(times.tolist(), row.tolist())])
         expected = (tmp_path / "rows.csv").read_bytes()
         assert expected.count(b"\r\n") == 3 * rows + 1
-        assert b"nan" in expected
+        assert b"e+308" in expected
         assert (tmp_path / "columns.csv").read_bytes() == expected
 
 

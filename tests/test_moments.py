@@ -426,17 +426,6 @@ class TestCloseness:
         with pytest.raises(ValueError):
             quadratic_closeness(desk_family_8[8:], [])
 
-    def test_conjugate_pair_has_equal_distance(self, desk_kernels,
-                                               desk_modes_32):
-        family = build_family(desk_kernels, desk_modes_32[:2])
-        x, y = family.samples
-        mirrored = ModeFamily((-1, -2), family.kind, np.stack([x, -y]), family.grid)
-        params = [mode_params(n, desk_kernels.alpha) for n in (1, 2)]
-        mirrored_params = [mode_params(-n, desk_kernels.alpha) for n in (1, 2)]
-        direct = quadratic_closeness(family, params)
-        conj = quadratic_closeness(mirrored, mirrored_params)
-        assert np.array_equal(direct.distances, conj.distances)
-
     def test_scaled_distances_do_not_grow(self, desk_kernels,
                                           desk_modes_32):
         family = build_family(desk_kernels, desk_modes_32)

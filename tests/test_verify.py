@@ -71,14 +71,9 @@ class TestModeAsymptotics:
                                         solve_modes(range(1, 5), elastic_kernels))
         assert np.max(report.deviations) < 1e-3
 
-    def test_symmetric_in_mode_sign(self, desk_kernels):
-        report = check_mode_asymptotics(desk_kernels,
-                                        solve_modes([4, -4], desk_kernels))
-        assert report.deviations[0] == report.deviations[1]
-
     def test_precomputed_modes_give_the_same_reports(self, desk_kernels):
         # one batch against per-mode solves of the same indices
-        ns = [1, 4, -4, 8]
+        ns = [1, 4, 8]
         batch = solve_modes(ns, desk_kernels)
         per_mode = ModeFamily(ns, TrajectoryKind.MODE, np.concatenate(
             [solve_mode(n, desk_kernels).samples for n in ns]), desk_kernels.grid)
@@ -91,8 +86,10 @@ class TestModeAsymptotics:
         for check in checks:
             np.testing.assert_allclose(check(per_mode).deviations,
                                        check(batch).deviations, rtol=1e-10)
-        assert check_resolvent_identity(desk_kernels, solve_modes([-2], desk_kernels)) \
-            == check_resolvent_identity(desk_kernels, solve_mode(2, desk_kernels))
+        # residuals are differences of O(1) samples: round-off is absolute
+        np.testing.assert_allclose(check_resolvent_identity(desk_kernels, per_mode),
+                                   check_resolvent_identity(desk_kernels, batch),
+                                   rtol=0, atol=1e-14)
 
     def test_heavily_damped_kernel_rejected(self, desk_grid):
         kernels = derive_kernels(MemoryKernel.exponential_sum([(3.0, 1.0)]),
@@ -124,11 +121,6 @@ class TestDerivativeAsymptotics:
         report = check_mode_derivative_asymptotics(
             elastic_kernels, solve_modes(range(1, 5), elastic_kernels))
         assert np.max(report.deviations) < 1e-3
-
-    def test_symmetric_in_mode_sign(self, desk_kernels):
-        report = check_mode_derivative_asymptotics(
-            desk_kernels, solve_modes([3, -3], desk_kernels))
-        assert report.deviations[0] == report.deviations[1]
 
 
 class TestConvolutionAsymptotics:
@@ -176,10 +168,6 @@ class TestResolventIdentity:
             residuals.extend(check_resolvent_identity(kernels,
                                                       solve_modes([2], kernels)))
         assert residuals[0] / residuals[1] >= 3.0
-
-    def test_symmetric_in_mode_sign(self, desk_kernels):
-        assert check_resolvent_identity(desk_kernels, solve_modes([2], desk_kernels)) \
-            == check_resolvent_identity(desk_kernels, solve_modes([-2], desk_kernels))
 
     @pytest.mark.parametrize("kernel", [
         DESK_KERNEL,
