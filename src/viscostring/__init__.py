@@ -13,13 +13,7 @@ from .errors import (
     NearSingularGramError,
     ViscostringError,
 )
-from .kernels import (
-    DerivedKernelSet,
-    KernelFamily,
-    MemoryKernel,
-    derive_kernels,
-    exceptional_index_check,
-)
+from .kernels import DerivedKernelSet, KernelFamily, MemoryKernel, derive_kernels
 from .moments import (
     ClosenessReport,
     FrameBoundsReport,

@@ -12,6 +12,7 @@ has no effect: the package runs no thread pool of its own.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .harness import EXIT_CONFIG, TASKS, load_config, run
@@ -48,4 +49,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # the exit's final collection would only walk objects about to be freed
+    sys.exit(code)

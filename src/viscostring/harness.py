@@ -2,9 +2,10 @@
 
 Config files are flat INI: named sections of key = value lines, nothing
 nested.  A run reads one config, executes the requested task and writes a
-manifest plus plot-ready CSVs into the output directory.  Identical
-config and seed give byte-identical outputs; wall time therefore lives in
-a separate timing.json sidecar rather than in the manifest.  Each task
+manifest plus plot-ready CSVs into the output directory; the first file
+written makes it, so a run that fails before then leaves no directory.
+Identical config and seed give byte-identical outputs; wall time
+therefore lives in a timing.json sidecar, not in the manifest.  Each task
 below solves its mode responses once, in one batch, and passes the
 family, one `ModeFamily` array, to every consumer; pair alone leaves its
 modes to `finite_pair_control`, their only reader.  The thread count
@@ -35,12 +36,7 @@ from .errors import (
     NearSingularGramError,
     ViscostringError,
 )
-from .kernels import (
-    DerivedKernelSet,
-    MemoryKernel,
-    derive_kernels,
-    exceptional_index_check,
-)
+from .kernels import DerivedKernelSet, MemoryKernel, derive_kernels
 from .moments import (
     MomentTarget,
     below_critical_horizon,
@@ -427,6 +423,7 @@ def write_csv(path, header, blocks) -> None:
     reuses that block's text.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         kinds, previous, shared = None, [], {}
@@ -468,6 +465,7 @@ def write_manifest(path, manifest: dict) -> None:
         text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise ViscostringError(f"{path.name}: non-finite result ({exc})") from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
 
 
@@ -709,27 +707,29 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
 
     0 on success, 2 for configuration problems, 3 for an exceptional mode
     index, 4 for a near-singular Gram system, 5 for elastically degenerate
-    pair targets, 1 for anything else.  Outputs land in the configured
-    (or overriding) output directory.  `threads`, like the config's
-    `[run] threads`, is accepted for compatibility and ignored.
+    pair targets, 1 for anything else; 3 outranks a non-real mode's 2.
+    Outputs land in the configured (or overriding) output directory, made
+    by the first of them.  `threads`, like the config's `[run] threads`,
+    is accepted for compatibility and ignored.
     """
     started = time.time()
     try:
         if cfg.task != "pair":  # pair resolves n_pair modes, not n_max
             cfg.grid.require_resolution(cfg.n_max)
-        # solvers never touch the oscillation frequencies, so exceptional
-        # kernels only block the tasks that evaluate per-mode parameters
+        # solvers never touch the oscillation frequencies, so only the tasks
+        # that evaluate per-mode parameters need them real and nonzero; the
+        # scan runs downward because an exceptional index (exit 3) outranks
+        # the non-real modes below it (exit 2)
         if cfg.task in ("verify", "diagnose"):
-            exceptional_index_check(cfg.kernel, max(cfg.n_max, 1))
+            for n in range(cfg.n_max, 0, -1):
+                mode_params(n, cfg.kernel.alpha)
         _check_targets(cfg)
         kernels = derive_kernels(cfg.kernel, cfg.grid)
         manifest = _base_manifest(cfg, kernels)
         # alpha^2 > 1: the lowest modes have non-real oscillation frequencies
         manifest["derived"]["nonreal_frequency_warning"] = \
             bool(cfg.kernel.alpha ** 2 > 1.0)
-        # made after the checks above, so a refused run leaves no directory
         out = Path(out_dir if out_dir is not None else cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _TASK_RUNNERS[cfg.task](cfg, kernels, out, manifest)
         write_manifest(out / "manifest.json", manifest)
         write_manifest(out / "timing.json",

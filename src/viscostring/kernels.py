@@ -37,7 +37,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ExceptionalIndexError
 from .volterra import TimeGrid, convolve
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "MemoryKernel",
     "DerivedKernelSet",
     "derive_kernels",
-    "exceptional_index_check",
     "is_exceptional_index",
     "EXCEPTIONAL_INDEX_FACTOR",
 ]
@@ -230,17 +228,3 @@ def is_exceptional_index(n: int, alpha: float) -> bool:
     n_sq = float(n) * float(n)
     return abs(n_sq - alpha * alpha) <= \
         EXCEPTIONAL_INDEX_FACTOR * np.finfo(float).eps * n_sq
-
-
-def exceptional_index_check(kernel: MemoryKernel, n_max: int) -> None:
-    """Scan modes 1..n_max for a collision with the damping rate.
-
-    Raises ExceptionalIndexError if alpha^2 equals n^2 (in the sense of
-    `is_exceptional_index`) for some n in range, since that mode has no
-    oscillator representation.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    for n in range(1, n_max + 1):
-        if is_exceptional_index(n, kernel.alpha):
-            raise ExceptionalIndexError(n, kernel.alpha)

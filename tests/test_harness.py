@@ -334,7 +334,7 @@ kind = verify
         assert cli_main([task, "--config", str(path),
                          "--out", str(out)]) == EXIT_CONFIG
         assert "n=1" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_exceptional_kernel_still_steers(self, tmp_path):
         # solvers never evaluate the oscillation frequencies, so steering
@@ -360,11 +360,12 @@ kind = verify
         # the grid check comes first, so a mistyped n_max costs no loop,
         # list or tuple of n_max entries before it exits 2
         calls = Counter()
-        for name in ("exceptional_index_check", "mode_params"):
-            def counting(*args, _name=name, _fn=getattr(harness, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(harness, name, counting)
+
+        def counting(*args, _fn=harness.mode_params):
+            calls["mode_params"] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(harness, "mode_params", counting)
         path = task_config(tmp_path, task, steps=512, n_max=10 ** 6)
         out = tmp_path / "o"
         assert run(load_config(path), out_dir=out) == EXIT_CONFIG
@@ -413,6 +414,32 @@ kind = verify
         path = task_config(tmp_path, "diagnose", **change)
         out = tmp_path / "o"
         assert cli_main(["diagnose", "--config", str(path),
+                         "--out", str(out)]) == code
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:horizon:UserWarning")
+    @pytest.mark.parametrize("task,edits,code", [
+        ("diagnose", {"coefficients": "3.0 1.0"}, EXIT_CONFIG),
+        ("verify", {"coefficients": "3.0 1.0"}, EXIT_CONFIG),
+        ("pair", {"steps": "30"}, EXIT_CONFIG),
+        ("pair", {"n_pair": "17", "deformation": "1" + " 0" * 16,
+                  "stress": "0 1" + " 0" * 15}, EXIT_CONFIG),
+        ("steer", {"horizon": repr(math.pi / 2.0)}, EXIT_NEAR_SINGULAR),
+        ("diagnose", {"coefficients": "-4.0 1.0"}, EXIT_EXCEPTIONAL_INDEX),
+    ], ids=["diagnose-nonreal", "verify-nonreal", "pair-coarse", "pair-17",
+            "steer-singular", "diagnose-alpha-2"])
+    def test_run_failing_before_its_first_file_leaves_no_directory(
+            self, tmp_path, task, edits, code):
+        # an example config with some lines replaced: mode 1 not real, a grid
+        # too coarse for n_pair, n_pair beyond 16, a near-singular Gram; and
+        # |alpha| = 2, where the downward mode scan meets exceptional mode 2
+        # before non-real mode 1, so the run exits 3 rather than 2
+        text = (Path(__file__).parents[1] / "configs" / f"{task}.ini").read_text()
+        for key, value in edits.items():
+            text, count = re.subn(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+            assert count == 1
+        out = tmp_path / "o"
+        assert cli_main([task, "--config", str(write_config(tmp_path, text)),
                          "--out", str(out)]) == code
         assert not out.exists()
 

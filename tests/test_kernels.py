@@ -15,7 +15,6 @@ from viscostring import (
     TimeGrid,
     convolve,
     derive_kernels,
-    exceptional_index_check,
     mode_params,
 )
 from viscostring.errors import ExceptionalIndexError
@@ -135,28 +134,31 @@ def test_kernel_validation():
         MemoryKernel(KernelFamily.ZERO, (1.0,))
 
 
+def _modes(kernel, n_max):
+    return [mode_params(n, kernel.alpha) for n in range(1, n_max + 1)]
+
+
 def test_exceptional_index_scan():
-    exceptional_index_check(ELASTIC_KERNEL, 32)
-    exceptional_index_check(DESK_KERNEL, 64)
+    _modes(ELASTIC_KERNEL, 32)
+    _modes(DESK_KERNEL, 64)
     with pytest.raises(ExceptionalIndexError) as info:
-        exceptional_index_check(MemoryKernel.exponential_sum([(2.0, 1.0)]), 32)
+        _modes(MemoryKernel.exponential_sum([(2.0, 1.0)]), 32)
     assert info.value.n == 1
-    # alpha^2 > 1 without an exact collision passes the scan
-    exceptional_index_check(MemoryKernel.exponential_sum([(3.0, 1.0)]), 32)
+    # alpha^2 > 1 without an exact collision: mode 1 is not real, not exceptional
+    with pytest.raises(ValueError) as info:
+        _modes(MemoryKernel.exponential_sum([(3.0, 1.0)]), 32)
+    assert info.type is ValueError
 
 
 def test_near_exceptional_index_is_rejected():
     # alpha^2 = 1 - 2e-15 is a collision in all but round-off: mu ~ 5e14
     near = MemoryKernel.exponential_sum([(2.0 * (1.0 - 1e-15), 1.0)])
     with pytest.raises(ExceptionalIndexError) as info:
-        exceptional_index_check(near, 4)
+        _modes(near, 4)
     assert info.value.n == 1
-    with pytest.raises(ExceptionalIndexError):
-        mode_params(1, near.alpha)
     assert mode_params(2, near.alpha).beta > 0.0
     # a genuine, if small, gap stays a regular mode
-    exceptional_index_check(
-        MemoryKernel.exponential_sum([(2.0 * (1.0 - 1e-9), 1.0)]), 4)
+    _modes(MemoryKernel.exponential_sum([(2.0 * (1.0 - 1e-9), 1.0)]), 4)
 
 
 def test_derived_kernels_are_read_only(desk_kernels):
