@@ -2,8 +2,12 @@
 
 `tests/reference/<task>/` holds what `configs/<task>.ini` wrote, all but
 `timing.json`, with `control.csv` and `trajectories.csv` kept at every
-64th grid node; `exit_codes.json` holds each run's exit code.  The test
-reruns each config and compares it file by file:
+64th grid node; `exit_codes.json` holds each run's exit code.
+`tests/reference_scale/<task>/` holds the same for the scale runs
+(`SCALE_RUNS`): the example config at K = 16384 with its own `n_max`,
+where the truncations, transform lengths and row blocks of the larger
+sizes are reached.  The tests rerun each config and compare it file by
+file:
 - exit codes, file names, CSV headers, manifest keys, strings, booleans
   and integers must be equal;
 - a float column may drift from the reference by its class's bound,
@@ -17,7 +21,7 @@ reruns each config and compares it file by file:
 The files change only with a change that is meant to move outputs and
 says why.  To rewrite them from the current code:
 
-    PYTHONPATH=src python tests/test_reference.py
+    PYTHONPATH=src python tests/test_reference.py examples   # or: scale
 """
 
 import csv
@@ -34,6 +38,9 @@ from viscostring.cli import main as cli_main
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "tests" / "reference"
 TASKS = ("simulate", "steer", "pair", "diagnose", "verify")
+SCALE_REFERENCE = ROOT / "tests" / "reference_scale"
+SCALE_STEPS = 16384
+SCALE_RUNS = {"steer": 32, "diagnose": 64, "verify": 64}  # task: n_max
 # long files are kept at every DECIMATION-th node of each grid run
 DECIMATED = {"control.csv", "trajectories.csv"}
 DECIMATION = 64
@@ -136,31 +143,44 @@ def _decimated(rows, steps):
                        if i % (steps + 1) % DECIMATION == 0]
 
 
-def _steps(config):
-    return next(int(line.split("=")[1]) for line in config.read_text().splitlines()
+def _config_text(task, n_max=None):
+    """The example config of `task`, at the scale sizes when `n_max` is given."""
+    text = (ROOT / "configs" / f"{task}.ini").read_text()
+    if n_max is None:
+        return text
+    lines = []
+    for line in text.splitlines():
+        key = line.split("=")[0].strip()
+        if key == "steps":
+            line = f"steps = {SCALE_STEPS}"
+        elif key == "n_max":
+            line = f"n_max = {n_max}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _steps(text):
+    return next(int(line.split("=")[1]) for line in text.splitlines()
                 if line.replace(" ", "").startswith("steps="))
 
 
-def _run(task, out):
-    config = ROOT / "configs" / f"{task}.ini"
-    return cli_main([task, "--config", str(config), "--out", str(out)])
+def _run(task, base, text):
+    """Run `task` on the config `text`, written into `base`; outputs go to base/out."""
+    config = Path(base) / "config.ini"
+    config.write_text(text)
+    return cli_main([task, "--config", str(config), "--out", str(Path(base) / "out")])
 
 
-@pytest.mark.parametrize("task", TASKS)
-def test_example_config_reproduces_reference_outputs(task, tmp_path):
-    expected = json.loads((REFERENCE / "exit_codes.json").read_text())
-    assert _run(task, tmp_path) == expected[task]
-    ref_dir = REFERENCE / task
-    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "timing.json")
+def _compare_outputs(task, ref_dir, out, steps, where_prefix):
+    written = sorted(p.name for p in out.iterdir() if p.name != "timing.json")
     assert written == sorted(p.name for p in ref_dir.iterdir())
-    steps = _steps(ROOT / "configs" / f"{task}.ini")
     for name in written:
-        where = f"{task}/{name}"
+        where = f"{where_prefix}/{name}"
         if name.endswith(".json"):
             ref = json.loads((ref_dir / name).read_text())
-            _compare_json(task, where, ref, json.loads((tmp_path / name).read_text()))
+            _compare_json(task, where, ref, json.loads((out / name).read_text()))
             continue
-        ref, new = _read_csv(ref_dir / name), _read_csv(tmp_path / name)
+        ref, new = _read_csv(ref_dir / name), _read_csv(out / name)
         if name in DECIMATED:
             new = _decimated(new, steps)
         assert new[0] == ref[0], f"{where}: header {new[0]} != {ref[0]}"
@@ -170,24 +190,52 @@ def test_example_config_reproduces_reference_outputs(task, tmp_path):
                             [row[j] for row in ref[1:]], [row[j] for row in new[1:]])
 
 
-def _write_reference():
+@pytest.mark.parametrize("task", TASKS)
+def test_example_config_reproduces_reference_outputs(task, tmp_path):
+    expected = json.loads((REFERENCE / "exit_codes.json").read_text())
+    text = _config_text(task)
+    assert _run(task, tmp_path, text) == expected[task]
+    _compare_outputs(task, REFERENCE / task, tmp_path / "out", _steps(text), task)
+
+
+@pytest.mark.parametrize("task", list(SCALE_RUNS))
+def test_scale_run_reproduces_reference_outputs(task, tmp_path):
+    expected = json.loads((SCALE_REFERENCE / "exit_codes.json").read_text())
+    text = _config_text(task, SCALE_RUNS[task])
+    assert _run(task, tmp_path, text) == expected[task]
+    _compare_outputs(task, SCALE_REFERENCE / task, tmp_path / "out", SCALE_STEPS,
+                     f"scale {task}")
+
+
+def _write(reference, runs):
+    """Rewrite `reference` from the runs {task: config text}."""
     codes = {}
-    for task in TASKS:
+    for task, text in runs.items():
         with tempfile.TemporaryDirectory() as tmp:
-            codes[task] = _run(task, tmp)
-            target = REFERENCE / task
+            codes[task] = _run(task, tmp, text)
+            target = reference / task
             shutil.rmtree(target, ignore_errors=True)
             target.mkdir(parents=True)
-            steps = _steps(ROOT / "configs" / f"{task}.ini")
-            for path in Path(tmp).iterdir():
+            for path in (Path(tmp) / "out").iterdir():
                 if path.name in DECIMATED:
                     with (target / path.name).open("w", newline="") as fh:
                         csv.writer(fh, lineterminator="\r\n").writerows(
-                            _decimated(_read_csv(path), steps))
+                            _decimated(_read_csv(path), _steps(text)))
                 elif path.name != "timing.json":
                     shutil.copyfile(path, target / path.name)
-    (REFERENCE / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    (reference / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+
+
+def _write_reference(which):
+    """Rewrite the example references ("examples") or the scale ones ("scale")."""
+    if which == "examples":
+        _write(REFERENCE, {task: _config_text(task) for task in TASKS})
+    elif which == "scale":
+        _write(SCALE_REFERENCE, {task: _config_text(task, n_max)
+                                 for task, n_max in SCALE_RUNS.items()})
+    else:
+        raise SystemExit(f"usage: {sys.argv[0]} examples|scale")
 
 
 if __name__ == "__main__":
-    sys.exit(_write_reference())
+    _write_reference(sys.argv[1] if len(sys.argv) > 1 else "")
