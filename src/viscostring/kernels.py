@@ -16,17 +16,17 @@ this way.  The three output series of the controlled solution use
     Ks(t) = Na(t) + (Na * Ma)(t)            (stress series kernel)
     Fg(t) = (Na * Ma)(t) = Ks(t) - Na(t)    (stress/deformation gap kernel)
 
-so Ks(0) = 1 and Fg(0) = 0.  These four (Na, Hv, Ks, Fg) are all the
+so Ks(0) = 1 and Fg(0) = 0.  These four (Na, Hv, Ks, Fg) and Na as a
+linear system (`MemoryKernel.scaled_relaxation_system`) are all the
 solvers read.  The oscillator remainders Q0, Q1 and the resolvent R that
 the resolvent-identity check needs are derived in `verify`.
 
 Kernels are restricted to analytic families (exponential sums and
-polynomials of degree at most four) so that M, M' and M'' evaluate in
-closed form everywhere; tabulated kernels are rejected because the
-verification suite needs exact derivatives.  Convolutions that have no
-closed form (the gap kernel here, the resolvent in `verify`) are computed
-with the second-order product-trapezoidal machinery from `volterra`,
-matching the global accuracy budget.
+polynomials of degree at most four): M, M' and M'' evaluate in closed
+form everywhere, as the verification suite needs, and Na is a small
+linear system, whose states carry the marches' memory.  Convolutions
+without a closed form (the gap kernel here, the resolvent in `verify`)
+use the second-order product-trapezoidal machinery from `volterra`.
 """
 
 from __future__ import annotations
@@ -160,23 +160,29 @@ class MemoryKernel:
         """Damping rate -M(0)/2 that makes Na'(0) vanish."""
         return -0.5 * float(self.memory(0.0)) + 0.0
 
-    def scaled_relaxation_terms(self) -> tuple:
-        """Na(t) as an explicit exponential sum: ((coef, rate), ...).
+    def scaled_relaxation_system(self, step: float) -> tuple:
+        """Na(t) = c . exp(gen*t) b as (gen, b, c, phi), phi = exp(gen*step).
 
-        Available for the zero and exponential-sum families; polynomial
-        kernels have no such representation and raise ValueError.  Used by
-        the ODE-system oracle in `volterra`.
+        Exponential sums and the zero kernel take one state per rate: gen =
+        diag(2*alpha, 2*alpha - b_i), b = 1, c = (1 + sum a/b, -a_i/b_i).
+        Polynomials take the states exp(2*alpha*t) t^i, i = 0..d+1: gen is
+        2*alpha plus the derivative, b = e_0, c holds N's coefficients and
+        phi = exp(2*alpha*step) binom(i, j) step^(i-j).  The marches, the
+        resolvent and the Runge-Kutta oracle in `volterra` read it.
         """
-        if self.family is KernelFamily.POLYNOMIAL:
-            raise ValueError(
-                "scaled relaxation is an exponential sum only for "
-                "exponential-sum memory kernels"
-            )
         two_alpha = 2.0 * self.alpha
-        lead = 1.0 + sum(a / b for a, b in self.params)
-        terms = [(lead, two_alpha)]
-        terms.extend((-a / b, two_alpha - b) for a, b in self.params)
-        return tuple(terms)
+        if self.family is KernelFamily.POLYNOMIAL:
+            c = np.polyint(self.params[::-1])[::-1]
+            c[0] = 1.0
+            gen = two_alpha * np.eye(len(c)) + np.diag(np.arange(1.0, len(c)), -1)
+            phi = np.zeros_like(gen)
+            for i, j in zip(*np.tril_indices(len(c))):
+                phi[i, j] = math.comb(i, j) * step ** (i - j)
+            return gen, np.eye(len(c))[0], c, math.exp(two_alpha * step) * phi
+        rates = two_alpha - np.array([0.0] + [b for _, b in self.params])
+        c = np.array([1.0 + sum(a / b for a, b in self.params)]
+                     + [-a / b for a, b in self.params])
+        return np.diag(rates), np.ones(len(c)), c, np.diag(np.exp(rates * step))
 
 
 @dataclass(frozen=True, eq=False)

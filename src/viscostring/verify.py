@@ -148,7 +148,9 @@ def _oscillator_kernels(kernels: DerivedKernelSet):
                      + 6.0 * alpha * m1 + m2)
     q0 = na_d2 - alpha * na_d1
     q1 = alpha * q0 - (na_d3 - alpha * na_d2)
-    resolvent = solve_volterra_second_kind(-na_d1, -na_d1, grid)
+    gen, b, c, phi = kernel.scaled_relaxation_system(grid.step)
+    minus_na_d1 = (gen, b, -np.einsum("i,ij->j", c, gen), phi)  # -Na' = -c gen exp(gen t) b
+    resolvent = solve_volterra_second_kind(minus_na_d1, -na_d1, grid)
     return na_d1, float(q0[0]), q1, resolvent
 
 

@@ -1,41 +1,32 @@
 """Product-integration solvers for convolution Volterra equations.
 
-Every time integral in this package has convolution form, and the mode
-equations solved here all read
+The mode equations solved here all read
 
     y'(t) = a*y(t) - w*(k * y)(t) + g(t),    (k * y)(t) = int_0^t k(t-s) y(s) ds
 
-on a uniform grid over [0, T].  The discretisation is implicit trapezoidal
-in the local and forcing terms with a product-trapezoidal memory sum,
-A-stable in the local part and second-order accurate overall.  The steps
-of one row form a lower-triangular Toeplitz system D0 + w*D1 for two fixed
-series (Lubich, Numer. Math. 52, 1988), which `_solve_toeplitz` solves for
-all rows at once by the divide-and-conquer FFT history of Hairer, Lubich
-and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): O(K log^2 K) per row,
-no Python loop per time step.  The second-kind solver shares it.
+on a uniform grid over [0, T], implicit trapezoidal in the local and
+forcing terms with a product-trapezoidal memory sum: A-stable in the local
+part and second order overall.  The steps of one row form a
+lower-triangular Toeplitz system D0 + w*D1 (Lubich, Numer. Math. 52,
+1988).  Every admitted kernel is a small linear system, Na(t) = c .
+exp(gen*t) b (`MemoryKernel.scaled_relaxation_system`), so
+`_solve_toeplitz` passes the history of the solved unknowns on through q
+states per row, the exact recurrence of fast and oblivious convolution
+quadrature (Schaedle, Lopez-Fernandez and Lubich, SIAM J. Sci. Comput. 28,
+2006): O(K q) per row, no Python loop per time step.  The second-kind
+solver shares it.  Convolutions of known samples (`convolve`,
+`convolve_transpose`) are real FFT products, O(K log K) per row.
 
-Convolutions of known samples (`convolve`, `convolve_transpose`) are
-real FFT products, O(K log K) per row, at the smallest 2*3*5-smooth
-length that holds the linear convolution.  `convolve` takes a stack of
-rows against one fixed factor, which it transforms once per call.  They
-take real samples only.  Their round-off is absolute, about
-eps*step*|a|*|b| in the 2-norms of the factors.
-
-One march solves a batch of real rows on the grid of the kernel set
-(`DerivedKernelSet.grid`).  A solved family is one `ModeFamily`: indices,
-kind and the read-only real array of its rows.  Callers solve each
-family once per run (`solve_modes`, `solve_moment_kernels`; `solve_mode`
-and `solve_moment_kernel` are one-index batches) and share it; consumers
-check it with `ModeFamily.require`.  The solvers call pocketfft and
-`np.einsum`, which are single-threaded and deterministic and call no BLAS,
-and transform rows in fixed blocks: the bytes depend only on the caller's
-index list, under any BLAS thread count.
-
-An independent high-accuracy integrator for exponential-sum kernels
-(`oracle_exponential_mode`) rewrites the memory term as auxiliary ODE
-states and advances the resulting linear system with classical
-fourth-order Runge-Kutta on a refined grid.  It shares no code with the
-product-integration route and serves as its oracle.
+One march solves a batch of real rows on the grid of the kernel set.  A
+solved family is one `ModeFamily`: indices, kind and the read-only real
+array of its rows.  Callers solve each family once per run
+(`solve_modes`, `solve_moment_kernels`; `solve_mode` and
+`solve_moment_kernel` are one-index batches) and share it; consumers
+check it with `ModeFamily.require`.  The solvers' products are
+`np.einsum`, which calls no BLAS, and each row is solved alone, so the
+bytes depend only on the caller's index list, under any BLAS thread
+count.  `oracle_exponential_mode` carries the same system as ODE states
+through fourth-order Runge-Kutta and shares no scheme with the march.
 """
 
 from __future__ import annotations
@@ -74,12 +65,8 @@ __all__ = [
 RESOLUTION_LIMIT = 0.1
 _RESOLUTION_SLACK = 1e-12
 
-#: Unknowns per leaf of the Toeplitz solver, solved by one dense product.
+#: Unknowns per block of the Toeplitz solver, solved by one dense product.
 _LEAF = 32
-#: Samples per FFT call of the Toeplitz solver: a transform of length L
-#: takes a fixed block of max(1, _FFT_SAMPLES // L) rows, as pocketfft
-#: rounds a row differently depending on how many rows share a call.
-_FFT_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -276,78 +263,92 @@ def convolve_transpose(a, p, grid: TimeGrid) -> np.ndarray:
     return u
 
 
-def solve_volterra_second_kind(kernel, source, grid: TimeGrid) -> np.ndarray:
-    """Solve x(t) = source(t) + int_0^t kernel(t-s) x(s) ds for real samples.
+def solve_volterra_second_kind(system, source, grid: TimeGrid) -> np.ndarray:
+    """Solve x(t) = source(t) + int_0^t k(t-s) x(s) ds for real samples.
 
-    Product-trapezoidal discretisation: x(t_1)..x(t_K) solve the Toeplitz
-    system with first column [1 - h*kernel_0/2, -h*kernel_1, -h*kernel_2, ...].
+    k(t) = c . exp(gen*t) b is the system (gen, b, c, phi = exp(gen*step)),
+    as `MemoryKernel.scaled_relaxation_system` gives Na.  Product-trapezoidal
+    discretisation: x(t_1)..x(t_K) solve the Toeplitz system with first
+    column [1 - h*k_0/2, -h*k_1, -h*k_2, ...], k_m = c . phi^m b.
     """
-    kv = _real_samples(kernel, grid, "kernel")
+    _, b, c, phi = system
     sv = _real_samples(source, grid, "source")
     h = grid.step
+    kv = np.einsum("i,im->m", c, _orbit(phi, b, grid.steps + 1))
     denom = 1.0 - 0.5 * h * kv[0]
     if abs(denom) < 1e-12:
         raise ArithmeticError("second-kind equation is singular at this step size")
-    memory = np.concatenate([[0.0], -h * kv[1:-1]])
+    memory = np.concatenate([[0.0], -h * kv[1:_LEAF]])
     x = np.concatenate([sv[:1], sv[1:] + 0.5 * h * kv[1:] * sv[0]])
-    _solve_toeplitz((denom, 0.0), memory, np.ones(1), x[None, 1:])
+    _solve_toeplitz((denom, 0.0), memory, (-h * c, np.einsum("ij,j->i", phi, b), phi),
+                    np.ones(1), x[None, 1:])
     return x
 
 
-def _solve_toeplitz(d0, d1, weights, x) -> None:
+def _orbit(phi: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """phi^m v for m = 0..count-1 along a new axis 1, by repeated squaring."""
+    out, power = v[:, None], phi
+    while out.shape[1] < count:
+        out = np.concatenate([out, np.einsum("ij,j...->i...", power, out)], axis=1)
+        power = np.einsum("ij,jk->ik", power, power)
+    return out[:, :count]
+
+
+def _solve_toeplitz(d0, d1, history, weights, x) -> None:
     """Solve (D0 + weights[r]*D1) x_r = b_r in place, b_r the rows of `x`.
 
     D0 and D1 are lower-triangular Toeplitz with first columns `d0` (two
-    entries) and `d1`.  A leaf of `_LEAF` unknowns is one triangular product
-    per row (`np.einsum`) with the leading series coefficients of
-    1/(d0 + w*d1).  The solved left half of a node, of length L, passes its
-    history to the next L unknowns: d0 by its one entry across the boundary,
-    D1 by a real FFT product of length 2L, whose wrap-around reaches only
-    the solved half.
+    entries) and `d1`, given up to `_LEAF` entries and continued by
+    history = (e, f, phi) as d1_m = e . phi^(m-1) f for m >= 2.  Blocks of
+    B = `_LEAF` unknowns are one triangular `np.einsum` product per row
+    with the leading series coefficients of 1/(d0 + w*d1).  Before the
+    block at lo, unknown lo + t loses w * e . phi^t S for the states S =
+    sum_{j<lo} phi^(lo-1-j) f x_j, and unknown lo also the distance-1 term
+    the geometric form misses, (d0_1 + w*(d1_1 - e . f)) x_{lo-1}; after
+    it, S <- phi^B S + sum_t phi^(B-1-t) f x_{lo+t}.
     """
     rows, size = x.shape
-    series = np.zeros(max(_LEAF, 2 * size))
-    series[: len(d1)] = d1
+    e, f, phi = history
     w = np.asarray(weights, dtype=float)[:, None]
-    head = w * series[:_LEAF]
+    head = w * np.pad(d1, (0, _LEAF - len(d1)))
     head[:, :2] += d0
     inverse = np.empty((rows, _LEAF))
     inverse[:, 0] = 1.0 / head[:, 0]
     for m in range(1, _LEAF):  # sum_{j=0..m} head_j inverse_{m-j} = 0
         inverse[:, m] = -np.einsum("ij,ij->i", head[:, m:0:-1], inverse[:, :m]) / head[:, 0]
     leaf = np.tril(inverse[:, np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))])
-    spectra = {}
+    powers = _orbit(phi, np.eye(len(f)), _LEAF + 1)  # phi^m at [:, m, :]
+    ahead = np.einsum("i,itj->tj", e, powers[:, :_LEAF])  # e . phi^t
+    behind = np.einsum("itj,j->ti", powers[:, _LEAF - 1 :: -1], f)  # phi^(B-1-t) f
+    edge = head[:, 1] - w[:, 0] * np.einsum("i,i->", e, f)  # d0_1 + w*(d1_1 - e . f)
+    states = np.zeros((rows, len(f)))
     for lo in range(0, size, _LEAF):
-        hi = min(lo + _LEAF, size)
-        x[:, lo:hi] = np.einsum("rij,rj->ri", leaf[:, : hi - lo, : hi - lo], x[:, lo:hi])
-        if hi == size:
-            return
-        half = hi & -hi  # [hi - half, hi) is the left half of a node of length 2*half
-        end = min(hi + half, size)
-        if half not in spectra:
-            spectra[half] = np.fft.rfft(series[: 2 * half])
-        x[:, hi] -= d0[1] * x[:, hi - 1]
-        block = max(1, _FFT_SAMPLES // (2 * half))
-        for first in range(0, rows, block):
-            part = slice(first, first + block)
-            product = np.fft.rfft(x[part, hi - half : hi], 2 * half) * spectra[half]
-            history = np.fft.irfft(product, 2 * half)[:, half : half + end - hi]
-            x[part, hi:end] -= w[part] * history
+        block = x[:, lo : lo + _LEAF]
+        width = block.shape[1]
+        if lo:
+            block -= w * np.einsum("rj,tj->rt", states, ahead[:width])
+            block[:, 0] -= edge * x[:, lo - 1]
+        block[:] = np.einsum("rij,rj->ri", leaf[:, :width, :width], block)
+        if lo + width < size:
+            states = (np.einsum("ij,rj->ri", powers[:, _LEAF], states)
+                      + np.einsum("ti,rt->ri", behind, block))
 
 
-def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
+def _march(grid: TimeGrid, kernels: "DerivedKernelSet", local: float, weights,
            start, forcing) -> np.ndarray:
-    """March y_i' = local*y_i - weights[i]*(kernel * y_i) + g_i, y_i(0) = start[i].
+    """March y_i' = local*y_i - weights[i]*(Na * y_i) + g_i, y_i(0) = start[i].
 
-    Solves every real row i at once and returns the (rows, K+1) batch;
-    `forcing` yields the g_i in row order (or nothing), each added to its
-    row alone.  The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the
-    Toeplitz system (D0 + weights[i]*D1) y = p_i, D0 = [1 - h*local/2,
-    -(1 + h*local/2)], D1_m = (h^2/2)(L_m + L_{m-1}), L_0 = kernel_0/2 and
-    L_m = kernel_m; p_i holds y_i(0), its half-weight memory term and g_i.
+    Solves every real row i at once for the Na of `kernels` and returns the
+    (rows, K+1) batch; `forcing` yields the g_i in row order (or nothing).
+    The steps y_k - y_{k-1} = (h/2)(f_k + f_{k-1}) are the Toeplitz system
+    (D0 + weights[i]*D1) y = p_i, D0 = [1 - h*local/2, -(1 + h*local/2)],
+    D1_m = (h^2/2)(L_m + L_{m-1}), L_0 = Na_0/2 and L_m = Na_m = c . phi^m b,
+    so D1_m = c . phi^(m-1) (h^2/2)(phi b + b) for m >= 2; p_i holds y_i(0),
+    its half-weight memory term and g_i.
     """
     h = grid.step
-    memory = np.concatenate([[0.0], kernel[:-1]])  # L_{m-1} for m = 0..K
+    kernel = kernels.relaxation_scaled
+    memory = np.concatenate([[0.0], kernel[:_LEAF]])  # L_{m-1} for m = 0..
     memory[1] *= 0.5
     d1 = (memory[1:] + memory[:-1]) * (0.5 * h * h)
     start_memory = 0.5 * h * kernel[1:]  # the start value's half weight in each sum
@@ -359,7 +360,9 @@ def _march(grid: TimeGrid, kernel: np.ndarray, local: float, weights,
     for row, g in zip(y, forcing):
         row[1:] += 0.5 * h * (g[1:] + g[:-1])
     d0 = (1.0 - 0.5 * h * local, -(1.0 + 0.5 * h * local))
-    _solve_toeplitz(d0, d1, weights, y[:, 1:])
+    _, b, c, phi = kernels.kernel.scaled_relaxation_system(h)
+    f = (0.5 * h * h) * (np.einsum("ij,j->i", phi, b) + b)
+    _solve_toeplitz(d0, d1, (c, f, phi), weights, y[:, 1:])
     return y
 
 
@@ -382,8 +385,7 @@ def _solve_batch(ns: Iterable[int], kernels: "DerivedKernelSet",
         weights, start = np.tile(weights, 2), np.repeat([1.0, 0.0], len(size))
         forcing = itertools.chain(itertools.repeat(kernels.velocity_kernel, len(size)),
                                   (n * kernels.stress_kernel for n in size))
-    batch = _march(grid, kernels.relaxation_scaled, 2.0 * kernels.alpha,
-                   weights, start, forcing)
+    batch = _march(grid, kernels, 2.0 * kernels.alpha, weights, start, forcing)
     return ModeFamily(ns, kind, batch.reshape(2, len(ns), -1) if moments else batch, grid)
 
 
@@ -451,41 +453,28 @@ def assemble_moment_kernel(modes: ModeFamily,
 
 def oracle_exponential_mode(n: int, kernel: "MemoryKernel", grid: TimeGrid,
                             substeps: int = 8) -> ModeFamily:
-    """High-accuracy mode response for exponential-sum memory kernels.
+    """High-accuracy mode response for any admitted memory kernel.
 
-    When the scaled relaxation kernel is a finite exponential sum
-    sum_i c_i exp(r_i t), the memory term is equivalent to auxiliary
-    states u_i' = r_i u_i + y, u_i(0) = 0, turning the mode equation into
-    the linear ODE system
+    With Na(t) = c . exp(gen*t) b (`MemoryKernel.scaled_relaxation_system`)
+    the memory term is c . u for the auxiliary states u' = gen u + b y,
+    u(0) = 0, so the mode equation is the linear ODE system
 
-        y' = 2*alpha*y - n^2 sum_i c_i u_i .
+        y' = 2*alpha*y - n^2 c . u .
 
-    The system is advanced with classical fourth-order Runge-Kutta at
-    step h/substeps.  For a linear autonomous system the four stages
-    compose into a constant one-step matrix P, so the state at node k is
+    For a linear autonomous system classical fourth-order Runge-Kutta at
+    step h/substeps is one constant matrix P, so the state at node k is
     P^(substeps*k) applied to the start; the nodes are covered by doubling.
-
-    Returns a one-row family.  Raises ValueError for kernels whose scaled
-    relaxation is not an exponential sum.
+    Returns a one-row family.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    terms = kernel.scaled_relaxation_terms()
-    dim = len(terms) + 1
-    a = np.zeros((dim, dim))
-    a[0, 0] = 2.0 * kernel.alpha
-    for i, (coef, rate) in enumerate(terms, start=1):
-        a[0, i] = -float(n) * float(n) * coef
-        a[i, 0] = 1.0
-        a[i, i] = rate
+    gen, b, c, _ = kernel.scaled_relaxation_system(grid.step)
+    a = np.block([[np.array([[2.0 * kernel.alpha]]), -float(n) * float(n) * c[None, :]],
+                  [b[:, None], gen]])
     ha = (grid.step / substeps) * a
     p2 = ha @ ha
     p3 = p2 @ ha
-    p4 = p3 @ ha
-    one_step = np.eye(dim) + ha + p2 / 2.0 + p3 / 6.0 + p4 / 24.0
+    one_step = np.eye(len(a)) + ha + p2 / 2.0 + p3 / 6.0 + p3 @ ha / 24.0
     power = np.linalg.matrix_power(one_step, substeps)  # one grid node
-    states = np.eye(dim)[:, :1]  # the states at nodes 0..m-1, as columns
-    while states.shape[1] <= grid.steps:
-        states = np.hstack([states, power @ states])
-        power = power @ power
-    return ModeFamily((n,), TrajectoryKind.MODE, states[:1, : grid.steps + 1], grid)
+    states = _orbit(power, np.eye(len(a))[:, 0], grid.steps + 1)
+    return ModeFamily((n,), TrajectoryKind.MODE, states[:1], grid)

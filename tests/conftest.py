@@ -18,6 +18,7 @@ TWO_PI = 2.0 * math.pi
 
 DESK_KERNEL = MemoryKernel.exponential_sum([(0.4, 1.0)])
 ELASTIC_KERNEL = MemoryKernel.zero()
+POLY_KERNEL = MemoryKernel.polynomial([0.3, -0.1, 0.02, 0.0, 0.001])
 
 
 def complex_rows(family):

@@ -208,7 +208,9 @@ def test_calculus_matches_the_hand_written_loops_bit_for_bit(kernel):
             assert np.all(got == want)
     assert kernel.relaxation(0.0) == 1.0
     if kernel.family is KernelFamily.ZERO:
-        assert kernel.scaled_relaxation_terms() == ((1.0, 0.0),)
+        # Na = 1: (gen, b, c, phi) of one state of rate 0
+        assert [m.tolist() for m in kernel.scaled_relaxation_system(0.1)] == \
+            [[[0.0]], [1.0], [1.0], [[1.0]]]
 
 
 def _loaded_by_import(module):

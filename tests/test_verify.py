@@ -44,7 +44,8 @@ def _reference_resolvent_residual(kernel, grid, n, y):
     q0 = na_d2 - alpha * na_d1
     q0_d1 = na_d3 - alpha * na_d2
     q1 = alpha * q0 - q0_d1
-    resolvent = solve_volterra_second_kind(-na_d1, -na_d1, grid)
+    gen, b, c, phi = kernel.scaled_relaxation_system(grid.step)
+    resolvent = solve_volterra_second_kind((gen, b, -(c @ gen), phi), -na_d1, grid)
 
     par = mode_params(n, alpha)
     beta = par.beta.real if isinstance(par.beta, complex) else par.beta

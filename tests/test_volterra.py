@@ -26,7 +26,7 @@ from viscostring import (
 from viscostring import volterra
 from viscostring.volterra import _fft_length
 
-from conftest import DESK_KERNEL, ELASTIC_KERNEL, TWO_PI, complex_rows
+from conftest import DESK_KERNEL, ELASTIC_KERNEL, POLY_KERNEL, TWO_PI, complex_rows
 
 # grid sizes around the Toeplitz solver's leaf and power-of-two boundaries
 AWKWARD_STEPS = [1, 2, 31, 32, 33, 64, 65, 97, 1000, 1025]
@@ -229,22 +229,40 @@ def _reference_second_kind(kernel, source, grid):
     return x
 
 
-@pytest.mark.parametrize("steps", AWKWARD_STEPS)
-def test_second_kind_solver_matches_the_step_by_step_loop(steps):
+def _minus_na(memory, grid):
+    """-Na of `memory`, as a system and as samples."""
+    gen, b, c, phi = memory.scaled_relaxation_system(grid.step)
+    return (gen, b, -c, phi), -derive_kernels(memory, grid).relaxation_scaled
+
+
+def _minus_na_d1(memory, grid):
+    """-Na' of `memory`, as a system and as samples (the resolvent's kernel)."""
+    gen, b, c, phi = memory.scaled_relaxation_system(grid.step)
+    t = grid.times()
+    na_d1 = np.exp(2.0 * memory.alpha * t) * (2.0 * memory.alpha * memory.relaxation(t)
+                                              + memory.memory(t))
+    return (gen, b, -(c @ gen), phi), -na_d1
+
+
+@pytest.mark.parametrize("steps,form,memory", [
+    *(pytest.param(steps, _minus_na, DESK_KERNEL, id=str(steps)) for steps in AWKWARD_STEPS),
+    *(pytest.param(steps, _minus_na_d1, POLY_KERNEL, id=f"polynomial-derivative-{steps}")
+      for steps in AWKWARD_STEPS)])
+def test_second_kind_solver_matches_the_step_by_step_loop(steps, form, memory):
     grid = TimeGrid(TWO_PI, steps)
-    kernel = -derive_kernels(DESK_KERNEL, grid).relaxation_scaled
+    system, samples = form(memory, grid)
     source = np.cos(grid.times())
-    x = solve_volterra_second_kind(kernel, source, grid)
-    ref = _reference_second_kind(kernel, source, grid)
+    x = solve_volterra_second_kind(system, source, grid)
+    ref = _reference_second_kind(samples, source, grid)
     assert x[0] == source[0]
     assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_second_kind_solver_against_exponential():
-    # x = 1 + int_0^t x  has solution exp(t)
+    # x = 1 + int_0^t x  has solution exp(t); the zero kernel's Na is 1
     grid = TimeGrid(1.0, 1024)
-    ones = np.ones(grid.steps + 1)
-    x = solve_volterra_second_kind(ones, ones, grid)
+    one = ELASTIC_KERNEL.scaled_relaxation_system(grid.step)
+    x = solve_volterra_second_kind(one, np.ones(grid.steps + 1), grid)
     assert np.max(np.abs(x - np.exp(grid.times()))) < 1e-6
 
 
@@ -359,9 +377,13 @@ class TestOracle:
         envelope = np.exp(DESK_KERNEL.alpha * desk_grid.times())
         assert np.all(np.abs(ref.samples) <= 1.1 * envelope)
 
-    def test_rejects_polynomial_kernels(self, desk_grid):
-        with pytest.raises(ValueError):
-            oracle_exponential_mode(1, MemoryKernel.polynomial([0.2]), desk_grid)
+    def test_polynomial_kernel_matches_the_march(self, desk_grid):
+        # within the phase-error estimate T n^3 h^2 / 12
+        n = 4
+        ref = oracle_exponential_mode(n, POLY_KERNEL, desk_grid)
+        y = solve_mode(n, derive_kernels(POLY_KERNEL, desk_grid))
+        assert np.max(np.abs(y.samples - ref.samples)) <= \
+            TWO_PI * n ** 3 * desk_grid.step ** 2 / 12
 
 
 def _reference_march(grid, kernel, local, weight, forcing, dtype):
@@ -406,8 +428,14 @@ def _assert_batch_matches_reference(dk, grid, ns):
         assert np.max(np.abs(z - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
 
 
-@pytest.mark.parametrize("kernel", [DESK_KERNEL, ELASTIC_KERNEL],
-                         ids=["desk", "elastic"])
+@pytest.mark.parametrize("kernel", [
+    DESK_KERNEL,
+    ELASTIC_KERNEL,
+    POLY_KERNEL,
+    MemoryKernel.exponential_sum([(0.1, 0.5), (0.05, 1.0), (0.1, 2.0), (0.05, 4.0),
+                                  (0.08, 8.0), (0.02, 16.0)]),
+    MemoryKernel.exponential_sum([(0.4, 1.0), (0.2, 2000.0)]),  # |r| h = 12 at K = 1024
+], ids=["desk", "elastic", "polynomial", "six-terms", "fast-term"])
 def test_batched_engine_matches_per_mode_reference(kernel):
     grid = TimeGrid(TWO_PI, 1024)
     dk = derive_kernels(kernel, grid)
