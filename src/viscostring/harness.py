@@ -730,7 +730,9 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
         manifest["derived"]["nonreal_frequency_warning"] = \
             bool(cfg.kernel.alpha ** 2 > 1.0)
         out = Path(out_dir if out_dir is not None else cfg.out_dir)
-        _TASK_RUNNERS[cfg.task](cfg, kernels, out, manifest)
+        # floating-point faults stop the run where they arise; underflow is legitimate
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _TASK_RUNNERS[cfg.task](cfg, kernels, out, manifest)
         write_manifest(out / "manifest.json", manifest)
         write_manifest(out / "timing.json",
                        {"wall_time_seconds": time.time() - started})

@@ -379,15 +379,15 @@ kind = verify
         assert run(load_config(path), out_dir=tmp_path / "o") == EXIT_OK
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_result_fails_without_a_manifest(self, tmp_path, capsys):
-        # alpha = 25 overflows the march: NaN coefficients are a failed run,
-        # not a manifest with bare NaN values that strict JSON rejects
+        # alpha = 25 overflows the coefficient convolutions: the overflow
+        # stops the run where it arises, before any file or directory
         path = task_config(tmp_path, "simulate", coefficients="-50 1.0")
         out = tmp_path / "o"
         assert run(load_config(path), out_dir=out) == EXIT_FAILURE
-        assert "coefficients.csv: non-finite result" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
-        assert not list(out.glob("*.csv"))
+        assert "error: overflow encountered" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("coefficients,horizon", [("1e308 1e-308", TWO_PI),
                                                       ("200 1.0", TWO_PI),
@@ -492,7 +492,7 @@ kind = verify
 
     def test_large_damping_within_float64_still_loads(self, tmp_path):
         # alpha = 25 at T = 2 pi: 2|alpha| T = 314 < 709.78; the run fails
-        # later on its non-finite results (see above), not on the config
+        # later, where it overflows (see above), not on the config
         path = task_config(tmp_path, "simulate", coefficients="-50 1.0")
         assert load_config(path).kernel.alpha == 25.0
 
