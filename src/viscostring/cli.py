@@ -1,7 +1,6 @@
 """Command line entry point.
 
-    viscostring <simulate|steer|pair|diagnose|verify> --config FILE
-                [--out DIR] [--threads K]
+    viscostring <simulate|steer|pair|diagnose|verify> --config FILE [--out DIR] [--threads K]
 
 The task on the command line must match the task in the config file;
 `--out` overrides the config's output directory.  `--threads` (like the
@@ -12,30 +11,21 @@ has no effect: the package runs no thread pool of its own.
 from __future__ import annotations
 
 import argparse
-import gc
+import os
 import sys
 
 from .harness import EXIT_CONFIG, TASKS, load_config, run
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="viscostring",
-        description="Boundary-control experiments for a viscoelastic string "
-                    "with memory",
-    )
-    sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
-        p = sub.add_parser(task, help=f"run a {task} experiment")
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; has no effect")
-    return parser
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog="viscostring", description="Boundary-control "
+                                     "experiments for a viscoelastic string with memory")
+    parser.add_argument("task", choices=TASKS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--out", help="output directory override")
+    parser.add_argument("--threads", type=int,
+                        help="accepted for compatibility; has no effect")
+    args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
     except (OSError, ValueError, KeyError) as exc:
@@ -48,7 +38,13 @@ def main(argv=None) -> int:
     return run(cfg, out_dir=args.out, threads=args.threads)
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Console script and `-m` entry: `main`, then an exit that skips teardown."""
     code = main()
-    gc.freeze()  # the exit's final collection would only walk objects about to be freed
-    sys.exit(code)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)  # every file of the run is closed: only interpreter teardown is skipped
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,9 +1,9 @@
 """Experiment harness: configuration, task execution and persistence.
 
 Config files are flat INI: named sections of key = value lines, nothing
-nested.  A run reads one config, executes the requested task and writes a
-manifest plus plot-ready CSVs into the output directory; the first file
-written makes it, so a run that fails before then leaves no directory.
+nested.  A run reads one config, executes the requested task and only then
+writes a manifest plus plot-ready CSVs into the output directory, which the
+first file makes: a run that fails while it computes leaves no directory.
 Identical config and seed give byte-identical outputs; wall time
 therefore lives in a timing.json sidecar, not in the manifest.  Each task
 below solves its mode responses once, in one batch, and passes the
@@ -383,9 +383,11 @@ def _digits17(values):
 
 def _spelt_once(keys, spell, dtype):
     """Text rows of `keys`, each distinct key spelt once by `spell` of its value."""
-    distinct, index = np.unique(keys, return_inverse=True)
+    constant = len(keys) and (keys == keys[0]).all()  # one value: no sort, no gather
+    distinct, index = (keys[:1], None) if constant else np.unique(keys, return_inverse=True)
     text = np.array([spell(v) for v in distinct.view(dtype).tolist()], dtype=bytes)
-    return text.view(np.uint8).reshape(len(text), text.itemsize)[index]
+    rows = text.view(np.uint8).reshape(len(text), text.itemsize)
+    return np.repeat(rows, len(keys), 0) if constant else rows[index]
 
 
 def _float_text(values):
@@ -414,15 +416,16 @@ def _csv_chunks(col):
 def write_csv(path, header, blocks) -> None:
     """CSV with a header row, streamed one block of rows at a time.
 
-    Each block holds one equal-length column per header field: %d for
-    integers, the bytes of '%.17g' for floats, true/false for booleans;
-    lines end in \r\n.  A block whose column kinds differ from the first
-    block's raises ValueError before any of its rows is written; a nan or
-    infinity removes the file and raises ViscostringError.  Rows go out
+    Each block holds one equal-length column per header field: %d for integers,
+    the bytes of '%.17g' for floats, true/false for booleans; lines end in \r\n.
+    A block whose column kinds differ from the first block's raises ValueError
+    before any of its rows is written; a nan or infinity removes the file and
+    the directories made for it, and raises ViscostringError.  Rows go out
     `_CSV_ROWS` at a time; a column that repeats the block before's bytes
     reuses that block's text.
     """
     path = Path(path)
+    made = list(itertools.takewhile(lambda folder: not folder.exists(), path.parents))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
@@ -452,6 +455,8 @@ def write_csv(path, header, blocks) -> None:
         else:
             return
     path.unlink()
+    for folder in made:
+        folder.rmdir()
     raise ViscostringError(f"{path.name}: non-finite result")
 
 
@@ -494,12 +499,13 @@ def _base_manifest(cfg: ExperimentConfig, kernels: DerivedKernelSet) -> dict:
             "steps": cfg.grid.steps,
             "step": cfg.grid.step,
             "elastic": bool(kernels.is_elastic),
+            # alpha^2 > 1: the lowest modes have non-real oscillation frequencies
+            "nonreal_frequency_warning": bool(kernels.alpha ** 2 > 1.0),
         },
     }
 
 
-def _state_outputs(state, out: Path, manifest: dict,
-                   steered: int | None = None) -> None:
+def _state_outputs(state, manifest: dict, steered: int | None = None) -> dict:
     header = ["n", "deformation", "velocity", "stress", "integrated_stress"]
     ns = np.arange(1, state.n_max + 1)
     columns = (ns, state.deformation, state.velocity, state.stress,
@@ -507,12 +513,9 @@ def _state_outputs(state, out: Path, manifest: dict,
     if steered is not None:
         header.append("steered")
         columns += (ns <= steered,)
-    write_csv(out / "coefficients.csv", header, [columns])
     x_grid = np.linspace(0.0, math.pi, FIELD_GRID_POINTS)
-    write_csv(out / "fields.csv",
-              ["x", "deformation", "velocity", "stress"],
-              [(x_grid, *(reconstruct_field(state, which, x_grid)
-                          for which in ("deformation", "velocity", "stress")))])
+    fields = [reconstruct_field(state, which, x_grid)
+              for which in ("deformation", "velocity", "stress")]
     norms = coefficient_norms(state)
     manifest["coefficient_norms"] = {
         "l2_deformation": norms.l2_deformation,
@@ -520,18 +523,17 @@ def _state_outputs(state, out: Path, manifest: dict,
         "hminus1_stress": norms.hminus1_stress,
     }
     manifest["physical_scale"] = state.physical_scale
+    return {"coefficients.csv": (header, [columns]),
+            "fields.csv": (["x", "deformation", "velocity", "stress"], [(x_grid, *fields)])}
 
 
-def _control_output(out: Path, control: ControlSignal,
-                    reweighted: np.ndarray) -> None:
-    write_csv(out / "control.csv", ["t", "physical", "reweighted"],
-              [(control.grid.times(), control.samples, reweighted)])
+def _control_csv(control: ControlSignal, reweighted: np.ndarray) -> tuple:
+    return ["t", "physical", "reweighted"], [(control.grid.times(), control.samples,
+                                              reweighted)]
 
 
-def _synthesis_outputs(out: Path, manifest: dict, report, roundtrip_error: float,
-                       **extra) -> None:
+def _synthesis_outputs(manifest: dict, report, roundtrip_error: float, **extra) -> dict:
     """control.csv, synthesis.json and manifest["synthesis"] of one solve."""
-    _control_output(out, report.control, report.control_reweighted)
     doc = {
         "residuals": _complex_list(report.residuals),
         "max_relative_residual": report.max_relative_residual,
@@ -542,23 +544,23 @@ def _synthesis_outputs(out: Path, manifest: dict, report, roundtrip_error: float
         "roundtrip_relative_error": roundtrip_error,
         **extra,
     }
-    write_manifest(out / "synthesis.json", doc)
     manifest["synthesis"] = doc
+    return {"control.csv": _control_csv(report.control, report.control_reweighted),
+            "synthesis.json": doc}
 
 
-def _task_simulate(cfg, kernels, out: Path, manifest: dict) -> None:
+def _task_simulate(cfg, kernels, manifest: dict) -> dict:
     grid = cfg.grid
     control = make_control(cfg, grid)
     modes = solve_modes(range(1, cfg.n_max + 1), kernels)
     state = simulate_coefficients(control, modes, kernels)
-    _state_outputs(state, out, manifest)
-    _control_output(out, control, control.reweighted(kernels.alpha))
-    write_csv(out / "trajectories.csv", ["n", "t", "re", "im"],
-              _trajectory_blocks(modes))
     manifest["control"] = {"kind": cfg.control_kind}
+    return {**_state_outputs(state, manifest),
+            "control.csv": _control_csv(control, control.reweighted(kernels.alpha)),
+            "trajectories.csv": (["n", "t", "re", "im"], _trajectory_blocks(modes))}
 
 
-def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
+def _task_steer(cfg, kernels, manifest: dict) -> dict:
     grid = cfg.grid
     n_max = cfg.n_max
     if cfg.random_targets:
@@ -573,39 +575,32 @@ def _task_steer(cfg, kernels, out: Path, manifest: dict) -> None:
     tail_n = max(min(2 * n_max, int(RESOLUTION_LIMIT / grid.step)), n_max)
     modes = solve_modes(range(1, tail_n + 1), kernels)
     trip = closed_loop_roundtrip(kernels, target, modes)
-    _state_outputs(trip.state, out, manifest, steered=n_max)
-    _synthesis_outputs(out, manifest, trip.synthesis, trip.relative_error,
-                       targets_velocity=[float(v) for v in target.xi],
-                       targets_stress=[float(v) for v in target.eta],
-                       achieved=_complex_list(trip.achieved))
+    return {**_state_outputs(trip.state, manifest, steered=n_max),
+            **_synthesis_outputs(manifest, trip.synthesis, trip.relative_error,
+                                 targets_velocity=[float(v) for v in target.xi],
+                                 targets_stress=[float(v) for v in target.eta],
+                                 achieved=_complex_list(trip.achieved))}
 
 
-def _task_pair(cfg, kernels, out: Path, manifest: dict) -> None:
+def _task_pair(cfg, kernels, manifest: dict) -> dict:
     c, d = cfg.deformation_targets, cfg.stress_targets
     report = finite_pair_control(kernels, c, d)
-    write_csv(out / "coefficients.csv",
-              ["n", "deformation_target", "deformation_achieved",
-               "stress_target", "stress_achieved"],
-              [(np.arange(1, cfg.n_pair + 1), c, report.roundtrip["deformation"],
-                d, report.roundtrip["stress"])])
-    _synthesis_outputs(out, manifest, report, report.roundtrip["relative_error"],
-                       deformation_targets=[float(v) for v in c],
-                       stress_targets=[float(v) for v in d])
+    trip = report.roundtrip
+    return {"coefficients.csv": (["n", "deformation_target", "deformation_achieved",
+                                  "stress_target", "stress_achieved"],
+                                 [(np.arange(1, cfg.n_pair + 1), c, trip["deformation"],
+                                   d, trip["stress"])]),
+            **_synthesis_outputs(manifest, report, trip["relative_error"],
+                                 deformation_targets=[float(v) for v in c],
+                                 stress_targets=[float(v) for v in d])}
 
 
-def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
+def _task_diagnose(cfg, kernels, manifest: dict) -> dict:
     ns = range(1, cfg.n_max + 1)
     params = [mode_params(n, kernels.alpha) for n in ns]
     family = build_family(kernels, solve_modes(ns, kernels))
     bounds = frame_bounds(family)
-    write_csv(out / "frame_bounds.csv", ["n_max", "lambda_min", "lambda_max"],
-              [(bounds.sizes, bounds.lambda_min_by_size,
-                bounds.lambda_max_by_size)])
     closeness = quadratic_closeness(family, params)
-    write_csv(out / "closeness.csv",
-              ["n", "distance_sq", "scaled", "partial_sum"],
-              [(closeness.ns, closeness.distances, closeness.scaled,
-                closeness.partial_sums)])
     manifest["frame_bounds"] = {
         "sizes": list(bounds.sizes),
         "lambda_min": list(bounds.lambda_min_by_size),
@@ -615,34 +610,32 @@ def _task_diagnose(cfg, kernels, out: Path, manifest: dict) -> None:
         "total": float(closeness.partial_sums[-1]),
         "scaled_max": float(np.max(closeness.scaled)),
     }
+    return {"frame_bounds.csv": (["n_max", "lambda_min", "lambda_max"],
+                                 [(bounds.sizes, bounds.lambda_min_by_size,
+                                   bounds.lambda_max_by_size)]),
+            "closeness.csv": (["n", "distance_sq", "scaled", "partial_sum"],
+                              [(closeness.ns, closeness.distances, closeness.scaled,
+                                closeness.partial_sums)])}
 
 
-def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
+def _task_verify(cfg, kernels, manifest: dict) -> dict:
     grid = cfg.grid
     n_max = cfg.n_max
     modes = solve_modes(range(1, n_max + 1), kernels)
     reports = {
         "mode_asymptotics": check_mode_asymptotics(kernels, modes),
-        "mode_derivative_asymptotics": check_mode_derivative_asymptotics(
-            kernels, modes),
+        "mode_derivative_asymptotics": check_mode_derivative_asymptotics(kernels, modes),
         "convolution_asymptotics": check_convolution_asymptotics(
             kernels, kernels.stress_kernel, modes),
     }
 
     resolvent_ns = [n for n in (1, 2, 4, 8) if n <= n_max]
-    residuals = check_resolvent_identity(kernels,
-                                         modes[[n - 1 for n in resolvent_ns]])
-    write_csv(out / "resolvent_residuals.csv", ["n", "max_residual"],
-              [(resolvent_ns, residuals)])
-    manifest["resolvent_residuals"] = {str(n): r
-                                       for n, r in zip(resolvent_ns, residuals)}
+    residuals = check_resolvent_identity(kernels, modes[[n - 1 for n in resolvent_ns]])
+    manifest["resolvent_residuals"] = {str(n): r for n, r in zip(resolvent_ns, residuals)}
 
     control = make_control(cfg, grid)
     state = simulate_coefficients(control, modes, kernels)
     reports["stress_deformation_gap"] = check_stress_deformation_gap(state)
-    for name, report in reports.items():
-        write_csv(out / f"{name}.csv", ["n", "deviation", "scaled"],
-                  [(report.ns, report.deviations, report.scaled)])
     verdicts = {name: report.verdict.value for name, report in reports.items()}
 
     roundtrip_doc = None
@@ -666,11 +659,13 @@ def _task_verify(cfg, kernels, out: Path, manifest: dict) -> None:
         "step": grid.step,
         "n_max": n_max,
     }
-    write_manifest(out / "reports.json",
-                   {"provenance": provenance,
-                    "verdicts": verdicts,
-                    "resolvent_residuals": manifest["resolvent_residuals"],
-                    "roundtrip": roundtrip_doc})
+    return {"resolvent_residuals.csv": (["n", "max_residual"], [(resolvent_ns, residuals)]),
+            **{f"{name}.csv": (["n", "deviation", "scaled"],
+                               [(report.ns, report.deviations, report.scaled)])
+               for name, report in reports.items()},
+            "reports.json": {"provenance": provenance, "verdicts": verdicts,
+                             "resolvent_residuals": manifest["resolvent_residuals"],
+                             "roundtrip": roundtrip_doc}}
 
 
 _EXITS = ((ExceptionalIndexError, "error", EXIT_EXCEPTIONAL_INDEX),
@@ -680,13 +675,8 @@ _EXITS = ((ExceptionalIndexError, "error", EXIT_EXCEPTIONAL_INDEX),
           (OSError, "i/o error", EXIT_FAILURE),
           ((ViscostringError, ArithmeticError), "error", EXIT_FAILURE))
 
-_TASK_RUNNERS = {
-    "simulate": _task_simulate,
-    "steer": _task_steer,
-    "pair": _task_pair,
-    "diagnose": _task_diagnose,
-    "verify": _task_verify,
-}
+_TASK_RUNNERS = {"simulate": _task_simulate, "steer": _task_steer, "pair": _task_pair,
+                 "diagnose": _task_diagnose, "verify": _task_verify}
 
 
 def _check_targets(cfg: ExperimentConfig) -> None:
@@ -702,15 +692,25 @@ def _check_targets(cfg: ExperimentConfig) -> None:
             raise ValueError(f"[targets] {key} holds {len(row)} values, {name} = {limit}")
 
 
+def _origin(exc: BaseException) -> str:
+    """Module.function of the outermost package frame below `run` and its task runner."""
+    import traceback  # a failed run alone needs it, so it stays off the start-up path
+    names = [f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+             for frame, _ in traceback.walk_tb(exc.__traceback__)
+             if frame.f_globals["__name__"].startswith("viscostring.")]
+    origin = next((name for name in names[1:] if "._task_" not in name), names[-1])
+    return origin.removeprefix("viscostring.")
+
+
 def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
     """Execute one experiment; returns the process exit code.
 
     0 on success, 2 for configuration problems, 3 for an exceptional mode
     index, 4 for a near-singular Gram system, 5 for elastically degenerate
     pair targets, 1 for anything else; 3 outranks a non-real mode's 2.
-    Outputs land in the configured (or overriding) output directory, made
-    by the first of them.  `threads`, like the config's `[run] threads`,
-    is accepted for compatibility and ignored.
+    The task's outputs land, once all are computed, in the configured (or
+    overriding) output directory, made by the first.  `threads`, like the
+    config's `[run] threads`, is accepted for compatibility and ignored.
     """
     started = time.time()
     try:
@@ -726,18 +726,22 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
         _check_targets(cfg)
         kernels = derive_kernels(cfg.kernel, cfg.grid)
         manifest = _base_manifest(cfg, kernels)
-        # alpha^2 > 1: the lowest modes have non-real oscillation frequencies
-        manifest["derived"]["nonreal_frequency_warning"] = \
-            bool(cfg.kernel.alpha ** 2 > 1.0)
         out = Path(out_dir if out_dir is not None else cfg.out_dir)
         # floating-point faults stop the run where they arise; underflow is legitimate
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _TASK_RUNNERS[cfg.task](cfg, kernels, out, manifest)
+            files = _TASK_RUNNERS[cfg.task](cfg, kernels, manifest)
+            # writers looked up by name at each call: a wrapper set on them sees every file
+            for name, content in files.items():
+                if name.endswith(".csv"):
+                    write_csv(out / name, *content)
+                else:
+                    write_manifest(out / name, content)
         write_manifest(out / "manifest.json", manifest)
         write_manifest(out / "timing.json",
                        {"wall_time_seconds": time.time() - started})
         return EXIT_OK
     except (ViscostringError, ArithmeticError, ValueError, KeyError, OSError) as exc:
         label, code = next(entry for types, *entry in _EXITS if isinstance(exc, types))
-        print(f"{label}: {exc}", file=sys.stderr)
+        where = f" (in {_origin(exc)})" if isinstance(exc, FloatingPointError) else ""
+        print(f"{label}: {exc}{where}", file=sys.stderr)
         return code

@@ -426,14 +426,17 @@ kind = verify
                   "stress": "0 1" + " 0" * 15}, EXIT_CONFIG),
         ("steer", {"horizon": repr(math.pi / 2.0)}, EXIT_NEAR_SINGULAR),
         ("diagnose", {"coefficients": "-4.0 1.0"}, EXIT_EXCEPTIONAL_INDEX),
+        ("verify", {"amplitude": "1e308"}, EXIT_FAILURE),
     ], ids=["diagnose-nonreal", "verify-nonreal", "pair-coarse", "pair-17",
-            "steer-singular", "diagnose-alpha-2"])
+            "steer-singular", "diagnose-alpha-2", "verify-overflow"])
     def test_run_failing_before_its_first_file_leaves_no_directory(
             self, tmp_path, task, edits, code):
         # an example config with some lines replaced: mode 1 not real, a grid
-        # too coarse for n_pair, n_pair beyond 16, a near-singular Gram; and
+        # too coarse for n_pair, n_pair beyond 16, a near-singular Gram;
         # |alpha| = 2, where the downward mode scan meets exceptional mode 2
-        # before non-real mode 1, so the run exits 3 rather than 2
+        # before non-real mode 1, so the run exits 3 rather than 2; and a
+        # control that overflows in verify's simulation, after the resolvent
+        # check whose CSV comes first: no task writes before it has computed
         text = (Path(__file__).parents[1] / "configs" / f"{task}.ini").read_text()
         for key, value in edits.items():
             text, count = re.subn(f"(?m)^{key} = .*$", f"{key} = {value}", text)
@@ -441,6 +444,25 @@ kind = verify
         out = tmp_path / "o"
         assert cli_main([task, "--config", str(write_config(tmp_path, text)),
                          "--out", str(out)]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task,key,value", [("simulate", "coefficients", "-50 1.0"),
+                                                ("simulate", "amplitude", "1e308"),
+                                                ("verify", "amplitude", "1e308")],
+                             ids=["simulate-alpha-25", "simulate-amplitude", "verify-amplitude"])
+    def test_floating_point_failure_names_the_function_it_arose_in(
+            self, tmp_path, capsys, task, key, value):
+        # numpy names only its loop (multiply, rfft_n_even); the message adds
+        # the outermost package function below the task runner
+        text = (Path(__file__).parents[1] / "configs" / f"{task}.ini").read_text()
+        text, count = re.subn(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1
+        out = tmp_path / "o"
+        assert cli_main([task, "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow encountered in ")
+        assert err.rstrip().endswith(" (in spectral.simulate_coefficients)")
         assert not out.exists()
 
     def test_random_targets_other_than_unit_are_a_config_error(self, tmp_path,
@@ -773,13 +795,16 @@ class TestExports:
                                         [([1, 2], [0.5, 1.0]), ([3], [-math.inf])]],
                              ids=["nan-second-block", "nan-first-block", "inf"])
     def test_non_finite_float_removes_the_file(self, tmp_path, blocks):
-        # the rows of a block before it were written: the whole file goes
+        # the rows of a block before it were written: the whole file goes,
+        # and so do the directories the writer made for it
         header = ["x", "y"][: len(blocks[0])]
-        path = tmp_path / "bad.csv"
+        path = tmp_path / "new" / "deeper" / "bad.csv"
         with pytest.raises(viscostring.ViscostringError,
                            match="bad.csv: non-finite result"):
             write_csv(path, header, blocks)
         assert not path.exists()
+        assert not (tmp_path / "new").exists()
+        assert tmp_path.is_dir()
 
     @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
     @pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
@@ -1014,3 +1039,13 @@ class TestCli:
 
     def test_missing_config(self, capsys):
         assert cli_main(["verify", "--config", "/nope.ini"]) == EXIT_CONFIG
+
+    def test_module_entry_exits_with_the_code_and_flushed_stderr(self, tmp_path):
+        # the entry point leaves through os._exit, after flushing stderr
+        path = steer_config(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(viscostring.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "viscostring.cli", "simulate", "--config", str(path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error: config file requests task 'steer'")
