@@ -19,6 +19,7 @@ from .moments import (
     FrameBoundsReport,
     GramSystem,
     MomentTarget,
+    RoundtripReport,
     SynthesisReport,
     build_family,
     finite_pair_control,
@@ -39,7 +40,6 @@ from .spectral import (
 )
 from .verify import (
     AsymptoticReport,
-    RoundtripReport,
     TrendVerdict,
     check_convolution_asymptotics,
     check_mode_asymptotics,

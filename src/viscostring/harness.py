@@ -7,8 +7,7 @@ first file makes: a run that fails while it computes leaves no directory.
 Identical config and seed give byte-identical outputs; wall time
 therefore lives in a timing.json sidecar, not in the manifest.  Each task
 below solves its mode responses once, in one batch, and passes the
-family, one `ModeFamily` array, to every consumer; pair alone leaves its
-modes to `finite_pair_control`, their only reader.  The thread count
+family, one `ModeFamily` array, to every consumer.  The thread count
 (`--threads`, `[run] threads`) is still accepted and validated, but has
 no effect.
 
@@ -532,8 +531,9 @@ def _control_csv(control: ControlSignal, reweighted: np.ndarray) -> tuple:
                                               reweighted)]
 
 
-def _synthesis_outputs(manifest: dict, report, roundtrip_error: float, **extra) -> dict:
-    """control.csv, synthesis.json and manifest["synthesis"] of one solve."""
+def _synthesis_outputs(manifest: dict, trip, **extra) -> dict:
+    """control.csv, synthesis.json and manifest["synthesis"] of one round trip."""
+    report = trip.synthesis
     doc = {
         "residuals": _complex_list(report.residuals),
         "max_relative_residual": report.max_relative_residual,
@@ -541,7 +541,7 @@ def _synthesis_outputs(manifest: dict, report, roundtrip_error: float, **extra) 
         "lambda_min": report.lambda_min,
         "lambda_max": report.lambda_max,
         "condition": report.condition,
-        "roundtrip_relative_error": roundtrip_error,
+        "roundtrip_relative_error": trip.relative_error,
         **extra,
     }
     manifest["synthesis"] = doc
@@ -576,22 +576,19 @@ def _task_steer(cfg, kernels, manifest: dict) -> dict:
     modes = solve_modes(range(1, tail_n + 1), kernels)
     trip = closed_loop_roundtrip(kernels, target, modes)
     return {**_state_outputs(trip.state, manifest, steered=n_max),
-            **_synthesis_outputs(manifest, trip.synthesis, trip.relative_error,
-                                 targets_velocity=[float(v) for v in target.xi],
+            **_synthesis_outputs(manifest, trip, targets_velocity=[float(v) for v in target.xi],
                                  targets_stress=[float(v) for v in target.eta],
                                  achieved=_complex_list(trip.achieved))}
 
 
 def _task_pair(cfg, kernels, manifest: dict) -> dict:
     c, d = cfg.deformation_targets, cfg.stress_targets
-    report = finite_pair_control(kernels, c, d)
-    trip = report.roundtrip
+    trip = finite_pair_control(kernels, solve_modes(range(1, cfg.n_pair + 1), kernels), c, d)
     return {"coefficients.csv": (["n", "deformation_target", "deformation_achieved",
                                   "stress_target", "stress_achieved"],
-                                 [(np.arange(1, cfg.n_pair + 1), c, trip["deformation"],
-                                   d, trip["stress"])]),
-            **_synthesis_outputs(manifest, report, trip["relative_error"],
-                                 deformation_targets=[float(v) for v in c],
+                                 [(np.arange(1, cfg.n_pair + 1), c, trip.state.deformation,
+                                   d, trip.state.stress)]),
+            **_synthesis_outputs(manifest, trip, deformation_targets=[float(v) for v in c],
                                  stress_targets=[float(v) for v in d])}
 
 

@@ -33,8 +33,8 @@ Solved families are arguments, each one `ModeFamily` array (moment
 kernels as the real rows X_n, then Y_n): `build_family(kernels, modes)`
 checks the moment kernels n = 1..len(modes) against the caller's mode
 responses, and `gram`, `frame_bounds` and `quadratic_closeness` read the
-family it returns.  `finite_pair_control` alone solves its modes, as their
-only reader.  Every consumer checks its family with `ModeFamily.require`.
+family it returns; `finite_pair_control` reads mode responses.  Every
+consumer checks its family with `ModeFamily.require`.
 
 A second, finite moment problem assigns deformation and stress pairs for
 the first few modes using the real kernel pair (n*(Na * y_n), n*(Fg * y_n));
@@ -58,14 +58,13 @@ from .errors import (
     NearSingularGramError,
 )
 from .kernels import DerivedKernelSet
-from .spectral import ControlSignal, ModeParams, simulate_coefficients
+from .spectral import ControlSignal, ModeParams, SpectralState, simulate_coefficients
 from .volterra import (
     ModeFamily,
     TimeGrid,
     TrajectoryKind,
     assemble_moment_kernel,
     convolve,
-    solve_modes,
     solve_moment_kernels,
 )
 
@@ -73,6 +72,7 @@ __all__ = [
     "MomentTarget",
     "GramSystem",
     "SynthesisReport",
+    "RoundtripReport",
     "build_family",
     "gram",
     "synthesize_control",
@@ -188,11 +188,23 @@ class SynthesisReport:
     lambda_min: float
     lambda_max: float
     condition: float
-    roundtrip: dict | None = None     # filled by ops that re-simulate
 
     def __post_init__(self):
         self.control_reweighted.setflags(write=False)
         self.residuals.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class RoundtripReport:
+    """Synthesis followed by re-simulation, compared in coefficient space."""
+
+    achieved: np.ndarray          # assigned pairs, v_n + i*sigma_n or w_n + i*sigma_n
+    relative_error: float
+    synthesis: SynthesisReport
+    state: SpectralState          # every mode of the re-simulated family
+
+    def __post_init__(self):
+        self.achieved.setflags(write=False)
 
 
 def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
@@ -293,7 +305,7 @@ def _minimal_norm_report(system: GramSystem, targets: np.ndarray,
 
 
 def synthesize_control(system: GramSystem, target: MomentTarget,
-                       alpha: float = 0.0) -> SynthesisReport:
+                       alpha: float) -> SynthesisReport:
     """Minimal-norm control meeting the velocity/stress moment targets.
 
     Solves the real moment equations for xi, then eta, through the LQ
@@ -326,26 +338,28 @@ def synthesize_control(system: GramSystem, target: MomentTarget,
     return replace(report, residuals=np.concatenate([r, r.conj()]))
 
 
-def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
-                        stress_targets) -> SynthesisReport:
+def finite_pair_control(kernels: DerivedKernelSet, modes: ModeFamily,
+                        deformation_targets, stress_targets) -> RoundtripReport:
     """Assign deformation and stress coefficients for modes 1..N at once.
 
-    Works at any positive horizon.  The moment functions are the real
-    kernel pair {n*(Na * y_n), n*(Fg * y_n)} and the real targets are
-    (c_n, d_n - c_n) for deformation targets c and stress targets d; the
-    minimal-norm real control is solved for like the steering one.  The gap
-    rows are smoothed images of the deformation rows, so this Gram reaches
-    the round-off scale of float64 (gate: PAIR_NEAR_SINGULAR_RATIO); the
-    factor only carries the square root of its condition number.
+    `modes` holds the mode responses n = 1..N in order on the kernel grid,
+    one per target pair.  Works at any positive horizon.  The moment
+    functions are the real kernel pair {n*(Na * y_n), n*(Fg * y_n)} and the
+    real targets are (c_n, d_n - c_n) for deformation targets c and stress
+    targets d; the minimal-norm real control is solved for like the
+    steering one.  The gap rows are smoothed images of the deformation
+    rows, so this Gram reaches the round-off scale of float64 (gate:
+    PAIR_NEAR_SINGULAR_RATIO); the factor only carries the square root of
+    its condition number.
 
     Without memory the gap kernel vanishes identically: targets with
     d != c raise ElasticDegeneracyError, while d == c degrades gracefully
     to the N deformation equations alone.
 
-    The report's `roundtrip` entry re-simulates the synthesised control
-    and compares the achieved deformation and stress coefficients with
-    the requested ones.
+    The control is re-simulated over `modes`; the relative error is the
+    distance of the achieved pairs (w_n, sigma_n) from (c_n, d_n).
     """
+    modes.require(TrajectoryKind.MODE, kernels.grid, ordered=True)
     c = np.asarray(deformation_targets, dtype=float)
     d = np.asarray(stress_targets, dtype=float)
     if c.ndim != 1 or c.shape != d.shape or len(c) == 0:
@@ -354,11 +368,12 @@ def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
         raise ValueError("targets must be finite")
     n_pair = len(c)
+    if len(modes) != n_pair:
+        raise ValueError(f"{n_pair} target pairs but the family covers {len(modes)} modes")
     if n_pair > 16:
         raise ValueError(f"finite pair problem limited to 16 modes, got {n_pair}")
 
     grid = kernels.grid
-    modes = solve_modes(range(1, n_pair + 1), kernels)
     weights = np.array(modes.ns, dtype=float)[:, None]
     functions = weights * convolve(kernels.relaxation_scaled, modes.samples, grid)
     elastic = kernels.is_elastic
@@ -386,13 +401,9 @@ def finite_pair_control(kernels: DerivedKernelSet, deformation_targets,
     pair_error = np.concatenate([state.deformation - c, state.stress - d])
     err = math.sqrt(float(np.sum(pair_error ** 2)))
     denom = math.sqrt(float(np.sum(c ** 2) + np.sum(d ** 2)))
-    rel = err / denom if denom > 0.0 else err
-    roundtrip = {
-        "deformation": state.deformation.copy(),
-        "stress": state.stress.copy(),
-        "relative_error": rel,
-    }
-    return replace(report, residuals=residuals, roundtrip=roundtrip)
+    return RoundtripReport(achieved=state.deformation + 1j * state.stress,
+                           relative_error=err / denom if denom > 0.0 else err,
+                           synthesis=replace(report, residuals=residuals), state=state)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import DerivedKernelSet
-from .moments import MomentTarget, SynthesisReport, build_family, gram, synthesize_control
+from .moments import MomentTarget, RoundtripReport, build_family, gram, synthesize_control
 from .spectral import SpectralState, mode_params, simulate_coefficients
 from .volterra import (
     ModeFamily,
@@ -47,7 +47,6 @@ __all__ = [
     "check_resolvent_identity",
     "check_stress_deformation_gap",
     "closed_loop_roundtrip",
-    "RoundtripReport",
 ]
 
 
@@ -188,19 +187,6 @@ def check_stress_deformation_gap(state: SpectralState) -> AsymptoticReport:
     ns = np.arange(1, state.n_max + 1)
     devs = np.abs(state.stress - state.deformation)
     return _trend_report(ns, devs)
-
-
-@dataclass(frozen=True, eq=False)
-class RoundtripReport:
-    """Synthesis followed by re-simulation, compared in coefficient space."""
-
-    achieved: np.ndarray          # v_n + i * sigma_n, n = 1..n_max of the target
-    relative_error: float
-    synthesis: SynthesisReport
-    state: SpectralState          # every mode of the re-simulated family
-
-    def __post_init__(self):
-        self.achieved.setflags(write=False)
 
 
 def closed_loop_roundtrip(kernels: DerivedKernelSet, target: MomentTarget,

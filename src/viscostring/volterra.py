@@ -412,9 +412,10 @@ def mode_derivative(modes: ModeFamily, kernels: "DerivedKernelSet") -> np.ndarra
     which differencing would not.  Returns one row per mode of `modes`.
     """
     modes.require(TrajectoryKind.MODE, kernels.grid)
-    weights = np.square(np.array(modes.ns, dtype=float))[:, None]
-    conv = convolve(kernels.relaxation_scaled, modes.samples, modes.grid)
-    return 2.0 * kernels.alpha * modes.samples - weights * conv
+    out = convolve(kernels.relaxation_scaled, modes.samples, modes.grid)
+    for n, y, row in zip(modes.ns, modes.samples, out):
+        np.subtract(2.0 * kernels.alpha * y, float(n) ** 2 * row, out=row)
+    return out
 
 
 def solve_moment_kernels(ns: Iterable[int],

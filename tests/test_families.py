@@ -23,6 +23,7 @@ from viscostring import (
     check_resolvent_identity,
     closed_loop_roundtrip,
     derive_kernels,
+    finite_pair_control,
     frame_bounds,
     gram,
     mode_params,
@@ -53,6 +54,8 @@ MODE_CONSUMERS = {
         lambda f: closed_loop_roundtrip(KERNELS, MomentTarget.zero(2), f),
     "simulate_coefficients": lambda f: simulate_coefficients(
         ControlSignal(np.zeros(KERNELS.grid.steps + 1), KERNELS.grid), f, KERNELS),
+    "finite_pair_control":
+        lambda f: finite_pair_control(KERNELS, f, np.ones(4), np.zeros(4)),
 }
 
 # consumers of moment kernels, which read the grid from the family
@@ -64,7 +67,7 @@ MOMENT_CONSUMERS = {
 }
 
 ORDERED = ("build_family", "closed_loop_roundtrip", "simulate_coefficients",
-           "frame_bounds")
+           "finite_pair_control", "frame_bounds")
 
 
 def _misplaced(family, coarse):

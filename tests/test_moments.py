@@ -21,6 +21,7 @@ from viscostring import (
     mode_params,
     quadratic_closeness,
     simulate_coefficients,
+    solve_mode,
     solve_modes,
     solve_moment_kernels,
     synthesize_control,
@@ -269,25 +270,28 @@ class TestFinitePair:
     def test_desk_kernel_short_horizon(self):
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        report = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
-                                     [0.0, 1.0, 0.0, 0.0])
-        assert report.roundtrip["relative_error"] <= 1e-2
-        assert report.lambda_min > 0.0
+        trip = finite_pair_control(kernels, solve_modes(range(1, 5), kernels),
+                                   [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+        assert trip.relative_error <= 1e-2
+        assert trip.synthesis.lambda_min > 0.0
+        # the assigned pairs, packed w_n + i*sigma_n
+        assert np.array_equal(trip.achieved,
+                              trip.state.deformation + 1j * trip.state.stress)
 
     def test_extremes_are_squared_singular_values(self):
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        report = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
-                                     [0.0, 1.0, 0.0, 0.0])
         modes = solve_modes(range(1, 5), kernels)
+        trip = finite_pair_control(kernels, modes, [1.0, 0.0, 0.0, 0.0],
+                                   [0.0, 1.0, 0.0, 0.0])
         rows = np.vstack(
             [n * convolve(kernels.relaxation_scaled, y, grid)
              for n, y in zip(modes.ns, modes.samples)]
             + [n * convolve(kernels.stress_gap, y, grid)
                for n, y in zip(modes.ns, modes.samples)])
-        _assert_squared_singular_values(report, rows, grid)
+        _assert_squared_singular_values(trip.synthesis, rows, grid)
         # the spectrum genuinely reaches the float64 round-off scale
-        assert report.lambda_min == pytest.approx(1.6158e-15, rel=5e-5)
+        assert trip.synthesis.lambda_min == pytest.approx(1.6158e-15, rel=5e-5)
 
     def test_float64_roundtrip_beats_the_extended_precision_path(self):
         # configs/pair.ini.  5.17e-6 is what solving the Gram in 80-bit
@@ -296,44 +300,48 @@ class TestFinitePair:
         # condition number and reaches ~1e-3
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        report = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
-                                     [0.0, 1.0, 0.0, 0.0])
-        assert report.roundtrip["relative_error"] <= 5.17e-6
-        assert report.max_relative_residual <= 1e-6
+        trip = finite_pair_control(kernels, solve_modes(range(1, 5), kernels),
+                                   [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+        assert trip.relative_error <= 5.17e-6
+        assert trip.synthesis.max_relative_residual <= 1e-6
 
-    def test_duplicated_row_is_near_singular(self, monkeypatch):
+    def test_duplicated_row_is_near_singular(self):
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(DESK_KERNEL, grid)
-        solve = moments.solve_modes
-
-        def duplicated(ns, kernels):
-            modes = solve(ns, kernels)
-            return modes[list(range(len(modes) - 1)) + [0]]
-
-        monkeypatch.setattr(moments, "solve_modes", duplicated)
+        modes = solve_modes(range(1, 4), kernels)
+        # the last row repeats row 0 under the last index, so the family
+        # still runs 1..3 in order
+        duplicated = ModeFamily(modes.ns, TrajectoryKind.MODE,
+                                modes.samples[[0, 1, 0]], grid)
         with pytest.raises(NearSingularGramError):
-            finite_pair_control(kernels, [1.0, 0.0, 0.0],
+            finite_pair_control(kernels, duplicated, [1.0, 0.0, 0.0],
                                 [0.0, 1.0, 0.0])
 
     def test_elastic_consistent_targets(self):
         grid = TimeGrid(1.0, 2048)
         kernels = derive_kernels(ELASTIC_KERNEL, grid)
-        report = finite_pair_control(kernels, [1.0, 0.0, 0.0, 0.0],
-                                     [1.0, 0.0, 0.0, 0.0])
-        assert report.roundtrip["relative_error"] <= 1e-2
-        assert np.max(np.abs(report.roundtrip["stress"]
-                             - report.roundtrip["deformation"])) < 1e-12
+        trip = finite_pair_control(kernels, solve_modes(range(1, 5), kernels),
+                                   [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+        assert trip.relative_error <= 1e-2
+        assert np.max(np.abs(trip.state.stress - trip.state.deformation)) < 1e-12
 
     def test_elastic_mismatch_is_degenerate(self):
         grid = TimeGrid(1.0, 1024)
         kernels = derive_kernels(ELASTIC_KERNEL, grid)
         with pytest.raises(ElasticDegeneracyError):
-            finite_pair_control(kernels, [0.0], [1.0])
+            finite_pair_control(kernels, solve_mode(1, kernels), [0.0], [1.0])
 
     def test_rejects_oversized_problems(self, desk_kernels):
-        with pytest.raises(ValueError):
-            finite_pair_control(desk_kernels,
+        with pytest.raises(ValueError, match="limited to 16 modes"):
+            finite_pair_control(desk_kernels, solve_modes(range(1, 18), desk_kernels),
                                 np.zeros(17), np.zeros(17))
+
+    @pytest.mark.parametrize("n_modes", [3, 5])
+    def test_rejects_a_family_of_another_length(self, desk_kernels, desk_modes_32,
+                                                n_modes):
+        with pytest.raises(ValueError, match="4 target pairs but the family covers"):
+            finite_pair_control(desk_kernels, desk_modes_32[:n_modes],
+                                np.zeros(4), np.zeros(4))
 
 
 class TestFrameBounds:

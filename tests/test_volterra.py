@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,22 @@ class TestModeDerivative:
         big = solve_moment_kernel(1, desk_kernels)
         with pytest.raises(ValueError):
             mode_derivative(big, desk_kernels)
+
+    def test_in_place_rows_keep_the_bytes_and_one_family_of_memory(
+            self, desk_kernels, desk_modes_32):
+        # the derivative is formed row by row in the array of convolutions,
+        # with the operations of the out-of-place expression
+        tracemalloc.start()
+        try:
+            dz = mode_derivative(desk_modes_32, desk_kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * desk_modes_32.samples.nbytes
+        ys = desk_modes_32.samples
+        weights = np.square(np.array(desk_modes_32.ns, dtype=float))[:, None]
+        conv = convolve(desk_kernels.relaxation_scaled, ys, desk_kernels.grid)
+        assert np.array_equal(dz, 2.0 * desk_kernels.alpha * ys - weights * conv)
 
 
 class TestMomentKernel:
