@@ -37,6 +37,7 @@ from .errors import (
 )
 from .kernels import DerivedKernelSet, MemoryKernel, derive_kernels
 from .moments import (
+    PAIR_MODE_LIMIT,
     MomentTarget,
     below_critical_horizon,
     build_family,
@@ -417,30 +418,29 @@ def write_csv(path, header, blocks) -> None:
 
     Each block holds one equal-length column per header field: %d for integers,
     the bytes of '%.17g' for floats, true/false for booleans; lines end in \r\n.
-    A block whose column kinds differ from the first block's raises ValueError
-    before any of its rows is written; a nan or infinity removes the file and
-    the directories made for it, and raises ViscostringError.  Rows go out
-    `_CSV_ROWS` at a time; a column that repeats the block before's bytes
-    reuses that block's text.
+    Every block is checked before the file or its directory is made: a block
+    whose column kinds differ from the first block's raises ValueError, a nan
+    or infinity raises ViscostringError.  Rows go out `_CSV_ROWS` at a time; a
+    column that repeats the block before's bytes reuses that block's text.
     """
     path = Path(path)
-    made = list(itertools.takewhile(lambda folder: not folder.exists(), path.parents))
+    blocks = [[np.asarray(col) for col in block] for block in blocks]
+    kinds = [col.dtype.kind for col in blocks[0]] if blocks else []
+    for cols in blocks:
+        if len(cols) != len(header) or len({len(col) for col in cols}) > 1:
+            raise ValueError(f"{path.name}: a block needs {len(header)} "
+                             "equal-length columns")
+        current = [col.dtype.kind for col in cols]
+        if not set(current) <= set("biuf") or current != kinds:
+            raise ValueError(f"{path.name}: column kinds {current} are unsupported "
+                             f"or differ from the first block's {kinds}")
+        if not all(np.isfinite(col).all() for col in cols if col.dtype.kind == "f"):
+            raise ViscostringError(f"{path.name}: non-finite result")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        kinds, previous, shared = None, [], {}
-        for block in blocks:
-            cols = [np.asarray(col) for col in block]
-            if len(cols) != len(header) or len({len(col) for col in cols}) > 1:
-                raise ValueError(f"{path.name}: a block needs {len(header)} "
-                                 "equal-length columns")
-            current = [col.dtype.kind for col in cols]
-            kinds = kinds or current
-            if not set(current) <= set("biuf") or current != kinds:
-                raise ValueError(f"{path.name}: column kinds {current} are unsupported "
-                                 f"or differ from the first block's {kinds}")
-            if not all(np.isfinite(col).all() for col in cols if col.dtype.kind == "f"):
-                break
+        previous, shared = [], {}
+        for cols in blocks:
             now = [(col.dtype.str, col.tobytes()) for col in cols]
             shared = {j: shared.get(j) or list(_csv_chunks(col))
                       for j, col in enumerate(cols) if previous and now[j] == previous[j]}
@@ -451,12 +451,6 @@ def write_csv(path, header, blocks) -> None:
                 row = [piece for text in texts for piece in (text, comma)]
                 row[-1] = np.full((len(texts[0]), 2), [13, 10], np.uint8)
                 fh.write(np.concatenate(row, axis=1).tobytes().translate(None, b"\0"))
-        else:
-            return
-    path.unlink()
-    for folder in made:
-        folder.rmdir()
-    raise ViscostringError(f"{path.name}: non-finite result")
 
 
 def write_manifest(path, manifest: dict) -> None:
@@ -478,11 +472,11 @@ def _complex_list(values) -> list:
 
 
 def _trajectory_blocks(family):
-    """One block of (n, t, re, im) columns per row of a solved (real) family."""
+    """One block of (n, t, re, im) columns per row of a solved (real) family, as views."""
     times = family.grid.times()
     zero = np.zeros_like(times)
-    for n, samples in zip(family.ns, family.samples):
-        yield np.full(len(times), n), times, samples, zero
+    return [(np.broadcast_to(n, times.shape), times, samples, zero)
+            for n, samples in zip(family.ns, family.samples)]
 
 
 def _base_manifest(cfg: ExperimentConfig, kernels: DerivedKernelSet) -> dict:
@@ -593,11 +587,9 @@ def _task_pair(cfg, kernels, manifest: dict) -> dict:
 
 
 def _task_diagnose(cfg, kernels, manifest: dict) -> dict:
-    ns = range(1, cfg.n_max + 1)
-    params = [mode_params(n, kernels.alpha) for n in ns]
-    family = build_family(kernels, solve_modes(ns, kernels))
+    family = build_family(kernels, solve_modes(range(1, cfg.n_max + 1), kernels))
     bounds = frame_bounds(family)
-    closeness = quadratic_closeness(family, params)
+    closeness = quadratic_closeness(kernels, family)
     manifest["frame_bounds"] = {
         "sizes": list(bounds.sizes),
         "lambda_min": list(bounds.lambda_min_by_size),
@@ -680,6 +672,8 @@ def _check_targets(cfg: ExperimentConfig) -> None:
     """Both target rows (steer: or random = unit), of n_pair or at most n_max values."""
     keys = {"steer": ("velocity", "stress"), "pair": ("deformation", "stress")}
     limit, name = (cfg.n_pair, "n_pair") if cfg.task == "pair" else (cfg.n_max, "n_max")
+    if cfg.task == "pair" and limit > PAIR_MODE_LIMIT:
+        raise ValueError(f"[modes] n_pair = {limit} exceeds the pair limit {PAIR_MODE_LIMIT}")
     for key in () if cfg.random_targets and cfg.task == "steer" else keys.get(cfg.task, ()):
         row = getattr(cfg, f"{key}_targets")
         if row is None:
@@ -711,8 +705,7 @@ def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
     """
     started = time.time()
     try:
-        if cfg.task != "pair":  # pair resolves n_pair modes, not n_max
-            cfg.grid.require_resolution(cfg.n_max)
+        cfg.grid.require_resolution(cfg.n_pair if cfg.task == "pair" else cfg.n_max)
         # solvers never touch the oscillation frequencies, so only the tasks
         # that evaluate per-mode parameters need them real and nonzero; the
         # scan runs downward because an exceptional index (exit 3) outranks

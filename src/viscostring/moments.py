@@ -37,10 +37,11 @@ family it returns; `finite_pair_control` reads mode responses.  Every
 consumer checks its family with `ModeFamily.require`.
 
 A second, finite moment problem assigns deformation and stress pairs for
-the first few modes using the real kernel pair (n*(Na * y_n), n*(Fg * y_n));
-it goes through the same factorisation and solve.  Without memory the gap
-kernel Fg vanishes and unequal pair targets are rejected as elastically
-degenerate.
+the first few modes (at most PAIR_MODE_LIMIT) using the real kernel pair
+(n*(Na * y_n), n*(Fg * y_n)); it goes through the same factorisation and
+solve.  Without memory the gap kernel Fg vanishes and unequal pair targets
+are rejected as elastically degenerate.  Both problems check their targets
+as one `MomentTarget` and measure their round trip by `RoundtripReport.compare`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .errors import (
     NearSingularGramError,
 )
 from .kernels import DerivedKernelSet
-from .spectral import ControlSignal, ModeParams, SpectralState, simulate_coefficients
+from .spectral import ControlSignal, SpectralState, mode_params, simulate_coefficients
 from .volterra import (
     ModeFamily,
     TimeGrid,
@@ -84,6 +84,7 @@ __all__ = [
     "CROSS_CHECK_FACTOR",
     "NEAR_SINGULAR_FACTOR",
     "PAIR_NEAR_SINGULAR_RATIO",
+    "PAIR_MODE_LIMIT",
 ]
 
 #: Dual-construction tolerance: the two moment-kernel routes must agree
@@ -102,6 +103,9 @@ NEAR_SINGULAR_FACTOR = 1e3
 #: gate because that Gram is intrinsically close to singular).
 PAIR_NEAR_SINGULAR_RATIO = 1e3 * 2.0 ** -63
 
+#: The finite pair problem assigns at most this many modes.
+PAIR_MODE_LIMIT = 16
+
 RECOMMENDED_HORIZON = 2.0 * math.pi
 
 
@@ -112,7 +116,8 @@ def below_critical_horizon(horizon: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MomentTarget:
-    """Velocity/stress coefficient targets for modes 1..n_max.
+    """Targets xi_n (the velocity when steering, the deformation for the pair
+    problem) and eta_n (the stress) for modes 1..n_max.
 
     The complex packing is gamma_n = xi_n + i*eta_n, with
     gamma_{-n} = conj(gamma_n) for the negative indices.
@@ -122,12 +127,13 @@ class MomentTarget:
     eta: np.ndarray
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
+        xi = np.array(self.xi, dtype=float)     # copies: the caller's rows stay writable
+        eta = np.array(self.eta, dtype=float)
         if xi.ndim != 1 or xi.shape != eta.shape or len(xi) == 0:
-            raise ValueError("xi and eta must be equal-length nonempty vectors")
+            raise ValueError("velocity or deformation targets and stress targets "
+                             "must be equal-length nonempty vectors")
         if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
-            raise ValueError("targets must be finite")
+            raise ValueError("velocity or deformation and stress targets must be finite")
         for name, arr in (("xi", xi), ("eta", eta)):
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
@@ -205,6 +211,15 @@ class RoundtripReport:
 
     def __post_init__(self):
         self.achieved.setflags(write=False)
+
+    @classmethod
+    def compare(cls, achieved: np.ndarray, target: MomentTarget,
+                synthesis: SynthesisReport, state: SpectralState) -> "RoundtripReport":
+        """Report of relative error |achieved - gamma| / |gamma| (absolute when gamma = 0)."""
+        target_norm = float(np.sqrt(np.sum(np.abs(target.gamma) ** 2)))
+        err = float(np.sqrt(np.sum(np.abs(achieved - target.gamma) ** 2)))
+        relative = err / target_norm if target_norm > 0.0 else err
+        return cls(achieved, relative, synthesis, state)
 
 
 def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
@@ -356,22 +371,16 @@ def finite_pair_control(kernels: DerivedKernelSet, modes: ModeFamily,
     d != c raise ElasticDegeneracyError, while d == c degrades gracefully
     to the N deformation equations alone.
 
-    The control is re-simulated over `modes`; the relative error is the
-    distance of the achieved pairs (w_n, sigma_n) from (c_n, d_n).
+    The targets are one `MomentTarget(c, d)`; the control is re-simulated over
+    `modes` and `RoundtripReport.compare` measures w_n + i*sigma_n against c_n + i*d_n.
     """
     modes.require(TrajectoryKind.MODE, kernels.grid, ordered=True)
-    c = np.asarray(deformation_targets, dtype=float)
-    d = np.asarray(stress_targets, dtype=float)
-    if c.ndim != 1 or c.shape != d.shape or len(c) == 0:
-        raise ValueError("deformation and stress targets must be equal-length "
-                         "nonempty vectors")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
-        raise ValueError("targets must be finite")
-    n_pair = len(c)
+    target = MomentTarget(deformation_targets, stress_targets)
+    c, d, n_pair = target.xi, target.eta, target.n_max
     if len(modes) != n_pair:
         raise ValueError(f"{n_pair} target pairs but the family covers {len(modes)} modes")
-    if n_pair > 16:
-        raise ValueError(f"finite pair problem limited to 16 modes, got {n_pair}")
+    if n_pair > PAIR_MODE_LIMIT:
+        raise ValueError(f"pair problem limited to {PAIR_MODE_LIMIT} modes, got {n_pair}")
 
     grid = kernels.grid
     weights = np.array(modes.ns, dtype=float)[:, None]
@@ -383,7 +392,7 @@ def finite_pair_control(kernels: DerivedKernelSet, modes: ModeFamily,
                 "memory-free string: stress coefficients equal deformation "
                 "coefficients, unequal pair targets are unreachable"
             )
-        targets = c.copy()
+        targets = c
     else:
         gap = weights * convolve(kernels.stress_gap, modes.samples, grid)
         functions = np.concatenate([functions, gap])
@@ -398,12 +407,8 @@ def finite_pair_control(kernels: DerivedKernelSet, modes: ModeFamily,
     residuals = (linear.astype(complex) if elastic
                  else linear[:n_pair] + 1j * linear[n_pair:])
     state = simulate_coefficients(report.control, modes, kernels)
-    pair_error = np.concatenate([state.deformation - c, state.stress - d])
-    err = math.sqrt(float(np.sum(pair_error ** 2)))
-    denom = math.sqrt(float(np.sum(c ** 2) + np.sum(d ** 2)))
-    return RoundtripReport(achieved=state.deformation + 1j * state.stress,
-                           relative_error=err / denom if denom > 0.0 else err,
-                           synthesis=replace(report, residuals=residuals), state=state)
+    return RoundtripReport.compare(state.deformation + 1j * state.stress, target,
+                                   replace(report, residuals=residuals), state)
 
 
 @dataclass(frozen=True)
@@ -469,24 +474,21 @@ class ClosenessReport:
             arr.setflags(write=False)
 
 
-def quadratic_closeness(family: ModeFamily,
-                        params: Sequence[ModeParams]) -> ClosenessReport:
+def quadratic_closeness(kernels: DerivedKernelSet, family: ModeFamily) -> ClosenessReport:
     """Squared distances d_n = ||Z_n - exp((alpha + i*beta_n) t)||^2.
 
     Summability of d_n over the family is what anchors the Riesz property
     of the kernels to that of the limit exponentials; the scaled sequence
-    d_n * n^2 staying bounded is the desk-scale check of it.  The norms
-    are taken on the family's grid, which must be one grid.
+    d_n * n^2 staying bounded is the desk-scale check of it.  The family
+    must lie on the grid of `kernels`, whose damping rate gives each mode's
+    alpha and beta_n; the norms are taken on that grid.
     """
-    if len(family) != len(params):
-        raise ValueError("family and params must align")
-    family.require(TrajectoryKind.MOMENT_KERNEL)
+    family.require(TrajectoryKind.MOMENT_KERNEL, kernels.grid)
     weights = family.grid.trapezoid_weights()
     times = family.grid.times()
     dists = []
-    for n, re, im, par in zip(family.ns, *family.samples, params):
-        if n != par.n:
-            raise ValueError("family and params must align index by index")
+    for n, re, im in zip(family.ns, *family.samples):
+        par = mode_params(n, kernels.alpha)
         reference = np.exp((par.alpha + 1j * par.beta) * times)
         dists.append(float(np.sum(weights * np.abs(re + 1j * im - reference) ** 2)))
     ns_arr = np.asarray(family.ns)

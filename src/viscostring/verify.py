@@ -16,7 +16,8 @@ set's.  Convolutions of the family with one fixed factor are one stacked
 `convolve` call.
 
 `closed_loop_roundtrip`, shared by the steer and verify tasks, re-simulates
-a synthesised control over every mode of the family it is given.
+a synthesised control over every mode of the family it is given and
+compares it by `RoundtripReport.compare`, as the pair problem does.
 """
 
 from __future__ import annotations
@@ -196,10 +197,8 @@ def closed_loop_roundtrip(kernels: DerivedKernelSet, target: MomentTarget,
     The control steers modes 1..target.n_max.  The re-simulation covers
     every mode of `modes` (n = 1, 2, ... in order, at least n_max of
     them), so a longer family also yields the unconstrained tail in
-    `state`.  The comparison norm is the coefficient-space distance
-    between the achieved velocity/stress pairs of modes 1..n_max and the
-    requested ones, relative to the target norm (zero targets compare
-    absolutely).
+    `state`.  `RoundtripReport.compare` measures the achieved
+    velocity/stress pairs of modes 1..n_max against the requested ones.
     """
     modes.require(TrajectoryKind.MODE, kernels.grid, ordered=True)
     n_max = target.n_max
@@ -207,10 +206,5 @@ def closed_loop_roundtrip(kernels: DerivedKernelSet, target: MomentTarget,
     system = gram(family)
     synthesis = synthesize_control(system, target, alpha=kernels.alpha)
     state = simulate_coefficients(synthesis.control, modes, kernels)
-    achieved = state.velocity[:n_max] + 1j * state.stress[:n_max]
-    gap = achieved - target.gamma
-    target_norm = float(np.sqrt(np.sum(np.abs(target.gamma) ** 2)))
-    err = float(np.sqrt(np.sum(np.abs(gap) ** 2)))
-    relative = err / target_norm if target_norm > 0.0 else err
-    return RoundtripReport(achieved=achieved, relative_error=relative,
-                           synthesis=synthesis, state=state)
+    return RoundtripReport.compare(state.velocity[:n_max] + 1j * state.stress[:n_max],
+                                   target, synthesis, state)

@@ -24,7 +24,6 @@ from viscostring import (
     finite_pair_control,
     frame_bounds,
     gram,
-    mode_params,
     oracle_exponential_mode,
     quadratic_closeness,
     simulate_coefficients,
@@ -120,8 +119,7 @@ def test_criterion_04_mode_asymptotics(desk_kernels):
 
 def test_criterion_05_quadratic_closeness(desk_kernels,
                                           desk_moment_family):
-    params = [mode_params(n, desk_kernels.alpha) for n in range(1, 33)]
-    closeness = quadratic_closeness(desk_moment_family, params)
+    closeness = quadratic_closeness(desk_kernels, desk_moment_family)
     lower = float(np.max(closeness.scaled[:16]))
     upper = float(np.max(closeness.scaled[16:]))
     report(5, "scaled squared distances to the limit exponentials stay bounded",

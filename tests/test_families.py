@@ -26,7 +26,6 @@ from viscostring import (
     finite_pair_control,
     frame_bounds,
     gram,
-    mode_params,
     quadratic_closeness,
     simulate_coefficients,
     TrajectoryKind,
@@ -58,12 +57,15 @@ MODE_CONSUMERS = {
         lambda f: finite_pair_control(KERNELS, f, np.ones(4), np.zeros(4)),
 }
 
+# consumers of moment kernels that take KERNELS, whose grid their family must lie on
+KERNEL_MOMENT_CONSUMERS = {
+    "quadratic_closeness": lambda f: quadratic_closeness(KERNELS, f),
+}
+
 # consumers of moment kernels, which read the grid from the family
 MOMENT_CONSUMERS = {
     "gram": gram,
     "frame_bounds": frame_bounds,
-    "quadratic_closeness": lambda f: quadratic_closeness(
-        f, [mode_params(n, KERNELS.alpha) for n in f.ns]),
 }
 
 ORDERED = ("build_family", "closed_loop_roundtrip", "simulate_coefficients",
@@ -82,6 +84,7 @@ def families():
     other_modes = solve_modes(range(1, 5), OTHER)
     coarse_modes = solve_modes(range(1, 5), COARSE)
     moments = build_family(KERNELS, modes)
+    other_moments = build_family(OTHER, other_modes)
     coarse_moments = build_family(COARSE, coarse_modes)
     return {
         "mode": {"good": lambda: modes, "wrong_kind": lambda: moments,
@@ -89,6 +92,7 @@ def families():
                  "empty": lambda: modes[4:],
                  "mixed_grid": lambda: _misplaced(modes, coarse_modes)},
         "moment": {"good": lambda: moments, "wrong_kind": lambda: modes,
+                   "foreign_grid": lambda: other_moments,
                    "empty": lambda: moments[4:],
                    "mixed_grid": lambda: _misplaced(moments, coarse_moments)},
     }
@@ -99,13 +103,14 @@ BAD = {"empty": "no mode indices", "wrong_kind": "expected a",
 
 CASES = (
     [(name, "mode", bad) for name in MODE_CONSUMERS for bad in BAD]
+    + [(name, "moment", bad) for name in KERNEL_MOMENT_CONSUMERS for bad in BAD]
     + [(name, "moment", bad) for name in MOMENT_CONSUMERS
        for bad in BAD if bad != "foreign_grid"]
 )
 
 
 def _consumer(name):
-    return MODE_CONSUMERS.get(name) or MOMENT_CONSUMERS[name]
+    return {**MODE_CONSUMERS, **KERNEL_MOMENT_CONSUMERS, **MOMENT_CONSUMERS}[name]
 
 
 @pytest.mark.parametrize("name, kind, bad", CASES,

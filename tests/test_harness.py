@@ -618,6 +618,26 @@ class TestSolveOnce:
         assert run(load_config(path), out_dir=tmp_path / "o") == EXIT_OK
         assert dict(calls) == batches
 
+    def test_pair_beyond_the_mode_limit_is_refused_before_any_march(
+            self, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+        march = volterra._march
+
+        def counting(*args):
+            calls["march"] += 1
+            return march(*args)
+
+        monkeypatch.setattr(volterra, "_march", counting)
+        text = (Path(__file__).parents[1] / "configs" / "pair.ini").read_text()
+        for key, value in (("n_pair", "17"), ("deformation", "1" + " 0" * 16),
+                           ("stress", "0 1" + " 0" * 15)):
+            text, count = re.subn(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+            assert count == 1
+        assert run(load_config(write_config(tmp_path, text)),
+                   out_dir=tmp_path / "o") == EXIT_CONFIG
+        assert "[modes] n_pair = 17" in capsys.readouterr().err
+        assert not calls
+
     @pytest.mark.parametrize("task,solves", [("simulate", 0), ("pair", 0),
                                              ("steer", 0), ("diagnose", 0),
                                              ("verify", 1)])
@@ -767,12 +787,12 @@ class TestExports:
         path = tmp_path / "ints.csv"
         with pytest.raises(ValueError, match="ints.csv"):
             write_csv(path, ["x"], [([1, 2],), ([2.5, 1e300],)])
-        assert path.read_bytes() == b"x\r\n1\r\n2\r\n"
+        assert not path.exists()
         # floats then bools would fail inside the row template
         path = tmp_path / "flags.csv"
         with pytest.raises(ValueError, match="flags.csv"):
             write_csv(path, ["x", "y"], [([0.5], [1.5]), ([True], [2.5])])
-        assert path.read_bytes() == b"x,y\r\n0.5,1.5\r\n"
+        assert not path.exists()
 
     def test_repeated_columns_keep_their_bytes(self, tmp_path):
         # a column repeats only byte for byte: 0 and -0 are equal as numbers
@@ -795,8 +815,8 @@ class TestExports:
                                         [([1, 2], [0.5, 1.0]), ([3], [-math.inf])]],
                              ids=["nan-second-block", "nan-first-block", "inf"])
     def test_non_finite_float_removes_the_file(self, tmp_path, blocks):
-        # the rows of a block before it were written: the whole file goes,
-        # and so do the directories the writer made for it
+        # every block is checked before the file is made: neither the file
+        # nor a directory for it is left
         header = ["x", "y"][: len(blocks[0])]
         path = tmp_path / "new" / "deeper" / "bad.csv"
         with pytest.raises(viscostring.ViscostringError,

@@ -18,7 +18,6 @@ from viscostring import (
     finite_pair_control,
     frame_bounds,
     gram,
-    mode_params,
     quadratic_closeness,
     simulate_coefficients,
     solve_mode,
@@ -52,6 +51,14 @@ class TestTarget:
             MomentTarget(np.array([1.0, 2.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             MomentTarget(np.array([]), np.array([]))
+
+    def test_caller_rows_stay_writable(self):
+        # the target freezes its own copies, not the rows it was given
+        xi, eta = np.zeros(3), np.ones(3)
+        target = MomentTarget(xi, eta)
+        xi[0] = eta[0] = 2.0
+        assert target.xi[0] == 0.0 and target.eta[0] == 1.0
+        assert not target.xi.flags.writeable
 
 
 class TestFamily:
@@ -336,6 +343,15 @@ class TestFinitePair:
             finite_pair_control(desk_kernels, solve_modes(range(1, 18), desk_kernels),
                                 np.zeros(17), np.zeros(17))
 
+    @pytest.mark.parametrize("c, d", [(np.zeros(4), np.zeros(3)), ([], []),
+                                      ([0.0, math.nan, 0.0, 0.0], np.zeros(4)),
+                                      (np.zeros(4), [0.0, 0.0, math.inf, 0.0])],
+                             ids=["unequal", "empty", "nan", "inf"])
+    def test_rejects_malformed_target_rows(self, desk_kernels, desk_modes_32, c, d):
+        # the rows are checked as one MomentTarget, before the family's length
+        with pytest.raises(ValueError, match="targets"):
+            finite_pair_control(desk_kernels, desk_modes_32[:4], c, d)
+
     @pytest.mark.parametrize("n_modes", [3, 5])
     def test_rejects_a_family_of_another_length(self, desk_kernels, desk_modes_32,
                                                 n_modes):
@@ -423,22 +439,20 @@ class TestFrameBounds:
 class TestCloseness:
     def test_elastic_distances_vanish(self, elastic_kernels):
         family = moment_family(elastic_kernels, 8)
-        params = [mode_params(n, 0.0) for n in range(1, 9)]
-        report = quadratic_closeness(family, params)
+        report = quadratic_closeness(elastic_kernels, family)
         assert np.max(report.distances) < 1e-6
 
-    def test_empty_family_is_rejected(self, desk_family_8):
+    def test_empty_family_is_rejected(self, desk_kernels, desk_family_8):
         # an empty family cannot be built, so it never reaches a consumer
         with pytest.raises(ValueError):
             gram(desk_family_8[8:])
         with pytest.raises(ValueError):
-            quadratic_closeness(desk_family_8[8:], [])
+            quadratic_closeness(desk_kernels, desk_family_8[8:])
 
     def test_scaled_distances_do_not_grow(self, desk_kernels,
                                           desk_modes_32):
         family = build_family(desk_kernels, desk_modes_32)
-        params = [mode_params(n, desk_kernels.alpha) for n in range(1, 33)]
-        report = quadratic_closeness(family, params)
+        report = quadratic_closeness(desk_kernels, family)
         assert np.max(report.scaled[16:]) <= 2.0 * np.max(report.scaled[:16])
 
 
