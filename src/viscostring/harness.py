@@ -1,15 +1,15 @@
 """Experiment harness: configuration, task execution and persistence.
 
 Config files are flat INI: named sections of key = value lines, nothing
-nested.  A run reads one config, executes the requested task and only then
-writes a manifest plus plot-ready CSVs into the output directory, which the
-first file makes: a run that fails while it computes leaves no directory.
-Identical config and seed give byte-identical outputs; wall time
-therefore lives in a timing.json sidecar, not in the manifest.  Each task
-below solves its mode responses once, in one batch, and passes the
-family, one `ModeFamily` array, to every consumer.  The thread count
-(`--threads`, `[run] threads`) is still accepted and validated, but has
-no effect.
+nested.  A run reads one config and admits it: every refusal (exit 2) comes
+in that one phase, before any kernel or mode is computed.  It then solves
+the task's mode responses once, in one batch, hands the family, one
+`ModeFamily` array, to the task, and only then writes a manifest plus
+plot-ready CSVs into the output directory, which the first file makes: a
+run that fails while it computes leaves no directory.  Identical config and
+seed give byte-identical outputs; wall time therefore lives in a
+timing.json sidecar, not in the manifest.  The thread count (`--threads`,
+`[run] threads`) is still accepted and validated, but has no effect.
 
 Random targets and controls come from an explicit 64-bit generator so
 other toolchains can reproduce them from the documented integer
@@ -543,10 +543,7 @@ def _synthesis_outputs(manifest: dict, trip, **extra) -> dict:
             "synthesis.json": doc}
 
 
-def _task_simulate(cfg, kernels, manifest: dict) -> dict:
-    grid = cfg.grid
-    control = make_control(cfg, grid)
-    modes = solve_modes(range(1, cfg.n_max + 1), kernels)
+def _task_simulate(cfg, kernels, modes, manifest: dict, control) -> dict:
     state = simulate_coefficients(control, modes, kernels)
     manifest["control"] = {"kind": cfg.control_kind}
     return {**_state_outputs(state, manifest),
@@ -554,40 +551,27 @@ def _task_simulate(cfg, kernels, manifest: dict) -> dict:
             "trajectories.csv": (["n", "t", "re", "im"], _trajectory_blocks(modes))}
 
 
-def _task_steer(cfg, kernels, manifest: dict) -> dict:
-    grid = cfg.grid
-    n_max = cfg.n_max
-    if cfg.random_targets:
-        target = random_unit_target(cfg.seed, n_max)
-    else:  # rows shorter than n_max steer the remaining modes to 0
-        target = MomentTarget(*(np.pad(row, (0, n_max - len(row)))
-                                for row in (cfg.velocity_targets, cfg.stress_targets)))
-
-    # steering constrains modes 1..n_max only; the round trip also reports
-    # a tail of further coefficients (unconstrained by construction) where
-    # the grid allows
-    tail_n = max(min(2 * n_max, int(RESOLUTION_LIMIT / grid.step)), n_max)
-    modes = solve_modes(range(1, tail_n + 1), kernels)
+def _task_steer(cfg, kernels, modes, manifest: dict, target) -> dict:
     trip = closed_loop_roundtrip(kernels, target, modes)
-    return {**_state_outputs(trip.state, manifest, steered=n_max),
+    return {**_state_outputs(trip.state, manifest, steered=target.n_max),
             **_synthesis_outputs(manifest, trip, targets_velocity=[float(v) for v in target.xi],
                                  targets_stress=[float(v) for v in target.eta],
                                  achieved=_complex_list(trip.achieved))}
 
 
-def _task_pair(cfg, kernels, manifest: dict) -> dict:
-    c, d = cfg.deformation_targets, cfg.stress_targets
-    trip = finite_pair_control(kernels, solve_modes(range(1, cfg.n_pair + 1), kernels), c, d)
+def _task_pair(cfg, kernels, modes, manifest: dict, target) -> dict:
+    c, d = target.xi, target.eta
+    trip = finite_pair_control(kernels, modes, c, d)
     return {"coefficients.csv": (["n", "deformation_target", "deformation_achieved",
                                   "stress_target", "stress_achieved"],
-                                 [(np.arange(1, cfg.n_pair + 1), c, trip.state.deformation,
+                                 [(np.arange(1, target.n_max + 1), c, trip.state.deformation,
                                    d, trip.state.stress)]),
             **_synthesis_outputs(manifest, trip, deformation_targets=[float(v) for v in c],
                                  stress_targets=[float(v) for v in d])}
 
 
-def _task_diagnose(cfg, kernels, manifest: dict) -> dict:
-    family = build_family(kernels, solve_modes(range(1, cfg.n_max + 1), kernels))
+def _task_diagnose(cfg, kernels, modes, manifest: dict) -> dict:
+    family = build_family(kernels, modes)
     bounds = frame_bounds(family)
     closeness = quadratic_closeness(kernels, family)
     manifest["frame_bounds"] = {
@@ -607,10 +591,9 @@ def _task_diagnose(cfg, kernels, manifest: dict) -> dict:
                                 closeness.partial_sums)])}
 
 
-def _task_verify(cfg, kernels, manifest: dict) -> dict:
+def _task_verify(cfg, kernels, modes, manifest: dict, control) -> dict:
     grid = cfg.grid
     n_max = cfg.n_max
-    modes = solve_modes(range(1, n_max + 1), kernels)
     reports = {
         "mode_asymptotics": check_mode_asymptotics(kernels, modes),
         "mode_derivative_asymptotics": check_mode_derivative_asymptotics(kernels, modes),
@@ -622,7 +605,6 @@ def _task_verify(cfg, kernels, manifest: dict) -> dict:
     residuals = check_resolvent_identity(kernels, modes[[n - 1 for n in resolvent_ns]])
     manifest["resolvent_residuals"] = {str(n): r for n, r in zip(resolvent_ns, residuals)}
 
-    control = make_control(cfg, grid)
     state = simulate_coefficients(control, modes, kernels)
     reports["stress_deformation_gap"] = check_stress_deformation_gap(state)
     verdicts = {name: report.verdict.value for name, report in reports.items()}
@@ -657,81 +639,98 @@ def _task_verify(cfg, kernels, manifest: dict) -> dict:
                              "roundtrip": roundtrip_doc}}
 
 
+# after admission each failure has its own exit code; before it, all but 3 are config errors
 _EXITS = ((ExceptionalIndexError, "error", EXIT_EXCEPTIONAL_INDEX),
           (NearSingularGramError, "error", EXIT_NEAR_SINGULAR),
           (ElasticDegeneracyError, "error", EXIT_ELASTIC_DEGENERACY),
-          ((ValueError, KeyError, FileNotFoundError), "config error", EXIT_CONFIG),
           (OSError, "i/o error", EXIT_FAILURE),
-          ((ViscostringError, ArithmeticError), "error", EXIT_FAILURE))
+          (Exception, "error", EXIT_FAILURE))
 
 _TASK_RUNNERS = {"simulate": _task_simulate, "steer": _task_steer, "pair": _task_pair,
                  "diagnose": _task_diagnose, "verify": _task_verify}
 
 
-def _check_targets(cfg: ExperimentConfig) -> None:
-    """Both target rows (steer: or random = unit), of n_pair or at most n_max values."""
-    keys = {"steer": ("velocity", "stress"), "pair": ("deformation", "stress")}
-    limit, name = (cfg.n_pair, "n_pair") if cfg.task == "pair" else (cfg.n_max, "n_max")
-    if cfg.task == "pair" and limit > PAIR_MODE_LIMIT:
+def _admit(cfg: ExperimentConfig) -> tuple[int, dict]:
+    """Every refusal of `cfg`, before any work: the task's mode count and the
+    runner's inputs, its control (simulate, verify) or target (steer, pair)."""
+    task, n_max, limit = cfg.task, cfg.n_max, cfg.n_pair if cfg.task == "pair" else cfg.n_max
+    # steer's round trip also reports a tail of unconstrained coefficients where
+    # the grid allows, so it passes the resolution check whenever n_max does
+    count = max(min(2 * n_max, int(RESOLUTION_LIMIT / cfg.grid.step)), n_max) \
+        if task == "steer" else limit
+    cfg.grid.require_resolution(count)
+    # only tasks that evaluate per-mode parameters need them real and nonzero; the
+    # scan runs downward, as an exceptional index (exit 3) outranks the non-real
+    # modes below it (exit 2)
+    if task in ("verify", "diagnose"):
+        for n in range(n_max, 0, -1):
+            mode_params(n, cfg.kernel.alpha)
+    if task == "verify" and n_max < 2:
+        raise ValueError(f"[modes] n_max = {n_max}: verify's trend verdicts need two modes")
+    if task in ("simulate", "verify", "diagnose"):
+        return count, {"control": make_control(cfg, cfg.grid)} if task != "diagnose" else {}
+    if task == "pair" and limit > PAIR_MODE_LIMIT:
         raise ValueError(f"[modes] n_pair = {limit} exceeds the pair limit {PAIR_MODE_LIMIT}")
-    for key in () if cfg.random_targets and cfg.task == "steer" else keys.get(cfg.task, ()):
-        row = getattr(cfg, f"{key}_targets")
-        if row is None:
-            raise ValueError(f"{cfg.task} task needs {' and '.join(keys[cfg.task])} target "
-                             "rows" + " or random = unit" * (cfg.task == "steer"))
-        if len(row) > limit or cfg.task == "pair" and len(row) < limit:
-            raise ValueError(f"[targets] {key} holds {len(row)} values, {name} = {limit}")
+    if task == "steer" and cfg.random_targets:
+        return count, {"target": random_unit_target(cfg.seed, n_max)}
+    keys = ("velocity", "stress") if task == "steer" else ("deformation", "stress")
+    rows = [getattr(cfg, f"{key}_targets") for key in keys]
+    if any(row is None for row in rows):
+        raise ValueError(f"{task} task needs {' and '.join(keys)} target rows"
+                         + " or random = unit" * (task == "steer"))
+    for key, row in zip(keys, rows):
+        if len(row) > limit or task == "pair" and len(row) < limit:
+            raise ValueError(f"[targets] {key} holds {len(row)} values, "
+                             f"{'n_pair' if task == 'pair' else 'n_max'} = {limit}")
+    # steer rows shorter than n_max steer the remaining modes to 0
+    return count, {"target": MomentTarget(*(np.pad(row, (0, limit - len(row))) for row in rows))}
 
 
 def _origin(exc: BaseException) -> str:
-    """Module.function of the outermost package frame below `run` and its task runner."""
+    """Module.function of the outermost package frame below `run`, `_admit` and the runner."""
     import traceback  # a failed run alone needs it, so it stays off the start-up path
     names = [f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
              for frame, _ in traceback.walk_tb(exc.__traceback__)
              if frame.f_globals["__name__"].startswith("viscostring.")]
-    origin = next((name for name in names[1:] if "._task_" not in name), names[-1])
+    skip = ("viscostring.harness._task_", "viscostring.harness._admit")
+    origin = next((name for name in names[1:] if not name.startswith(skip)), names[-1])
     return origin.removeprefix("viscostring.")
 
 
 def run(cfg: ExperimentConfig, out_dir=None, threads: int | None = None) -> int:
     """Execute one experiment; returns the process exit code.
 
-    0 on success, 2 for configuration problems, 3 for an exceptional mode
-    index, 4 for a near-singular Gram system, 5 for elastically degenerate
-    pair targets, 1 for anything else; 3 outranks a non-real mode's 2.
-    The task's outputs land, once all are computed, in the configured (or
-    overriding) output directory, made by the first.  `threads`, like the
-    config's `[run] threads`, is accepted for compatibility and ignored.
+    `_admit` refuses a bad config before any work: exit 2, or 3 for an
+    exceptional mode index.  Then the task's modes are solved once for its
+    runner, whose outputs land, once all are computed, in the configured (or
+    overriding) output directory, made by the first; 0 on success, 4 for a
+    near-singular Gram system, 5 for elastically degenerate pair targets, 1
+    for any other failure.  `threads`, like `[run] threads`, is ignored.
     """
-    started = time.time()
+    started, admitted = time.time(), False
     try:
-        cfg.grid.require_resolution(cfg.n_pair if cfg.task == "pair" else cfg.n_max)
-        # solvers never touch the oscillation frequencies, so only the tasks
-        # that evaluate per-mode parameters need them real and nonzero; the
-        # scan runs downward because an exceptional index (exit 3) outranks
-        # the non-real modes below it (exit 2)
-        if cfg.task in ("verify", "diagnose"):
-            for n in range(cfg.n_max, 0, -1):
-                mode_params(n, cfg.kernel.alpha)
-        _check_targets(cfg)
-        kernels = derive_kernels(cfg.kernel, cfg.grid)
-        manifest = _base_manifest(cfg, kernels)
-        out = Path(out_dir if out_dir is not None else cfg.out_dir)
         # floating-point faults stop the run where they arise; underflow is legitimate
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            files = _TASK_RUNNERS[cfg.task](cfg, kernels, manifest)
+            count, inputs = _admit(cfg)
+            admitted = True
+            kernels = derive_kernels(cfg.kernel, cfg.grid)
+            modes = solve_modes(range(1, count + 1), kernels)
+            manifest = _base_manifest(cfg, kernels)
+            files = _TASK_RUNNERS[cfg.task](cfg, kernels, modes, manifest, **inputs)
+            out = Path(out_dir if out_dir is not None else cfg.out_dir)
             # writers looked up by name at each call: a wrapper set on them sees every file
             for name, content in files.items():
                 if name.endswith(".csv"):
                     write_csv(out / name, *content)
                 else:
                     write_manifest(out / name, content)
-        write_manifest(out / "manifest.json", manifest)
-        write_manifest(out / "timing.json",
-                       {"wall_time_seconds": time.time() - started})
+            write_manifest(out / "manifest.json", manifest)
+            write_manifest(out / "timing.json",
+                           {"wall_time_seconds": time.time() - started})
         return EXIT_OK
     except (ViscostringError, ArithmeticError, ValueError, KeyError, OSError) as exc:
-        label, code = next(entry for types, *entry in _EXITS if isinstance(exc, types))
+        label, code = next(entry for types, *entry in _EXITS if isinstance(exc, types)) \
+            if admitted or isinstance(exc, ExceptionalIndexError) else ("config error", EXIT_CONFIG)
         where = f" (in {_origin(exc)})" if isinstance(exc, FloatingPointError) else ""
         print(f"{label}: {exc}{where}", file=sys.stderr)
         return code

@@ -238,7 +238,7 @@ def build_family(kernels: DerivedKernelSet, modes: ModeFamily) -> ModeFamily:
         delta = family.samples[:, block] - assemble_moment_kernel(modes[block], kernels).samples
         deviations = np.sqrt(np.max(np.einsum("ijk,ijk->jk", delta, delta), axis=1))
         for n, deviation in zip(modes.ns[block], deviations.tolist()):
-            if deviation > tolerance:
+            if not deviation <= tolerance:  # NaN fails too
                 raise CrossCheckError(f"moment kernel n={n}: route deviation "
                                       f"{deviation:.3e} exceeds {tolerance:.3e}")
     return family

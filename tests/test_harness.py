@@ -465,6 +465,19 @@ kind = verify
         assert err.rstrip().endswith(" (in spectral.simulate_coefficients)")
         assert not out.exists()
 
+    def test_a_value_error_after_admission_is_a_failure(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # LinAlgError is a ValueError, but only admission refuses a config
+        def failing(family):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(harness, "frame_bounds", failing)
+        out = tmp_path / "o"
+        assert cli_main(["diagnose", "--config", str(task_config(tmp_path, "diagnose")),
+                         "--out", str(out)]) == EXIT_FAILURE
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
+        assert not out.exists()
+
     def test_random_targets_other_than_unit_are_a_config_error(self, tmp_path,
                                                                capsys):
         # a misspelt value must not fall back to the target rows silently
@@ -620,6 +633,8 @@ class TestSolveOnce:
 
     def test_pair_beyond_the_mode_limit_is_refused_before_any_march(
             self, tmp_path, monkeypatch, capsys):
+        # and every other refusal: each comes at admission, before any kernel
+        # or mode, and a floating-point fault there names where it arose
         calls = Counter()
         march = volterra._march
 
@@ -628,15 +643,23 @@ class TestSolveOnce:
             return march(*args)
 
         monkeypatch.setattr(volterra, "_march", counting)
-        text = (Path(__file__).parents[1] / "configs" / "pair.ini").read_text()
-        for key, value in (("n_pair", "17"), ("deformation", "1" + " 0" * 16),
-                           ("stress", "0 1" + " 0" * 15)):
-            text, count = re.subn(f"(?m)^{key} = .*$", f"{key} = {value}", text)
-            assert count == 1
-        assert run(load_config(write_config(tmp_path, text)),
-                   out_dir=tmp_path / "o") == EXIT_CONFIG
-        assert "[modes] n_pair = 17" in capsys.readouterr().err
-        assert not calls
+        cases = [("pair", {"n_pair": "17", "deformation": "1" + " 0" * 16,
+                           "stress": "0 1" + " 0" * 15}, "[modes] n_pair = 17"),
+                 ("verify", {"amplitude": "1.0\ncenter = 100.0"}, "holds no grid node"),
+                 ("pair", {"deformation": "nan 0 0 0"}, "stress targets must be finite"),
+                 ("verify", {"n_max": "1"}, "[modes] n_max = 1"),
+                 ("simulate", {"frequency": "1e308"},
+                  "overflow encountered in multiply (in harness.make_control)")]
+        for case, (task, edits, message) in enumerate(cases):
+            text = (Path(__file__).parents[1] / "configs" / f"{task}.ini").read_text()
+            for key, value in edits.items():
+                text, count = re.subn(f"(?m)^{key} = .*$", f"{key} = {value}", text)
+                assert count == 1
+            out = tmp_path / f"o{case}"
+            assert run(load_config(write_config(tmp_path, text)), out_dir=out) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and message in err, (task, err)
+            assert not out.exists() and not calls, (task, calls)
 
     @pytest.mark.parametrize("task,solves", [("simulate", 0), ("pair", 0),
                                              ("steer", 0), ("diagnose", 0),
@@ -814,7 +837,7 @@ class TestExports:
                                         [([math.nan, 1.0],)],
                                         [([1, 2], [0.5, 1.0]), ([3], [-math.inf])]],
                              ids=["nan-second-block", "nan-first-block", "inf"])
-    def test_non_finite_float_removes_the_file(self, tmp_path, blocks):
+    def test_non_finite_float_leaves_no_file(self, tmp_path, blocks):
         # every block is checked before the file is made: neither the file
         # nor a directory for it is left
         header = ["x", "y"][: len(blocks[0])]

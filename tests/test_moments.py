@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,6 +89,19 @@ class TestFamily:
                            desk_kernels.grid)
         with pytest.raises(CrossCheckError, match="n=11: route deviation"):
             build_family(desk_kernels, modes)
+
+    def test_cross_check_refuses_a_nan_deviation(self, desk_kernels, desk_modes_32,
+                                                 monkeypatch):
+        # NaN > tolerance is False, so a NaN route must fail the check another way
+        assemble = moments.assemble_moment_kernel
+
+        def nan_rows(modes, kernels):
+            return SimpleNamespace(samples=np.full_like(assemble(modes, kernels).samples,
+                                                        np.nan))
+
+        monkeypatch.setattr(moments, "assemble_moment_kernel", nan_rows)
+        with pytest.raises(CrossCheckError, match="n=1: route deviation nan"):
+            build_family(desk_kernels, desk_modes_32[:4])
 
 
 def _quadrature_gram(family):
