@@ -1,8 +1,9 @@
 """Experiment harness: configuration, task execution and persistence.
 
-Config files are flat INI: named sections of key = value lines, nothing
-nested.  A run reads one config and admits it: every refusal (exit 2) comes
-in that one phase, before any kernel or mode is computed.  It then solves
+Config files are flat INI, `key = value` lines in the sections of
+`CONFIG_KEYS`, the one list of keys.  A run reads one config and admits it:
+every refusal (exit 2), a target row its task does not read among them,
+comes in that one phase, before any kernel or mode is computed.  It solves
 the task's mode responses once, in one batch, hands the family, one
 `ModeFamily` array, to the task, and only then writes a manifest plus
 plot-ready CSVs into the output directory, which the first file makes: a
@@ -91,17 +92,6 @@ EXIT_ELASTIC_DEGENERACY = 5
 
 TASKS = ("simulate", "steer", "pair", "diagnose", "verify")
 CONTROL_KINDS = ("zero", "cosine", "bump", "random")
-
-# every section and key a config may hold; anything else is a config error
-CONFIG_KEYS = {
-    "kernel": ("family", "coefficients"),
-    "grid": ("horizon", "steps"),
-    "modes": ("n_max", "n_pair"),
-    "task": ("kind",),
-    "control": ("kind", "amplitude", "frequency", "center", "width"),
-    "targets": ("random", "velocity", "stress", "deformation"),
-    "run": ("seed", "out", "threads"),
-}
 
 FIELD_GRID_POINTS = 201
 
@@ -196,13 +186,10 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "out"
     threads: int | None = None  # `[run] threads`, parsed and ignored
-    # targets: velocity/stress rows (steer) or deformation/stress rows
-    # (pair), or seeded random steering targets
     velocity_targets: np.ndarray | None = None
     stress_targets: np.ndarray | None = None
     deformation_targets: np.ndarray | None = None
     random_targets: bool = False
-    # control block for simulate/verify
     control_kind: str = "zero"
     control_amplitude: float = 1.0
     control_frequency: float = 1.0
@@ -211,33 +198,38 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(tok) for tok in text.replace(",", " ").split()])
 
 
-def _build_kernel(section) -> MemoryKernel:
-    family = section.get("family", "").strip().lower()
-    coeffs = _parse_floats(section.get("coefficients", ""))
-    if family == "zero":
-        return MemoryKernel.zero()
-    if family == "exponential_sum":
-        if len(coeffs) % 2 != 0 or not coeffs:
-            raise ValueError("exponential_sum needs an even, nonzero number of "
-                             "coefficients (a b per term)")
-        pairs = list(zip(coeffs[0::2], coeffs[1::2]))
-        return MemoryKernel.exponential_sum(pairs)
-    if family == "polynomial":
-        return MemoryKernel.polynomial(coeffs)
-    raise ValueError(f"unknown kernel family {family!r}")
+def _word(text: str) -> str:
+    return text.strip().lower()
+
+
+# section -> key -> (ExperimentConfig field, parser), the only keys a config may
+# hold; [kernel] and [grid] values go into the `kernel` and `grid` they build
+CONFIG_KEYS = {
+    "kernel": {"family": ("family", _word), "coefficients": ("coefficients", _floats)},
+    "grid": {"horizon": ("horizon", float), "steps": ("steps", int)},
+    "modes": {"n_max": ("n_max", int), "n_pair": ("n_pair", int)},
+    "task": {"kind": ("task", _word)},
+    "control": {"kind": ("control_kind", _word), "amplitude": ("control_amplitude", float),
+                "frequency": ("control_frequency", float),
+                "center": ("control_center", float), "width": ("control_width", float)},
+    "targets": {"random": ("random_targets", lambda text: _word(text) == "unit"),
+                "velocity": ("velocity_targets", _floats), "stress": ("stress_targets", _floats),
+                "deformation": ("deformation_targets", _floats)},
+    "run": {"seed": ("seed", int), "out": ("out_dir", str), "threads": ("threads", int)},
+}
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file (flat INI sections).
 
-    Sections and keys outside `CONFIG_KEYS` raise ValueError naming them, so
-    a misspelt key cannot fall back to its default silently; so do malformed
-    INI text, a seed outside [0, 2^64), a mode count below 1 and a float64
-    overflow of exp(2|alpha| T).
+    `CONFIG_KEYS` is the one list of keys, with each key's field and parser:
+    sections and keys outside it raise ValueError naming them, so a misspelt
+    key cannot fall back to its default silently; so do malformed INI text, a
+    seed outside [0, 2^64), a mode count below 1 and exp(2|alpha| T) overflow.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:  # reading every value once raises any interpolation error here
@@ -248,66 +240,47 @@ def load_config(path) -> ExperimentConfig:
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
-    for name in parser.sections():
+    values = {}
+    for name, section in raw.items():
         if name not in CONFIG_KEYS:
             raise ValueError(f"unknown config section [{name}]")
-        for key in parser[name]:
+        for key, text in section.items():
             if key not in CONFIG_KEYS[name]:
                 raise ValueError(f"unknown key {key!r} in config section [{name}]")
+            attr, parse = CONFIG_KEYS[name][key]
+            values[attr] = parse(text)
 
-    if "kernel" not in parser or "grid" not in parser or "task" not in parser:
+    if not {"kernel", "grid", "task"} <= raw.keys():
         raise ValueError("config needs [kernel], [grid] and [task] sections")
-
-    kernel = _build_kernel(parser["kernel"])
-    grid_sec = parser["grid"]
-    grid = TimeGrid(float(grid_sec["horizon"]), int(grid_sec["steps"]))
+    family, coeffs = values.pop("family", ""), values.pop("coefficients", ())
+    if family == "zero":
+        kernel = MemoryKernel.zero()
+    elif family == "polynomial":
+        kernel = MemoryKernel.polynomial(coeffs)
+    elif family != "exponential_sum":
+        raise ValueError(f"unknown kernel family {family!r}")
+    elif len(coeffs) % 2 or not len(coeffs):
+        raise ValueError("exponential_sum needs an even, nonzero number of "
+                         "coefficients (a b per term)")
+    else:
+        kernel = MemoryKernel.exponential_sum(zip(coeffs[0::2], coeffs[1::2]))
+    grid = TimeGrid(values.pop("horizon"), values.pop("steps"))
     if 2.0 * abs(kernel.alpha) * grid.horizon > math.log(sys.float_info.max):
         raise ValueError(f"[kernel] coefficients (alpha = {kernel.alpha:.6g}) and [grid] "
                          f"horizon = {grid.horizon:.6g}: exp(2|alpha| T) overflows float64")
-    task = parser["task"].get("kind", "").strip().lower()
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}, expected one of {TASKS}")
+    if values.setdefault("task", "") not in TASKS:
+        raise ValueError(f"unknown task {values['task']!r}, expected one of {TASKS}")
 
-    cfg = ExperimentConfig(kernel=kernel, grid=grid, task=task)
-
-    if "modes" in parser:
-        modes = parser["modes"]
-        cfg.n_max = modes.getint("n_max", cfg.n_max)
-        cfg.n_pair = modes.getint("n_pair", cfg.n_pair)
-        for key in ("n_max", "n_pair"):
-            if getattr(cfg, key) < 1:
-                raise ValueError(f"[modes] {key} must be at least 1, "
-                                 f"got {getattr(cfg, key)}")
-
-    if "run" in parser:
-        run_sec = parser["run"]
-        cfg.seed = run_sec.getint("seed", 0)
-        if not 0 <= cfg.seed <= _MASK64:
-            raise ValueError(f"seed must be a nonnegative 64-bit integer, got {cfg.seed}")
-        cfg.out_dir = run_sec.get("out", cfg.out_dir)
-        cfg.threads = run_sec.getint("threads", cfg.threads)
-
-    if "targets" in parser:
-        tgt = parser["targets"]
-        if "random" in tgt:
-            if tgt["random"].strip().lower() != "unit":
-                raise ValueError(f"[targets] random must be 'unit', got {tgt['random']!r}")
-            cfg.random_targets = True
-        for key in ("velocity", "stress", "deformation"):
-            if key in tgt:
-                setattr(cfg, f"{key}_targets", np.array(_parse_floats(tgt[key])))
-
-    if "control" in parser:
-        ctl = parser["control"]
-        cfg.control_kind = ctl.get("kind", "zero").strip().lower()
-        if cfg.control_kind not in CONTROL_KINDS:
-            raise ValueError(f"unknown control kind {cfg.control_kind!r}")
-        cfg.control_amplitude = ctl.getfloat("amplitude", 1.0)
-        cfg.control_frequency = ctl.getfloat("frequency", 1.0)
-        cfg.control_center = ctl.getfloat("center", cfg.control_center)
-        cfg.control_width = ctl.getfloat("width", cfg.control_width)
-
-    cfg.raw = raw
+    cfg = ExperimentConfig(kernel=kernel, grid=grid, raw=raw, **values)
+    for key in ("n_max", "n_pair"):
+        if getattr(cfg, key) < 1:
+            raise ValueError(f"[modes] {key} must be at least 1, got {getattr(cfg, key)}")
+    if not 0 <= cfg.seed <= _MASK64:
+        raise ValueError(f"seed must be a nonnegative 64-bit integer, got {cfg.seed}")
+    if "random" in raw.get("targets", {}) and not cfg.random_targets:
+        raise ValueError(f"[targets] random must be 'unit', got {raw['targets']['random']!r}")
+    if cfg.control_kind not in CONTROL_KINDS:
+        raise ValueError(f"unknown control kind {cfg.control_kind!r}")
     return cfg
 
 
@@ -316,14 +289,11 @@ def make_control(cfg: ExperimentConfig, grid: TimeGrid) -> ControlSignal:
     if cfg.control_kind == "zero":
         return ControlSignal(np.zeros(grid.steps + 1), grid)
     if cfg.control_kind == "cosine":
-        times = grid.times()
         return ControlSignal(
-            cfg.control_amplitude * np.cos(cfg.control_frequency * times), grid)
+            cfg.control_amplitude * np.cos(cfg.control_frequency * grid.times()), grid)
     if cfg.control_kind == "bump":
-        center = cfg.control_center if cfg.control_center is not None \
-            else 0.5 * grid.horizon
-        width = cfg.control_width if cfg.control_width is not None \
-            else 0.25 * grid.horizon
+        center = 0.5 * grid.horizon if cfg.control_center is None else cfg.control_center
+        width = 0.25 * grid.horizon if cfg.control_width is None else cfg.control_width
         return bump_control(grid, cfg.control_amplitude, center, width)
     if cfg.control_kind == "random":
         return random_control(cfg.seed, grid)
@@ -667,18 +637,23 @@ def _admit(cfg: ExperimentConfig) -> tuple[int, dict]:
             mode_params(n, cfg.kernel.alpha)
     if task == "verify" and n_max < 2:
         raise ValueError(f"[modes] n_max = {n_max}: verify's trend verdicts need two modes")
+    reads = {"steer": ("random",) if cfg.random_targets else ("velocity", "stress"),
+             "pair": ("deformation", "stress")}.get(task, ())
+    for key in cfg.raw.get("targets", {}):
+        if key not in reads:
+            raise ValueError(f"[targets] {key} is not read by a {task} run"
+                             + " with random = unit" * (task == "steer" and cfg.random_targets))
     if task in ("simulate", "verify", "diagnose"):
         return count, {"control": make_control(cfg, cfg.grid)} if task != "diagnose" else {}
     if task == "pair" and limit > PAIR_MODE_LIMIT:
         raise ValueError(f"[modes] n_pair = {limit} exceeds the pair limit {PAIR_MODE_LIMIT}")
     if task == "steer" and cfg.random_targets:
         return count, {"target": random_unit_target(cfg.seed, n_max)}
-    keys = ("velocity", "stress") if task == "steer" else ("deformation", "stress")
-    rows = [getattr(cfg, f"{key}_targets") for key in keys]
+    rows = [getattr(cfg, CONFIG_KEYS["targets"][key][0]) for key in reads]
     if any(row is None for row in rows):
-        raise ValueError(f"{task} task needs {' and '.join(keys)} target rows"
+        raise ValueError(f"{task} task needs {' and '.join(reads)} target rows"
                          + " or random = unit" * (task == "steer"))
-    for key, row in zip(keys, rows):
+    for key, row in zip(reads, rows):
         if len(row) > limit or task == "pair" and len(row) < limit:
             raise ValueError(f"[targets] {key} holds {len(row)} values, "
                              f"{'n_pair' if task == 'pair' else 'n_max'} = {limit}")

@@ -502,12 +502,25 @@ kind = verify
          "[targets] stress holds 2 values, n_pair = 4"),
         ("pair", "deformation = 1 0.5 0 0",
          "pair task needs deformation and stress target rows"),
+        ("steer", "random = unit\nvelocity = 1 0",
+         "[targets] velocity is not read by a steer run with random = unit"),
+        ("steer", "velocity = 1 0\nstress = 0 1\ndeformation = 1 0",
+         "[targets] deformation is not read by a steer run"),
+        ("pair", "deformation = 1 0.5 0 0\nstress = 0 0.5 1 0\nvelocity = 1 0",
+         "[targets] velocity is not read by a pair run"),
+        ("pair", "random = unit\ndeformation = 1 0.5 0 0\nstress = 0 0.5 1 0",
+         "[targets] random is not read by a pair run"),
+        ("simulate", "velocity = 1 0", "[targets] velocity is not read by a simulate run"),
+        ("diagnose", "stress = 0 1", "[targets] stress is not read by a diagnose run"),
+        ("verify", "deformation = 1 0", "[targets] deformation is not read by a verify run"),
     ], ids=["steer-long", "steer-long-stress", "steer-none", "pair-long", "pair-short",
-            "pair-missing"])
+            "pair-missing", "steer-rows-beside-random", "steer-deformation", "pair-velocity",
+            "pair-random", "simulate-row", "diagnose-row", "verify-row"])
     def test_unusable_target_rows_are_refused_before_any_output(self, tmp_path, capsys,
                                                                 task, targets, message):
         # rows longer than the mode count used to be cut without a word, and
-        # missing or short rows were refused after the directory was made
+        # missing or short rows were refused after the directory was made;
+        # rows the task does not read were dropped without a word
         path = write_config(tmp_path, TASK_TEMPLATE.format(
             task=task, coefficients="0.4 1.0", horizon=TWO_PI, steps=512, n_max=2,
             targets=targets))
