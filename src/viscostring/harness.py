@@ -2,19 +2,18 @@
 
 Config files are flat INI, `key = value` lines in the sections of
 `CONFIG_KEYS`, the one list of keys.  A run reads one config and admits it:
-every refusal (exit 2), a target row its task does not read among them,
-comes in that one phase, before any kernel or mode is computed.  It solves
-the task's mode responses once, in one batch, hands the family, one
-`ModeFamily` array, to the task, and only then writes a manifest plus
-plot-ready CSVs into the output directory, which the first file makes: a
-run that fails while it computes leaves no directory.  Identical config and
-seed give byte-identical outputs; wall time therefore lives in a
-timing.json sidecar, not in the manifest.  The thread count (`--threads`,
-`[run] threads`) is still accepted and validated, but has no effect.
+every refusal (exit 2), a `[targets]` or `[control]` key the run does not
+read among them, comes in that one phase, before any kernel or mode is
+computed.  It solves the task's modes once, in one batch, hands that
+`ModeFamily` to the task, and only then writes a manifest plus plot-ready
+CSVs into the output directory, which the first file makes: a run that
+fails while it computes leaves no directory.  Identical config and seed
+give byte-identical outputs; wall time therefore lives in a timing.json
+sidecar, not in the manifest.  `--threads` and `[run] threads` are
+validated but have no effect.
 
-Random targets and controls come from an explicit 64-bit generator so
-other toolchains can reproduce them from the documented integer
-recurrence (see `splitmix64_stream`).
+Random targets and controls come from `splitmix64_stream`, a documented
+64-bit integer recurrence that other toolchains can reproduce.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (
     NearSingularGramError,
     ViscostringError,
 )
-from .kernels import DerivedKernelSet, MemoryKernel, derive_kernels
+from .kernels import DerivedKernelSet, KernelFamily, MemoryKernel, derive_kernels
 from .moments import (
     PAIR_MODE_LIMIT,
     MomentTarget,
@@ -91,7 +90,8 @@ EXIT_NEAR_SINGULAR = 4
 EXIT_ELASTIC_DEGENERACY = 5
 
 TASKS = ("simulate", "steer", "pair", "diagnose", "verify")
-CONTROL_KINDS = ("zero", "cosine", "bump", "random")
+CONTROL_KEYS = {"zero": (), "random": (), "cosine": ("amplitude", "frequency"),
+                "bump": ("amplitude", "center", "width")}  # [control] keys read beside `kind`
 
 FIELD_GRID_POINTS = 201
 
@@ -206,8 +206,8 @@ def _word(text: str) -> str:
     return text.strip().lower()
 
 
-# section -> key -> (ExperimentConfig field, parser), the only keys a config may
-# hold; [kernel] and [grid] values go into the `kernel` and `grid` they build
+# section -> key -> (ExperimentConfig field, parser), the only keys a config may hold;
+# [kernel] and [grid] build `kernel` and `grid`; `_admit` refuses unread [targets], [control] keys
 CONFIG_KEYS = {
     "kernel": {"family": ("family", _word), "coefficients": ("coefficients", _floats)},
     "grid": {"horizon": ("horizon", float), "steps": ("steps", int)},
@@ -226,10 +226,10 @@ CONFIG_KEYS = {
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file (flat INI sections).
 
-    `CONFIG_KEYS` is the one list of keys, with each key's field and parser:
-    sections and keys outside it raise ValueError naming them, so a misspelt
-    key cannot fall back to its default silently; so do malformed INI text, a
-    seed outside [0, 2^64), a mode count below 1 and exp(2|alpha| T) overflow.
+    Sections and keys outside `CONFIG_KEYS` raise ValueError naming them, as
+    do malformed INI text, coefficients the kernel family refuses (zero takes
+    none), a seed outside [0, 2^64), a mode count below 1 and exp(2|alpha| T)
+    overflow: a misspelt key or value never falls back to a default.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:  # reading every value once raises any interpolation error here
@@ -252,18 +252,13 @@ def load_config(path) -> ExperimentConfig:
 
     if not {"kernel", "grid", "task"} <= raw.keys():
         raise ValueError("config needs [kernel], [grid] and [task] sections")
-    family, coeffs = values.pop("family", ""), values.pop("coefficients", ())
-    if family == "zero":
-        kernel = MemoryKernel.zero()
-    elif family == "polynomial":
-        kernel = MemoryKernel.polynomial(coeffs)
-    elif family != "exponential_sum":
-        raise ValueError(f"unknown kernel family {family!r}")
-    elif len(coeffs) % 2 or not len(coeffs):
-        raise ValueError("exponential_sum needs an even, nonzero number of "
-                         "coefficients (a b per term)")
-    else:
-        kernel = MemoryKernel.exponential_sum(zip(coeffs[0::2], coeffs[1::2]))
+    family, coeffs = values.pop("family", ""), [float(c) for c in values.pop("coefficients", ())]
+    params = [tuple(coeffs[i:i + 2]) for i in range(0, len(coeffs), 2)] \
+        if family == "exponential_sum" else coeffs  # an odd count ends in a 1-tuple
+    try:  # the kernel's own checks are the only ones: zero takes no coefficients
+        kernel = MemoryKernel(KernelFamily(family), tuple(params))
+    except ValueError as exc:
+        raise ValueError(f"[kernel] family = {family}, coefficients {coeffs}: {exc}") from exc
     grid = TimeGrid(values.pop("horizon"), values.pop("steps"))
     if 2.0 * abs(kernel.alpha) * grid.horizon > math.log(sys.float_info.max):
         raise ValueError(f"[kernel] coefficients (alpha = {kernel.alpha:.6g}) and [grid] "
@@ -279,7 +274,7 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"seed must be a nonnegative 64-bit integer, got {cfg.seed}")
     if "random" in raw.get("targets", {}) and not cfg.random_targets:
         raise ValueError(f"[targets] random must be 'unit', got {raw['targets']['random']!r}")
-    if cfg.control_kind not in CONTROL_KINDS:
+    if cfg.control_kind not in CONTROL_KEYS:
         raise ValueError(f"unknown control kind {cfg.control_kind!r}")
     return cfg
 
@@ -621,8 +616,8 @@ _TASK_RUNNERS = {"simulate": _task_simulate, "steer": _task_steer, "pair": _task
 
 
 def _admit(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Every refusal of `cfg`, before any work: the task's mode count and the
-    runner's inputs, its control (simulate, verify) or target (steer, pair)."""
+    """Every refusal of `cfg`, an unread `[targets]` or `[control]` key among them, before
+    any work: the mode count and the control (simulate, verify) or target (steer, pair)."""
     task, n_max, limit = cfg.task, cfg.n_max, cfg.n_pair if cfg.task == "pair" else cfg.n_max
     # steer's round trip also reports a tail of unconstrained coefficients where
     # the grid allows, so it passes the resolution check whenever n_max does
@@ -637,23 +632,28 @@ def _admit(cfg: ExperimentConfig) -> tuple[int, dict]:
             mode_params(n, cfg.kernel.alpha)
     if task == "verify" and n_max < 2:
         raise ValueError(f"[modes] n_max = {n_max}: verify's trend verdicts need two modes")
-    reads = {"steer": ("random",) if cfg.random_targets else ("velocity", "stress"),
-             "pair": ("deformation", "stress")}.get(task, ())
-    for key in cfg.raw.get("targets", {}):
-        if key not in reads:
-            raise ValueError(f"[targets] {key} is not read by a {task} run"
-                             + " with random = unit" * (task == "steer" and cfg.random_targets))
-    if task in ("simulate", "verify", "diagnose"):
-        return count, {"control": make_control(cfg, cfg.grid)} if task != "diagnose" else {}
+    # [targets] and [control] keys this run reads: the first other one, in file order, is refused
+    controlled = task in ("simulate", "verify")
+    reads = {"targets": {"steer": ("random",) if cfg.random_targets else ("velocity", "stress"),
+                         "pair": ("deformation", "stress")}.get(task, ()),
+             "control": ("kind", *CONTROL_KEYS[cfg.control_kind]) if controlled else ()}
+    said = {"targets": " with random = unit" * (task == "steer" and cfg.random_targets),
+            "control": f" with kind = {cfg.control_kind}" * controlled}
+    for section, keys in cfg.raw.items():
+        for key in keys:
+            if key not in reads.get(section, keys):
+                raise ValueError(f"[{section}] {key} is not read by a {task} run{said[section]}")
+    if controlled or task == "diagnose":
+        return count, {"control": make_control(cfg, cfg.grid)} if controlled else {}
     if task == "pair" and limit > PAIR_MODE_LIMIT:
         raise ValueError(f"[modes] n_pair = {limit} exceeds the pair limit {PAIR_MODE_LIMIT}")
     if task == "steer" and cfg.random_targets:
         return count, {"target": random_unit_target(cfg.seed, n_max)}
-    rows = [getattr(cfg, CONFIG_KEYS["targets"][key][0]) for key in reads]
+    rows = [getattr(cfg, CONFIG_KEYS["targets"][key][0]) for key in reads["targets"]]
     if any(row is None for row in rows):
-        raise ValueError(f"{task} task needs {' and '.join(reads)} target rows"
+        raise ValueError(f"{task} task needs {' and '.join(reads['targets'])} target rows"
                          + " or random = unit" * (task == "steer"))
-    for key, row in zip(reads, rows):
+    for key, row in zip(reads["targets"], rows):
         if len(row) > limit or task == "pair" and len(row) < limit:
             raise ValueError(f"[targets] {key} holds {len(row)} values, "
                              f"{'n_pair' if task == 'pair' else 'n_max'} = {limit}")

@@ -523,10 +523,44 @@ kind = verify
         # rows the task does not read were dropped without a word
         path = write_config(tmp_path, TASK_TEMPLATE.format(
             task=task, coefficients="0.4 1.0", horizon=TWO_PI, steps=512, n_max=2,
-            targets=targets))
+            targets=targets, control=TASK_CONTROL.get(task, "")))
         out = tmp_path / "o"
         assert cli_main([task, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task,old,new,message", [
+        ("steer", "[run]", "[control]\nkind = cosine\n\n[run]",
+         "[control] kind is not read by a steer run"),
+        ("pair", "[run]", "[control]\nkind = cosine\n\n[run]",
+         "[control] kind is not read by a pair run"),
+        ("diagnose", "[run]", "[control]\nkind = cosine\n\n[run]",
+         "[control] kind is not read by a diagnose run"),
+        ("simulate", "frequency = 1.0", "frequency = 1.0\ncenter = 3.0",
+         "[control] center is not read by a simulate run with kind = cosine"),
+        ("verify", "amplitude = 1.0", "amplitude = 1.0\nfrequency = 2.0",
+         "[control] frequency is not read by a verify run with kind = bump"),
+        ("simulate", "kind = cosine", "kind = zero",
+         "[control] amplitude is not read by a simulate run with kind = zero"),
+        ("steer", "family = exponential_sum", "family = zero",
+         "[kernel] family = zero, coefficients [0.4, 1.0]: zero kernel takes no parameters"),
+        ("simulate", "frequency = 1.0", "frequency = 1.0\nwidth = 1.0\ncenter = 3.0",
+         "[control] width is not read by a simulate run with kind = cosine"),
+    ], ids=["steer-control", "pair-control", "diagnose-control", "simulate-cosine-center",
+            "verify-bump-frequency", "simulate-zero-amplitude", "steer-zero-kernel",
+            "simulate-two-faults"])
+    def test_unread_config_values_are_refused_before_any_output(self, tmp_path, capsys,
+                                                                task, old, new, message):
+        # an example config with one line replaced: each value here used to be
+        # parsed and dropped without a word; of two unread keys the first in
+        # the file is named (width before center, against their sorted order)
+        text = (Path(__file__).parents[1] / "configs" / f"{task}.ini").read_text()
+        assert text.count(old) == 1
+        out = tmp_path / "o"
+        assert cli_main([task, "--config", str(write_config(tmp_path, text.replace(old, new))),
+                         "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
         assert not out.exists()
 
     def test_short_steer_rows_target_zero_for_the_other_modes(self, tmp_path):
@@ -598,9 +632,7 @@ kind = {task}
 [targets]
 {targets}
 
-[control]
-kind = bump
-
+{control}
 [run]
 seed = 5
 """
@@ -610,6 +642,9 @@ TASK_TARGETS = {
     "pair": "deformation = 1 0.5 0 0\nstress = 0 0.5 1 0",
 }
 
+# only simulate and verify read [control]; the other tasks refuse it
+TASK_CONTROL = {task: "[control]\nkind = bump\n" for task in ("simulate", "verify")}
+
 
 def task_config(tmp_path, task, *, coefficients="0.4 1.0", horizon=TWO_PI,
                 steps=1024, n_max=8):
@@ -617,7 +652,8 @@ def task_config(tmp_path, task, *, coefficients="0.4 1.0", horizon=TWO_PI,
         tmp_path,
         TASK_TEMPLATE.format(task=task, coefficients=coefficients,
                              horizon=horizon, steps=steps, n_max=n_max,
-                             targets=TASK_TARGETS.get(task, "")),
+                             targets=TASK_TARGETS.get(task, ""),
+                             control=TASK_CONTROL.get(task, "")),
         name=f"{task}.ini")
 
 
